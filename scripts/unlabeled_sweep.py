@@ -2,7 +2,8 @@
 """Support recovery and classification error as a function of the unlabeled
 sample count, at a fixed labeled budget.
 
-Desk-scale defaults (p = 20000) finish in minutes; raise --p/--trials to
+At the desk-scale defaults (p = 20000) the vanilla_pca solves at the largest
+n dominate the run (100-120 s per trial at n = 3200); raise --p/--trials to
 approach the full protocol (p = 1e5, k = 100, lambda = 3, L = 200, M = 50).
 The grid is geometric. Results land in a per-trial CSV plus an .agg.csv
 sidecar with means and standard deviations, ready for plotting.

@@ -135,14 +135,13 @@ def _collect_experiment(args: argparse.Namespace, sweep: bool) -> harness.Experi
     if sweep:
         flag_keys["sweep_axis"] = args.sweep_axis
         flag_keys["sweep_values"] = args.sweep_values
+    twin = {a: b for group in harness._EXCLUSIVE_GROUPS for a, b in (group, group[::-1])}
     for key, value in flag_keys.items():
         if value is not None:
             # explicit flags override the config file; drop the file's twin
             # from the same exclusive parameter group
-            for a, b in (("k", "alpha"), ("alpha", "k"), ("L", "beta"),
-                         ("beta", "L"), ("n", "gamma"), ("gamma", "n")):
-                if key == a and b in raw:
-                    del raw[b]
+            if key in twin:
+                raw.pop(twin[key], None)
             raw[key] = value
     return harness.config_from_dict(raw)
 

@@ -199,7 +199,7 @@ def self_train(dataset: Dataset, k: int, gamma_threshold: float = 0.8) -> Estima
         n_eff = int(confident.sum())
         if n_eff:
             signs = np.sign(scores[confident])
-            pseudo_sum = signs @ dataset.unlabeled_x[confident].astype(np.float64)
+            pseudo_sum = signs @ dataset.unlabeled_x[confident].astype(np.float64, copy=False)
     w_self = (labeled_sum + pseudo_sum) / (xs.shape[0] + n_eff)
     support = top_k_indices(np.abs(w_self), k)
     return _finalize("self_train", w.size, support, w_self[support],

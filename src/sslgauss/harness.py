@@ -1,10 +1,15 @@
 """Monte Carlo experiment orchestration.
 
-Runs M independent trials per (method, sweep point), each with a freshly
-drawn sparse mean and dataset, scores them with the closed-form metrics, and
-persists plot-ready CSV. Trial seeds depend only on (master seed, trial
-index), so all methods and sweep points of a trial share the same data,
-and parallel execution is bit-identical to serial.
+Runs M independent trials, each with a freshly drawn sparse mean and
+dataset, scores every (method, sweep point) of a trial with the closed-form
+metrics, and persists plot-ready CSV. Trial seeds depend only on (master
+seed, trial index), so all methods and sweep points of a trial share the
+same data, and parallel execution is bit-identical to serial.
+
+The trial is the unit of work: a trial draws its data once, at the sweep's
+largest (L, n), and serves every point from prefix slices of that draw,
+which the prefix stability of the sampler makes exact. With threads > 1
+trials run in worker processes, each holding one draw at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, SslgaussError
+from .errors import ConfigError
 from .estimators import METHODS, MethodOptions
 from .gmodel import (Dataset, ProblemParams, SparseMean, k_from_alpha, labeled_count,
                      make_sparse_mean, sample_dataset, unlabeled_count)
@@ -131,15 +136,46 @@ def trial_ground_truth(config: ExperimentConfig, trial_index: int,
     return mu, ds
 
 
+class _TrialSlot:
+    """Single-slot memo of one trial's draw, at the larger of the config's
+    largest point and the requested point. Every point of the trial is a
+    prefix slice of it."""
+
+    def __init__(self):
+        self._key = None
+        self._draw: tuple[SparseMean, Dataset] | None = None
+
+    def __call__(self, config: ExperimentConfig, trial_index: int,
+                 point: tuple[int, int]) -> tuple[SparseMean, Dataset]:
+        points = config.points() + [point]
+        draw_point = (max(L for L, _ in points), max(n for _, n in points))
+        key = (config, trial_index, draw_point)
+        if key != self._key:
+            self.clear()  # so that at most one draw is held at a time
+            self._draw = trial_ground_truth(config, trial_index, draw_point)
+            self._key = key
+        mu, ds = self._draw
+        L, n = point
+        return mu, Dataset(labeled_x=ds.labeled_x[:L], labeled_y=ds.labeled_y[:L],
+                           unlabeled_x=ds.unlabeled_x[:n])
+
+    def clear(self) -> None:
+        self._key = self._draw = None
+
+
+_trial_data = _TrialSlot()
+
+
 def run_trial(config: ExperimentConfig, method: str, point: tuple[int, int],
               trial_index: int) -> TrialRecord:
-    """One estimator on one fresh realization; estimator failures are
-    recorded in the row, not raised."""
+    """One estimator on the trial's realization, sliced to the point; any
+    exception the estimator or the scoring raises is recorded in the row,
+    not raised."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
     L, n = point
     pp = config.params.with_counts(L=L, n=n)
-    mu, ds = trial_ground_truth(config, trial_index, point)
+    mu, ds = _trial_data(config, trial_index, point)
     opts = MethodOptions(beta_tilde=config.beta_tilde,
                          gamma_threshold=config.gamma_threshold)
     start = time.perf_counter()
@@ -152,17 +188,23 @@ def run_trial(config: ExperimentConfig, method: str, point: tuple[int, int],
                            overlap=metrics.overlap, gen_error=metrics.gen_error,
                            excess_risk=metrics.excess_risk,
                            runtime_ms=metrics.runtime_ms, failed=False)
-    except SslgaussError as err:
+    except Exception as err:  # one failing estimator must not end the sweep
         runtime_ms = (time.perf_counter() - start) * 1e3
         return TrialRecord(method=method, p=pp.p, k=pp.k, lam=pp.lam, L=L, n=n,
                            trial=trial_index, seed=trial_seed(config, trial_index),
                            overlap=math.nan, gen_error=math.nan, excess_risk=math.nan,
-                           runtime_ms=runtime_ms, failed=True, error=str(err))
+                           runtime_ms=runtime_ms, failed=True,
+                           error=f"{type(err).__name__}: {err}")
 
 
-def _run_task(task) -> TrialRecord:
-    config, method, point, trial_index = task
-    return run_trial(config, method, point, trial_index)
+def _run_trial_task(task) -> list[TrialRecord]:
+    """Every (point, method) of one trial, from one draw."""
+    config, trial_index = task
+    try:
+        return [run_trial(config, method, point, trial_index)
+                for point in config.points() for method in config.methods]
+    finally:
+        _trial_data.clear()
 
 
 @dataclass(frozen=True)
@@ -217,18 +259,17 @@ def aggregate(records: list[TrialRecord]) -> list[AggregateRow]:
 
 def run_sweep(config: ExperimentConfig, threads: int | None = None
               ) -> tuple[list[TrialRecord], list[AggregateRow]]:
-    """Execute trials x points x methods; results do not depend on the worker
-    count (records are merged under a deterministic sort key)."""
-    workers = config.threads if threads is None else threads
-    tasks = [(config, method, point, t)
-             for method in config.methods
-             for point in config.points()
-             for t in range(config.trials)]
-    if workers > 1 and len(tasks) > 1:
+    """Execute trials x points x methods, one task per trial; results do not
+    depend on the worker count (records are merged under a deterministic
+    sort key)."""
+    workers = min(config.threads if threads is None else threads, config.trials)
+    tasks = [(config, t) for t in range(config.trials)]
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(_run_task, tasks, chunksize=1))
+            per_trial = list(pool.map(_run_trial_task, tasks, chunksize=1))
     else:
-        records = [_run_task(t) for t in tasks]
+        per_trial = [_run_trial_task(t) for t in tasks]
+    records = [rec for recs in per_trial for rec in recs]
     records.sort(key=lambda r: (r.method, r.L, r.n, r.trial))
     return records, aggregate(records)
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from sslgauss import harness
 from sslgauss.errors import ConfigError
 from sslgauss.gmodel import ProblemParams, load_dataset
 from sslgauss.harness import (AGG_HEADER, CSV_HEADER, ExperimentConfig,
@@ -97,6 +98,22 @@ class TestRunSweep:
         assert len(records) == 2 * 3 * 2  # methods x points x trials
         assert len(aggs) == 2 * 3
 
+    def test_estimator_exception_recorded(self, monkeypatch):
+        def boom(ds, pp, opts):
+            raise RuntimeError("solver blew up")
+
+        monkeypatch.setitem(harness.METHODS, "lspca", boom)
+        cfg = small_config(sweep_axis="n", sweep_values=(20, 60), trials=2)
+        records, aggs = run_sweep(cfg, threads=1)
+        assert len(records) == 2 * 2 * 2
+        for rec in records:
+            if rec.method == "lspca":
+                assert rec.failed and rec.error == "RuntimeError: solver blew up"
+            else:
+                assert not rec.failed and math.isfinite(rec.overlap)
+        assert {(a.method, a.count, a.failures) for a in aggs} \
+            == {("lspca", 0, 2), ("top_k_labeled", 2, 0)}
+
     def test_parallel_equals_serial(self):
         cfg = small_config(sweep_axis="n", sweep_values=(20, 60), trials=2)
         serial_records, _ = run_sweep(cfg, threads=1)
@@ -107,6 +124,53 @@ class TestRunSweep:
         for rec in parallel_records:
             buf_b.write(rec.csv_row() + "\n")
         assert strip_runtime(buf_a.getvalue()) == strip_runtime(buf_b.getvalue())
+
+
+def fresh_draws(monkeypatch):
+    """Serve run_trial from a fresh trial_ground_truth draw at each point."""
+    monkeypatch.setattr(harness, "_trial_data",
+                        lambda config, t, point: trial_ground_truth(config, t, point))
+
+
+def results(records):
+    return [(r.method, r.L, r.n, r.trial, r.seed, r.overlap, r.gen_error,
+             r.excess_risk, r.failed) for r in records]
+
+
+class TestOneDrawPerTrial:
+    def test_one_draw_per_trial(self, monkeypatch):
+        calls = []
+        original = harness.trial_ground_truth
+
+        def counted(config, t, point=None):
+            calls.append((t, point))
+            return original(config, t, point)
+
+        monkeypatch.setattr(harness, "trial_ground_truth", counted)
+        cfg = small_config(methods=("top_k_labeled", "lspca", "self_train"),
+                           sweep_axis="n", sweep_values=(20, 60, 100), trials=2)
+        records, _ = run_sweep(cfg, threads=1)
+        assert len(records) == 3 * 3 * 2
+        assert calls == [(0, (30, 100)), (1, (30, 100))]
+        assert harness._trial_data._draw is None  # the slot is emptied
+
+    def test_l_sweep_matches_fresh_draws(self, monkeypatch):
+        cfg = small_config(methods=tuple(harness.METHODS), sweep_axis="L",
+                           sweep_values=(10, 20, 30), trials=2)
+        records, _ = run_sweep(cfg, threads=1)
+        fresh_draws(monkeypatch)
+        reference = [run_trial(cfg, r.method, (r.L, r.n), r.trial) for r in records]
+        assert not any(r.failed for r in records)
+        assert results(records) == results(reference)
+
+    def test_point_beyond_sweep_matches_fresh_draw(self, monkeypatch):
+        cfg = small_config(sweep_axis="n", sweep_values=(20, 60))
+        points = [(30, 60), (40, 200), (30, 20)]
+        records = [run_trial(cfg, "lspca", point, 1) for point in points]
+        fresh_draws(monkeypatch)
+        reference = [run_trial(cfg, "lspca", point, 1) for point in points]
+        assert not any(r.failed for r in records)
+        assert results(records) == results(reference)
 
 
 class TestAggregation:
