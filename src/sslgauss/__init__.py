@@ -17,8 +17,7 @@ from .harness import (AggregateRow, ExperimentConfig, TrialRecord, aggregate,
                       read_config, run_sweep, run_trial, write_config, write_csv)
 from .metrics import (TrialMetrics, empirical_error, excess_risk,
                       generalization_error, phi_c, support_overlap)
-from .spectral import (leading_eigenvector, power_iteration, restricted_covariance,
-                       truncated_power, truncated_power_method)
+from .spectral import power_iteration, restricted_covariance, truncated_power
 from .theory import (LowDegParams, RegionLabel, ThresholdReport, Verdict,
                      fusion_verdict, hypergeom_overlap_moment, hypergeom_overlap_pmf,
                      lowdeg_norm_exact, lowdeg_norm_mc, lowdeg_norm_upper_bound,

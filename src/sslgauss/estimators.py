@@ -15,11 +15,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ContractError, ConvergenceError, InsufficientSamplesError,
-                     MissingClassError, ScreeningTooSmallError)
+from .errors import (ContractError, InsufficientSamplesError, MissingClassError,
+                     ScreeningTooSmallError)
 from .gmodel import Dataset, ProblemParams
-from .spectral import (EXPLICIT_MAX_DIM, canonical_sign, power_iteration,
-                       restricted_covariance, top_k_indices, truncated_power)
+from .spectral import (canonical_sign, power_iteration, restricted_covariance,
+                       top_k_indices, truncated_power)
 
 # Storage in float32 caps achievable matvec accuracy; iterative tolerances
 # are loosened accordingly.
@@ -118,21 +118,17 @@ def top_k_labeled(xs, ys, k: int) -> EstimatorOutput:
 
 def _leading_vec(cov, tol: float, max_iter: int, aux: dict, tag: str,
                  sparse_k: int | None = None) -> np.ndarray:
-    """Leading (possibly sparse) eigenvector; degrades to the last iterate on
-    non-convergence, recording the fact in aux."""
-    try:
-        if sparse_k is None:
-            res = power_iteration(cov, tol=tol, max_iter=max_iter)
-        else:
-            res = truncated_power(cov, sparse_k, tol=tol, max_iter=max_iter)
-        aux[f"{tag}_converged"] = res.converged
-        aux[f"{tag}_iterations"] = res.iterations
-        aux[f"{tag}_eigenvalue"] = res.value
-        return res.vector
-    except ConvergenceError as err:
-        aux[f"{tag}_converged"] = False
-        aux[f"{tag}_residual"] = err.residual
-        return err.last_iterate
+    """Leading (possibly sparse) eigenvector; the solver's convergence flag,
+    iteration count and eigenvalue are recorded in aux, and a run that did
+    not converge still yields its last iterate."""
+    if sparse_k is None:
+        res = power_iteration(cov, tol=tol, max_iter=max_iter)
+    else:
+        res = truncated_power(cov, sparse_k, tol=tol, max_iter=max_iter)
+    aux[f"{tag}_converged"] = res.converged
+    aux[f"{tag}_iterations"] = res.iterations
+    aux[f"{tag}_eigenvalue"] = res.value
+    return res.vector
 
 
 def _iter_tol(rows: np.ndarray, tol: float | None) -> float:
@@ -229,17 +225,15 @@ def ul_diag_threshold_pca(xs: np.ndarray, k: int, tol: float | None = None,
     return _finalize("ul_diag_threshold_pca", p, keep[local], v[local], aux)
 
 
-def vanilla_pca(xs: np.ndarray, k: int, tol: float | None = None,
-                max_iter: int = 1000) -> EstimatorOutput:
+def vanilla_pca(xs: np.ndarray, k: int) -> EstimatorOutput:
     """Unlabeled-only baseline: leading eigenvector of the full covariance,
     then its k largest magnitudes.
 
-    For n < p the eigenvector is obtained through the n x n Gram matrix of
-    the centered rows (same nonzero spectrum, identical eigenvector after
-    mapping back). That matrix is at most EXPLICIT_MAX_DIM square, so its
-    top eigenpair is taken exactly with a dense symmetric solver: the Gram
-    eigengap of a weak spike can be too small for power iteration to
-    resolve.
+    The top eigenpair is taken exactly with a dense symmetric solver on the
+    smaller side of the centered rows: the p x p covariance when n >= p,
+    otherwise the n x n Gram matrix (same nonzero spectrum, identical
+    eigenvector after mapping back). The eigengap of a weak spike can be too
+    small for power iteration to resolve.
     """
     xs = np.asarray(xs)
     if xs.ndim != 2 or xs.shape[0] < 2:
@@ -247,30 +241,29 @@ def vanilla_pca(xs: np.ndarray, k: int, tol: float | None = None,
     n, p = xs.shape
     if not 1 <= k <= p:
         raise ContractError(f"k={k} out of range for dimension {p}")
-    aux: dict = {}
-    if p <= EXPLICIT_MAX_DIM or n > EXPLICIT_MAX_DIM:
-        cov = restricted_covariance(xs, np.arange(p))
-        v = _leading_vec(cov, _iter_tol(xs, tol), max_iter, aux, "pca")
-    else:
+    mean = xs.mean(axis=0, dtype=np.float64)
+    if n < p:
         # the centered rows y = xs - mean are formed in float64 column blocks,
         # never whole; y.T @ u = xs.T @ u - sum(u) * mean maps u back
-        mean = xs.mean(axis=0, dtype=np.float64)
         gram = np.zeros((n, n))
         for lo in range(0, p, _GRAM_BLOCK):
             yb = xs[:, lo:lo + _GRAM_BLOCK] - mean[lo:lo + _GRAM_BLOCK]
             gram += yb @ yb.T
         gram /= n
         values, vectors = np.linalg.eigh(gram)
-        aux["gram_eigenvalue"] = float(values[-1])
         u = vectors[:, -1]
         v = xs.T @ u.astype(xs.dtype, copy=False) - u.sum() * mean
-        nrm = float(np.linalg.norm(v))
-        if nrm == 0.0:
-            v = np.zeros(p)
-            v[0] = 1.0
-        else:
-            v = canonical_sign(v / nrm)
-        aux["dual_gram"] = True
+    else:
+        y = xs - mean
+        values, vectors = np.linalg.eigh((y.T @ y) / n)
+        v = vectors[:, -1]
+    nrm = float(np.linalg.norm(v))
+    if nrm == 0.0:
+        v = np.zeros(p)
+        v[0] = 1.0
+    else:
+        v = canonical_sign(v / nrm)
+    aux = {"dual_gram": n < p, "pca_eigenvalue": float(values[-1])}
     local = top_k_indices(np.abs(v), k)
     return _finalize("vanilla_pca", p, local, v[local], aux)
 

@@ -4,16 +4,17 @@ Three pieces: the centered sample covariance restricted to an index set
 (materialized for small dimension, kept as an implicit operator otherwise),
 a deterministic power iteration for the leading eigenvector, and a truncated
 power method that alternates a power step with hard thresholding for sparse
-eigenvectors.
+eigenvectors. Both solvers take a symmetric positive semidefinite operator,
+a RestrictedCovariance or an ndarray, and use only `a @ v` and `a.diagonal()`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ConvergenceError, InsufficientSamplesError, InvalidSupportError
+from .errors import ContractError, InsufficientSamplesError, InvalidSupportError
 
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 1000
@@ -37,49 +38,12 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
     return -v if v[j] < 0 else v
 
 
-class _Operator:
-    """Internal protocol: symmetric operator with a known diagonal.
-
-    `shift` is a scalar s with A + s*I positive semidefinite, used to keep
-    the power step monotone; s = 0 when A is already PSD.
-    """
-
-    dim: int
-    shift: float
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def diagonal(self) -> np.ndarray:
-        raise NotImplementedError
-
-
-class _DenseOperator(_Operator):
-    def __init__(self, a: np.ndarray):
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ContractError(f"expected a square matrix, got shape {a.shape}")
-        scale = float(np.max(np.abs(a))) if a.size else 0.0
-        if scale and float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL * scale:
-            raise ContractError("matrix is not symmetric to tolerance")
-        self._a = a
-        self.dim = a.shape[0]
-        # Gershgorin bound: A + s*I is PSD for s = max absolute row sum.
-        self.shift = float(np.max(np.sum(np.abs(a), axis=1))) if a.size else 0.0
-
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self._a @ v
-
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self._a).copy()
-
-
-class RestrictedCovariance(_Operator):
+class RestrictedCovariance:
     """Sample covariance of rows restricted to an index set T, centered by the
     empirical mean and normalized by 1/n.
 
-    PSD by construction (shift = 0). Explicit when |T| <= explicit_max_dim,
-    otherwise products are formed against the centered restricted rows.
+    PSD by construction. Explicit when |T| <= explicit_max_dim, otherwise
+    products are formed against the centered restricted rows.
     """
 
     def __init__(self, rows: np.ndarray, indices, explicit_max_dim: int = EXPLICIT_MAX_DIM):
@@ -100,7 +64,6 @@ class RestrictedCovariance(_Operator):
         self.indices = idx
         self.dim = int(idx.size)
         self.n_samples = n
-        self.shift = 0.0
 
         y = rows[:, idx]  # fancy indexing copies; safe to center in place
         if self.dim <= explicit_max_dim:
@@ -119,7 +82,7 @@ class RestrictedCovariance(_Operator):
     def is_explicit(self) -> bool:
         return self._matrix is not None
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
         if self._matrix is not None:
             return self._matrix @ v
         w = self._rows @ v.astype(self._rows.dtype, copy=False)
@@ -142,10 +105,19 @@ def restricted_covariance(rows: np.ndarray, indices,
     return RestrictedCovariance(rows, indices, explicit_max_dim=explicit_max_dim)
 
 
-def _as_operator(a) -> _Operator:
-    if isinstance(a, _Operator):
+def _psd_operator(a):
+    """A RestrictedCovariance as it is; anything else as a float64 matrix
+    checked to be square and symmetric (positive semidefiniteness is the
+    caller's promise)."""
+    if isinstance(a, RestrictedCovariance):
         return a
-    return _DenseOperator(a)
+    a = np.asarray(a, dtype=np.float64)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ContractError(f"expected a square matrix, got shape {a.shape}")
+    scale = float(np.max(np.abs(a))) if a.size else 0.0
+    if scale and float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL * scale:
+        raise ContractError("matrix is not symmetric to tolerance")
+    return a
 
 
 @dataclass
@@ -155,78 +127,51 @@ class PowerResult:
     residual: float
     iterations: int
     converged: bool
+    # Always False (the solvers run once); kept for perfbench's tracer, which reads it.
     restarted: bool = False
-    rayleigh_history: list = field(default_factory=list)
 
 
-def _power_loop(op: _Operator, v0: np.ndarray, tol: float, max_iter: int,
-                result: PowerResult, record_history: bool) -> bool:
-    v = v0
-    diag_scale = float(np.max(np.abs(op.diagonal()))) if op.dim else 0.0
-    for it in range(max_iter):
-        w = op.matvec(v)
-        theta = float(v @ w)
-        resid = float(np.linalg.norm(w - theta * v))
-        if record_history:
-            result.rayleigh_history.append(theta)
-        result.vector, result.value, result.residual = v, theta, resid
-        result.iterations += 1
-        scale = max(abs(theta), diag_scale, np.finfo(np.float64).tiny)
-        if resid <= tol * scale:
-            result.converged = True
-            return True
-        wb = w + op.shift * v
-        nb = float(np.linalg.norm(wb))
-        if nb == 0.0:
-            return False  # stagnation: iterate killed by the shifted operator
-        v = wb / nb
-    return False
+def _zero_operator_result(m: int) -> PowerResult:
+    """The zero operator: every vector is an eigenvector; return e1."""
+    e1 = np.zeros(m)
+    e1[0] = 1.0
+    return PowerResult(vector=e1, value=0.0, residual=0.0, iterations=0, converged=True)
 
 
-def power_iteration(a, tol: float = DEFAULT_TOL, max_iter: int = DEFAULT_MAX_ITER,
-                    record_history: bool = False) -> PowerResult:
-    """Leading eigenpair by power iteration with deterministic initialization.
+def power_iteration(a, tol: float = DEFAULT_TOL,
+                    max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
+    """Leading eigenpair of a PSD operator by power iteration.
 
     Starts from the standard basis vector at the largest diagonal entry
-    (ties: lowest index); if that run stagnates, restarts once from the
-    normalized all-ones vector. Raises ConvergenceError (carrying the last
-    iterate and residual) if both runs exhaust max_iter.
+    (ties: lowest index) and stops when the residual ||A v - theta v|| falls
+    below tol times the operator's scale. After max_iter steps without that,
+    returns the last iterate with converged=False.
     """
-    op = _as_operator(a)
-    m = op.dim
+    a = _psd_operator(a)
+    diag = a.diagonal()
+    m = diag.size
     if m < 1:
         raise ContractError("operator dimension must be >= 1")
-    diag = op.diagonal()
+    diag_scale = float(np.max(np.abs(diag)))
+    if diag_scale == 0.0:
+        return _zero_operator_result(m)
+
     result = PowerResult(vector=np.zeros(m), value=0.0, residual=0.0,
                          iterations=0, converged=False)
-    if float(np.max(np.abs(diag))) == 0.0 and op.shift == 0.0:
-        # zero operator: every vector is an eigenvector; return e1
-        e1 = np.zeros(m)
-        e1[0] = 1.0
-        result.vector, result.converged = e1, True
-        return result
-
-    v0 = np.zeros(m)
-    v0[int(np.argmax(diag))] = 1.0
-    if _power_loop(op, v0, tol, max_iter, result, record_history):
-        result.vector = canonical_sign(result.vector)
-        return result
-    result.restarted = True
-    ones = np.full(m, 1.0 / np.sqrt(m))
-    if _power_loop(op, ones, tol, max_iter, result, record_history):
-        result.vector = canonical_sign(result.vector)
-        return result
-    raise ConvergenceError(
-        f"power iteration did not reach tol={tol} within {max_iter} iterations "
-        f"(+1 restart); last residual {result.residual:.3e}",
-        last_iterate=canonical_sign(result.vector),
-        residual=result.residual, rayleigh=result.value)
-
-
-def leading_eigenvector(a, tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
-    """Unit-norm leading eigenvector of a symmetric operator or matrix."""
-    return power_iteration(a, tol=tol, max_iter=max_iter).vector
+    v = np.zeros(m)
+    v[int(np.argmax(diag))] = 1.0
+    for _ in range(max_iter):
+        w = a @ v
+        theta = float(v @ w)
+        resid = float(np.linalg.norm(w - theta * v))
+        result.vector, result.value, result.residual = v, theta, resid
+        result.iterations += 1
+        if resid <= tol * max(abs(theta), diag_scale):
+            result.converged = True
+            break
+        v = w / float(np.linalg.norm(w))
+    result.vector = canonical_sign(result.vector)
+    return result
 
 
 def _truncate(w: np.ndarray, k: int) -> np.ndarray:
@@ -237,68 +182,42 @@ def _truncate(w: np.ndarray, k: int) -> np.ndarray:
 
 
 def truncated_power(a, k: int, tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER,
-                    record_history: bool = False) -> PowerResult:
-    """Sparse leading eigenvector: power step, keep the k largest magnitudes,
-    renormalize.
+                    max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
+    """Sparse leading eigenvector of a PSD operator: power step, keep the k
+    largest magnitudes, renormalize.
 
     Initialized from the k largest diagonal entries with equal weights.
-    Converges when the iterate stops moving; restart and error behaviour
-    match power_iteration.
+    Converges when the iterate stops moving; otherwise, as in
+    power_iteration, returns the last iterate with converged=False.
     """
-    op = _as_operator(a)
-    m = op.dim
+    a = _psd_operator(a)
+    diag = a.diagonal()
+    m = diag.size
     if not 1 <= k <= m:
         raise ContractError(f"sparsity k must be in [1, {m}], got {k}")
-    diag = op.diagonal()
+    if float(np.max(np.abs(diag))) == 0.0:
+        return _zero_operator_result(m)
+
     result = PowerResult(vector=np.zeros(m), value=0.0, residual=0.0,
                          iterations=0, converged=False)
-    if float(np.max(np.abs(diag))) == 0.0 and op.shift == 0.0:
-        e1 = np.zeros(m)
-        e1[0] = 1.0
-        result.vector, result.converged = e1, True
-        return result
-
-    def run(v: np.ndarray, budget: int) -> bool:
-        for _ in range(budget):
-            w = op.matvec(v)
-            theta = float(v @ w)
-            if record_history:
-                result.rayleigh_history.append(theta)
-            result.iterations += 1
-            wb = _truncate(w + op.shift * v, k)
-            nb = float(np.linalg.norm(wb))
-            if nb == 0.0:
-                result.vector, result.value = v, theta
-                return False
-            v_new = wb / nb
-            step = float(np.linalg.norm(v_new - v))
-            result.vector, result.value, result.residual = v_new, theta, step
-            if step <= tol:
-                result.converged = True
-                return True
-            v = v_new
-        return False
-
-    v0 = np.zeros(m)
-    v0[top_k_indices(diag, k)] = 1.0 / np.sqrt(k)
-    if run(v0, max_iter):
-        result.vector = canonical_sign(result.vector)
-        return result
-    result.restarted = True
-    ones_head = np.zeros(m)
-    ones_head[:k] = 1.0 / np.sqrt(k)
-    if run(ones_head, max_iter):
-        result.vector = canonical_sign(result.vector)
-        return result
-    raise ConvergenceError(
-        f"truncated power method did not converge within {max_iter} iterations "
-        f"(+1 restart); last step size {result.residual:.3e}",
-        last_iterate=canonical_sign(result.vector),
-        residual=result.residual, rayleigh=result.value)
-
-
-def truncated_power_method(a, k: int, tol: float = DEFAULT_TOL,
-                           max_iter: int = DEFAULT_MAX_ITER) -> np.ndarray:
-    """Unit vector with at most k nonzeros maximizing the Rayleigh quotient."""
-    return truncated_power(a, k, tol=tol, max_iter=max_iter).vector
+    v = np.zeros(m)
+    v[top_k_indices(diag, k)] = 1.0 / np.sqrt(k)
+    for _ in range(max_iter):
+        w = a @ v
+        theta = float(v @ w)
+        result.iterations += 1
+        wb = _truncate(w, k)
+        nb = float(np.linalg.norm(wb))
+        if nb == 0.0:
+            # the iterate lies in the null space of the operator
+            result.vector, result.value = v, theta
+            break
+        v_new = wb / nb
+        step = float(np.linalg.norm(v_new - v))
+        result.vector, result.value, result.residual = v_new, theta, step
+        if step <= tol:
+            result.converged = True
+            break
+        v = v_new
+    result.vector = canonical_sign(result.vector)
+    return result

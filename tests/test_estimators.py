@@ -12,6 +12,7 @@ from sslgauss.estimators import (METHODS, LspcaConfig, MethodOptions,
                                  ul_diag_threshold_pca, vanilla_pca)
 from sslgauss.gmodel import Dataset, ProblemParams, make_sparse_mean, sample_dataset
 from sslgauss.metrics import support_overlap
+from sslgauss.spectral import canonical_sign, top_k_indices
 
 
 def make_instance(p, k, lam, L, n, seed=0, mean_seed=None):
@@ -19,6 +20,13 @@ def make_instance(p, k, lam, L, n, seed=0, mean_seed=None):
     mu = make_sparse_mean(pp, seed=mean_seed if mean_seed is not None else seed)
     ds = sample_dataset(mu, L, n, seed=seed + 1)
     return pp, mu, ds
+
+
+def _sample_covariance_top(rows: np.ndarray) -> tuple[np.ndarray, float]:
+    """Oracle: the centered 1/n sample covariance and its top eigenvalue by eigh."""
+    y = rows - rows.mean(axis=0)
+    cov = (y.T @ y) / rows.shape[0]
+    return cov, float(np.linalg.eigh(cov)[0][-1])
 
 
 def brute_force_mle_support(w: np.ndarray, k: int, lam: float) -> set[int]:
@@ -257,44 +265,47 @@ class TestUnsupervisedBaselines:
             == set(mu.support)
 
     def test_vanilla_gram_route_matches_direct(self):
-        # p above the explicit cutoff would use the Gram dual; force both
-        # routes on the same small data and compare
+        # n < p takes the Gram dual; its support and direction must be those
+        # of the leading eigenvector of the p x p sample covariance
         rng = np.random.default_rng(13)
         rows = rng.standard_normal((30, 60)) + 2.0 * np.outer(
             rng.choice([-1.0, 1.0], 30), np.eye(60)[4])
-        direct = vanilla_pca(rows, 2)
-
-        from sslgauss import estimators as est_mod
-        old = est_mod.EXPLICIT_MAX_DIM
-        est_mod.EXPLICIT_MAX_DIM = 50  # forces the n < p Gram branch
-        try:
-            dual = vanilla_pca(rows, 2)
-        finally:
-            est_mod.EXPLICIT_MAX_DIM = old
-        assert np.array_equal(direct.support, dual.support)
-        assert abs(float(direct.direction @ dual.direction)) >= 1.0 - 1e-8
+        dual = vanilla_pca(rows, 2)
+        cov, _ = _sample_covariance_top(rows)
+        u = canonical_sign(np.linalg.eigh(cov)[1][:, -1])
+        support = np.sort(top_k_indices(np.abs(u), 2))
+        want = np.zeros(60)
+        want[support] = u[support] / np.linalg.norm(u[support])
+        assert np.array_equal(dual.support, support)
+        assert float(dual.direction @ want) >= 1.0 - 1e-8
+        assert dual.aux["dual_gram"]
 
     def test_vanilla_gram_route_small_eigengap(self):
         # near-isotropic draw: the top two Gram eigenvalues (7.15, 6.88) are
-        # too close for 1000 shifted power steps; the Gram route must still
-        # return the exact leading eigenvector of the sample covariance
+        # too close for 1000 power steps; the Gram route must still return
+        # the exact leading eigenvector of the sample covariance
         rng = np.random.default_rng(2)
         rows = rng.standard_normal((100, 300))
-        y = rows - rows.mean(axis=0)
-        cov = (y.T @ y) / rows.shape[0]
-        top = float(np.linalg.eigh(cov)[0][-1])
-
-        from sslgauss import estimators as est_mod
-        old = est_mod.EXPLICIT_MAX_DIM
-        est_mod.EXPLICIT_MAX_DIM = 100  # forces the n < p Gram branch
-        try:
-            out = vanilla_pca(rows, rows.shape[1])  # k = p keeps every entry
-        finally:
-            est_mod.EXPLICIT_MAX_DIM = old
-        assert out.aux["dual_gram"]
+        cov, top = _sample_covariance_top(rows)
+        out = vanilla_pca(rows, rows.shape[1])  # k = p keeps every entry
         v = out.direction
         assert abs(float(v @ cov @ v) - top) <= 1e-10 * top
-        assert abs(out.aux["gram_eigenvalue"] - top) <= 1e-10 * top
+        assert out.aux["dual_gram"]
+        assert abs(out.aux["pca_eigenvalue"] - top) <= 1e-10 * top
+
+    @pytest.mark.parametrize("lam, n, seed", [(3.0, 100, 24), (0.0, 1000, 7)],
+                             ids=["gram_n_lt_p", "covariance_null_n_ge_p"])
+    def test_vanilla_exact_on_both_routes(self, lam, n, seed):
+        # the direction's Rayleigh quotient is the top sample-covariance
+        # eigenvalue, whichever side of the centered rows is decomposed; on
+        # these draws 1000 power steps stop 1e-7 and 3e-7 (relative) short
+        pp, mu, ds = make_instance(300, 5, lam, 0, n, seed=seed)
+        cov, top = _sample_covariance_top(ds.unlabeled_x)
+        out = vanilla_pca(ds.unlabeled_x, 300)  # k = p keeps every entry
+        v = out.direction
+        assert abs(float(v @ cov @ v) - top) <= 1e-10 * top
+        assert out.aux["dual_gram"] == (n < 300)
+        assert abs(out.aux["pca_eigenvalue"] - top) <= 1e-10 * top
 
     def test_vanilla_underdetermined_is_uninformative(self):
         overlaps = []

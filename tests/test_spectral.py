@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from sslgauss.errors import (ContractError, ConvergenceError,
-                             InsufficientSamplesError, InvalidSupportError)
-from sslgauss.spectral import (leading_eigenvector, power_iteration,
-                               restricted_covariance, top_k_indices,
-                               truncated_power, truncated_power_method)
+from sslgauss.errors import (ContractError, InsufficientSamplesError,
+                             InvalidSupportError)
+from sslgauss.spectral import (power_iteration, restricted_covariance,
+                               top_k_indices, truncated_power)
 
 
 def jacobi_leading_eigenvector(a: np.ndarray, sweeps: int = 60) -> tuple[float, np.ndarray]:
@@ -61,7 +60,7 @@ class TestRestrictedCovariance:
         for j in range(3):
             e = np.zeros(3)
             e[j] = 1.0
-            np.testing.assert_allclose(implicit.matvec(e), mat[:, j],
+            np.testing.assert_allclose(implicit @ e, mat[:, j],
                                        rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("m", [2, 17, 50])
@@ -89,7 +88,7 @@ class TestRestrictedCovariance:
 
 class TestLeadingEigenvector:
     def test_diagonal(self):
-        v = leading_eigenvector(np.diag([3.0, 1.0]))
+        v = power_iteration(np.diag([3.0, 1.0])).vector
         np.testing.assert_allclose(v, [1.0, 0.0], atol=1e-12)
 
     def test_rank_one_spike(self):
@@ -100,11 +99,13 @@ class TestLeadingEigenvector:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_jacobi_oracle(self, seed):
+        # the solvers take PSD operators, as every estimator passes
         rng = np.random.default_rng(seed)
         b = rng.standard_normal((6, 6))
-        a = (b + b.T) / 2.0
+        a = b @ b.T
         val, vec = jacobi_leading_eigenvector(a)
         res = power_iteration(a)
+        assert res.converged
         assert abs(float(res.vector @ vec)) >= 1.0 - 1e-8
         assert abs(res.value - val) <= 1e-7 * max(1.0, abs(val))
 
@@ -112,38 +113,41 @@ class TestLeadingEigenvector:
         rng = np.random.default_rng(7)
         b = rng.standard_normal((9, 9))
         a = b @ b.T
-        v = leading_eigenvector(a)
+        v = power_iteration(a).vector
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
         assert v[int(np.argmax(np.abs(v)))] >= 0.0
 
     def test_rayleigh_monotone(self):
+        # the value after t steps never decreases in t
         rng = np.random.default_rng(3)
         b = rng.standard_normal((12, 8))
         cov = restricted_covariance(b, range(8))
-        res = power_iteration(cov, record_history=True)
-        hist = res.rayleigh_history
+        hist = [power_iteration(cov, max_iter=t).value for t in range(1, 41)]
         assert all(b2 >= a2 - 1e-10 for a2, b2 in zip(hist, hist[1:]))
+        assert hist[-1] > hist[0]
 
     def test_zero_operator_returns_e1(self):
-        v = leading_eigenvector(np.zeros((4, 4)))
-        np.testing.assert_array_equal(v, [1.0, 0.0, 0.0, 0.0])
+        res = power_iteration(np.zeros((4, 4)))
+        np.testing.assert_array_equal(res.vector, [1.0, 0.0, 0.0, 0.0])
+        assert res.converged and res.value == 0.0
 
-    def test_convergence_error_carries_iterate(self):
+    def test_nonconvergence_returns_last_iterate(self):
         # eigenvalues 1 and 1 - 1e-9 mixed at 30 degrees: hopelessly slow,
-        # and neither deterministic start is an eigenvector
+        # and the deterministic start is not an eigenvector
         c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
         q = np.array([[c, -s], [s, c]])
         a = q @ np.diag([1.0, 1.0 - 1e-9]) @ q.T
-        with pytest.raises(ConvergenceError) as exc:
-            leading_eigenvector(a, tol=1e-14, max_iter=40)
-        err = exc.value
-        assert err.last_iterate is not None
-        assert abs(np.linalg.norm(err.last_iterate) - 1.0) <= 1e-12
-        assert err.residual is not None and err.residual > 0
+        res = power_iteration(a, tol=1e-14, max_iter=40)
+        assert not res.converged
+        assert res.iterations == 40  # one run, no restart
+        v = res.vector
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        assert v[int(np.argmax(np.abs(v)))] >= 0.0
+        assert res.residual > 0
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ContractError):
-            leading_eigenvector(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            power_iteration(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestTruncatedPower:
@@ -151,8 +155,8 @@ class TestTruncatedPower:
         rng = np.random.default_rng(2)
         b = rng.standard_normal((30, 6))
         cov = restricted_covariance(b, range(6))
-        dense = leading_eigenvector(cov)
-        sparse = truncated_power_method(cov, 6)
+        dense = power_iteration(cov).vector
+        sparse = truncated_power(cov, 6).vector
         assert abs(float(dense @ sparse)) >= 1.0 - 1e-8
 
     def test_two_sparse_spike_exhaustive_oracle(self):
@@ -168,11 +172,11 @@ class TestTruncatedPower:
             if val > best:
                 best, best_support = val, pair
         assert best_support == (2, 7)
-        v = truncated_power_method(a, 2)
+        v = truncated_power(a, 2).vector
         assert set(np.nonzero(v)[0]) == {2, 7}
 
     def test_identity_degenerate(self):
-        v = truncated_power_method(np.eye(8), 3)
+        v = truncated_power(np.eye(8), 3).vector
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
         assert np.count_nonzero(v) <= 3
         a = np.eye(8)
@@ -183,28 +187,39 @@ class TestTruncatedPower:
         b = rng.standard_normal((25, 12))
         cov = restricted_covariance(b, range(12))
         for k in (1, 4, 12):
-            v = truncated_power_method(cov, k)
+            v = truncated_power(cov, k).vector
             assert np.count_nonzero(v) <= k
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
             assert v[int(np.argmax(np.abs(v)))] >= 0.0
 
     def test_rayleigh_monotone(self):
+        # the value after t steps never decreases in t
         rng = np.random.default_rng(11)
         b = rng.standard_normal((40, 10))
         cov = restricted_covariance(b, range(10))
-        res = truncated_power(cov, 3, record_history=True)
-        hist = res.rayleigh_history
+        hist = [truncated_power(cov, 3, max_iter=t).value for t in range(1, 41)]
         assert all(b2 >= a2 - 1e-10 for a2, b2 in zip(hist, hist[1:]))
+        assert hist[-1] > hist[0]
 
     def test_zero_operator(self):
-        v = truncated_power_method(np.zeros((5, 5)), 2)
-        np.testing.assert_array_equal(v, [1.0, 0.0, 0.0, 0.0, 0.0])
+        res = truncated_power(np.zeros((5, 5)), 2)
+        np.testing.assert_array_equal(res.vector, [1.0, 0.0, 0.0, 0.0, 0.0])
+        assert res.converged
+
+    def test_start_in_null_space_is_not_converged(self):
+        # the equal-weight start is killed by the operator; the run stops
+        # there and says so instead of dividing by zero
+        a = np.array([[1.0, -1.0], [-1.0, 1.0]])
+        res = truncated_power(a, 2)
+        assert not res.converged and res.iterations == 1
+        np.testing.assert_allclose(res.vector, [1.0, 1.0] / np.sqrt(2.0))
+        assert res.value == 0.0
 
     def test_bad_k(self):
         with pytest.raises(ContractError):
-            truncated_power_method(np.eye(3), 0)
+            truncated_power(np.eye(3), 0)
         with pytest.raises(ContractError):
-            truncated_power_method(np.eye(3), 4)
+            truncated_power(np.eye(3), 4)
 
 
 class TestTopKIndices:
