@@ -19,7 +19,7 @@ import sys
 
 from . import harness, theory
 from .errors import BoundInapplicableError, ExactInfeasibleError, SslgaussError
-from .gmodel import dump_dataset
+from .gmodel import dump_dataset, implied_alpha, implied_beta, implied_gamma
 
 _NUM_FMT = "%.12g"
 
@@ -35,46 +35,25 @@ def _kv(key: str, value, width: int = 12) -> str:
 
 
 def _add_problem_flags(sub: argparse.ArgumentParser, sweep: bool) -> None:
-    g = sub.add_argument_group("problem (raw counts and exponent forms are "
-                               "mutually exclusive per group)")
-    g.add_argument("--p", type=int, default=None, help="ambient dimension (default 100000)")
-    g.add_argument("--k", type=int, default=None, help="sparsity (group: --k | --alpha)")
-    g.add_argument("--alpha", type=float, default=None,
-                   help="sparsity exponent, k = floor(c1 * p**alpha) (default 0.4)")
-    g.add_argument("--L", type=int, default=None,
-                   help="labeled count (group: --L | --beta; default 200)")
-    g.add_argument("--beta", type=float, default=None,
-                   help="labeled exponent, L = floor(2 beta k log(p-k)/lambda)")
-    g.add_argument("--n", type=int, default=None,
-                   help="unlabeled count (group: --n | --gamma; default 1000)")
-    g.add_argument("--gamma", type=float, default=None,
-                   help="unlabeled exponent, n = floor(c2 * k**gamma / lambda**2)")
-    g.add_argument("--c1", type=float, default=None, help="prefactor for k (default 1.0)")
-    g.add_argument("--c2", type=float, default=None, help="prefactor for n (default 1.0)")
-    g.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="separation ||mu||^2 (default 3.0)")
+    g = sub.add_argument_group(
+        "experiment", "Config-file keys are these flags without --, with - spelled _. "
+        "Raw counts and exponent forms are mutually exclusive per group.")
+    for key, (convert, default, text) in harness.KEYS.items():
+        if key.startswith("sweep_") and not sweep:
+            continue
+        flag = "--" + key.replace("_", "-")
+        if convert is harness.switch:
+            g.add_argument(flag, action="store_const", const=True, default=None, help=text)
+            continue
+        if default not in (None, ()):
+            shown = ", ".join(default) if isinstance(default, tuple) else default
+            text = f"{text} (default {shown})"
+        g.add_argument(flag, type=convert, default=None, help=text)
     r = sub.add_argument_group("run")
-    r.add_argument("--methods", type=str, default=None,
-                   help="comma-separated method tags (default: all registered)")
-    r.add_argument("--trials", type=int, default=None, help="Monte Carlo trials M (default 50)")
-    r.add_argument("--seed", type=int, default=None, help="master seed (default 1729)")
-    r.add_argument("--Gamma", dest="Gamma", type=float, default=None,
-                   help="self-training confidence threshold (default 0.8)")
-    r.add_argument("--beta-tilde", dest="beta_tilde", type=str, default=None,
-                   help="screening factor in (0,1) or 'auto' (default auto)")
     r.add_argument("--config", type=str, default=None,
                    help="config file; explicit flags override its values")
-    r.add_argument("--out", type=str, default=None, help="per-trial CSV output path")
-    r.add_argument("--threads", type=int, default=None, help="worker processes (default 1)")
-    r.add_argument("--f32", action="store_const", const=True, default=None,
-                   help="store datasets in float32 (metrics stay float64)")
     r.add_argument("--dump", type=str, default=None,
                    help="dump trial 0's dataset to this path (binary)")
-    if sweep:
-        r.add_argument("--sweep-axis", dest="sweep_axis", type=str, default=None,
-                       choices=list(harness.SWEEP_AXES), help="grid axis: n or L")
-        r.add_argument("--sweep-values", dest="sweep_values", type=str, default=None,
-                       help="comma-separated strictly increasing grid values")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -121,22 +100,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_experiment(args: argparse.Namespace, sweep: bool) -> harness.ExperimentConfig:
+def _collect_experiment(args: argparse.Namespace) -> harness.ExperimentConfig:
     raw: dict = {}
     if args.config:
         with open(args.config) as fh:
             raw.update(harness.parse_config_text(fh.read(), source=args.config))
-    flag_keys = {"p": args.p, "k": args.k, "alpha": args.alpha, "L": args.L,
-                 "beta": args.beta, "n": args.n, "gamma": args.gamma,
-                 "c1": args.c1, "c2": args.c2, "lambda": args.lam,
-                 "methods": args.methods, "trials": args.trials, "seed": args.seed,
-                 "Gamma": args.Gamma, "beta_tilde": args.beta_tilde,
-                 "out": args.out, "threads": args.threads, "f32": args.f32}
-    if sweep:
-        flag_keys["sweep_axis"] = args.sweep_axis
-        flag_keys["sweep_values"] = args.sweep_values
     twin = {a: b for group in harness._EXCLUSIVE_GROUPS for a, b in (group, group[::-1])}
-    for key, value in flag_keys.items():
+    for key in harness.KEYS:
+        value = getattr(args, key, None)  # sweep_* flags exist on `sweep` only
         if value is not None:
             # explicit flags override the config file; drop the file's twin
             # from the same exclusive parameter group
@@ -164,7 +135,7 @@ def _echo_config(config: harness.ExperimentConfig) -> None:
 
 
 def _run_experiment(args: argparse.Namespace, sweep: bool) -> int:
-    config = _collect_experiment(args, sweep)
+    config = _collect_experiment(args)
     if sweep and config.sweep_axis is None:
         print("error: sweep requires --sweep-axis and --sweep-values", file=sys.stderr)
         return 2
@@ -225,12 +196,11 @@ def _run_lowdeg(args: argparse.Namespace) -> int:
         est, se = theory.lowdeg_norm_mc(params, n_samples=args.mc_samples, seed=args.seed)
         print(_kv("mc_estimate", est, width=14))
         print(_kv("mc_stderr", se, width=14))
-    alpha = theory.implied_alpha(params)
-    beta = theory.implied_beta(params)
+    alpha = implied_alpha(params.p, params.k)
+    beta = implied_beta(params.p, params.k, params.L, params.lam)
+    gamma = implied_gamma(params.k, params.n, params.lam)
     print(_kv("alpha_implied", alpha, width=14))
     print(_kv("beta_implied", beta, width=14))
-    gamma = (math.log(params.n * params.lam ** 2) / math.log(params.k)
-             if params.k >= 2 and params.n >= 1 and params.lam > 0 else math.nan)
     print(_kv("gamma_implied", gamma, width=14))
     hard = (math.isfinite(beta) and beta < 0.5 - alpha
             and math.isfinite(gamma) and gamma < 2.0)

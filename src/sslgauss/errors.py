@@ -25,17 +25,10 @@ class ScreeningTooSmallError(SslgaussError):
     """The screening step would retain fewer coordinates than the target sparsity."""
 
 
+# Nothing in the package raises this; the solvers flag non-convergence in
+# their result. Kept because perfbench's tracer imports it.
 class ConvergenceError(SslgaussError):
-    """An iterative solver did not reach its tolerance within the iteration cap.
-
-    Carries the last iterate so callers can degrade gracefully.
-    """
-
-    def __init__(self, message, last_iterate=None, residual=None, rayleigh=None):
-        super().__init__(message)
-        self.last_iterate = last_iterate
-        self.residual = residual
-        self.rayleigh = rayleigh
+    """An iterative solver did not reach its tolerance within the iteration cap."""
 
 
 class ContractError(SslgaussError):

@@ -116,29 +116,26 @@ def top_k_labeled(xs, ys, k: int) -> EstimatorOutput:
     return _finalize("top_k_labeled", w.size, support, w[support], aux={})
 
 
-def _leading_vec(cov, tol: float, max_iter: int, aux: dict, tag: str,
+def _leading_vec(cov, tol: float, aux: dict, tag: str,
                  sparse_k: int | None = None) -> np.ndarray:
     """Leading (possibly sparse) eigenvector; the solver's convergence flag,
     iteration count and eigenvalue are recorded in aux, and a run that did
     not converge still yields its last iterate."""
     if sparse_k is None:
-        res = power_iteration(cov, tol=tol, max_iter=max_iter)
+        res = power_iteration(cov, tol=tol)
     else:
-        res = truncated_power(cov, sparse_k, tol=tol, max_iter=max_iter)
+        res = truncated_power(cov, sparse_k, tol=tol)
     aux[f"{tag}_converged"] = res.converged
     aux[f"{tag}_iterations"] = res.iterations
     aux[f"{tag}_eigenvalue"] = res.value
     return res.vector
 
 
-def _iter_tol(rows: np.ndarray, tol: float | None) -> float:
-    if tol is not None:
-        return tol
+def _iter_tol(rows: np.ndarray) -> float:
     return _F32_TOL if rows.dtype == np.float32 else 1e-9
 
 
-def lspca(dataset: Dataset, config: LspcaConfig, tol: float | None = None,
-          max_iter: int = 1000) -> EstimatorOutput:
+def lspca(dataset: Dataset, config: LspcaConfig) -> EstimatorOutput:
     """Label screening followed by PCA on the unlabeled covariance.
 
     Step I ranks coordinates by |class-mean difference| and keeps the top
@@ -156,17 +153,17 @@ def lspca(dataset: Dataset, config: LspcaConfig, tol: float | None = None,
             f"screening keeps {retained} < k = {config.k} coordinates "
             f"(beta_tilde = {config.beta_tilde})")
     screen = top_k_indices(np.abs(w), retained)
-    eff_tol = _iter_tol(dataset.unlabeled_x, tol)
+    tol = _iter_tol(dataset.unlabeled_x)
     aux: dict = {"screening_size": int(retained), "sparse_pca": config.sparse_pca}
 
     cov_screen = restricted_covariance(dataset.unlabeled_x, screen)
-    v_screen = _leading_vec(cov_screen, eff_tol, max_iter, aux, "pca",
+    v_screen = _leading_vec(cov_screen, tol, aux, "pca",
                             sparse_k=config.k if config.sparse_pca else None)
     local = top_k_indices(np.abs(v_screen), config.k)
     support = screen[local]
 
     cov_support = restricted_covariance(dataset.unlabeled_x, support)
-    v_support = _leading_vec(cov_support, eff_tol, max_iter, aux, "refit")
+    v_support = _leading_vec(cov_support, tol, aux, "refit")
     side = float(v_support @ w[support])
     if side < 0.0:
         v_support = -v_support
@@ -204,8 +201,7 @@ def self_train(dataset: Dataset, k: int, gamma_threshold: float = 0.8) -> Estima
                      aux={"n_eff": n_eff})
 
 
-def ul_diag_threshold_pca(xs: np.ndarray, k: int, tol: float | None = None,
-                          max_iter: int = 1000) -> EstimatorOutput:
+def ul_diag_threshold_pca(xs: np.ndarray, k: int) -> EstimatorOutput:
     """Unlabeled-only baseline: keep the ceil(k log p) largest-variance
     coordinates, take the leading eigenvector of the covariance there, and
     keep its k largest magnitudes."""
@@ -220,7 +216,7 @@ def ul_diag_threshold_pca(xs: np.ndarray, k: int, tol: float | None = None,
     keep = top_k_indices(variances, m)
     aux: dict = {"screening_size": int(m)}
     cov = restricted_covariance(xs, keep)
-    v = _leading_vec(cov, _iter_tol(xs, tol), max_iter, aux, "pca")
+    v = _leading_vec(cov, _iter_tol(xs), aux, "pca")
     local = top_k_indices(np.abs(v), k)
     return _finalize("ul_diag_threshold_pca", p, keep[local], v[local], aux)
 
@@ -291,8 +287,7 @@ def resolve_beta_tilde(params: ProblemParams, setting: float | str = "auto") -> 
     expected share of the true support that screening keeps near 0.72,
     whatever beta; a beta_tilde nearer 1 - gamma*alpha keeps more.
     """
-    hi = 1.0 - math.log(params.k) / math.log(params.p) if params.p > 1 else 1.0
-    hi = max(min(hi, 1.0 - 1e-9), 1e-9)
+    hi = max(min(1.0 - params.alpha, 1.0 - 1e-9), 1e-9)
     if setting != "auto":
         value = float(setting)
         if not 0.0 < value < 1.0:

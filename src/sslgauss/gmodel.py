@@ -63,6 +63,27 @@ def unlabeled_count(k: int, gamma: float, lam: float, c2: float = 1.0) -> int:
     return _floor_count(c2 * k ** gamma / lam ** 2)
 
 
+# Exponent read-backs use the c1 = c2 = 1 convention; they are the inverse of
+# the counts above only at those constants.
+def implied_alpha(p: int, k: int) -> float:
+    """Sparsity exponent read back from k = p**alpha."""
+    return math.log(k) / math.log(p) if p > 1 else 0.0
+
+
+def implied_beta(p: int, k: int, L: int, lam: float) -> float:
+    """Labeled exponent read back from L = 2 beta k log(p-k) / lam."""
+    if lam <= 0 or k >= p:
+        return math.nan
+    return L * lam / (2.0 * k * math.log(p - k))
+
+
+def implied_gamma(k: int, n: int, lam: float) -> float:
+    """Unlabeled exponent read back from n = k**gamma / lam**2."""
+    if lam <= 0 or k < 2 or n < 1:
+        return math.nan
+    return math.log(n * lam ** 2) / math.log(k)
+
+
 @dataclass(frozen=True)
 class ProblemParams:
     """Problem size tuple (p, k, lam, L, n) plus the master seed.
@@ -104,23 +125,17 @@ class ProblemParams:
         n = unlabeled_count(k, gamma, lam, c2)
         return cls(p=p, k=k, lam=lam, L=L, n=n, seed=seed)
 
-    # Exponent read-backs use the c1 = c2 = 1 convention; they are the
-    # inverse of from_exponents only at those constants.
     @property
     def alpha(self) -> float:
-        return math.log(self.k) / math.log(self.p) if self.p > 1 else 0.0
+        return implied_alpha(self.p, self.k)
 
     @property
     def beta(self) -> float:
-        if self.lam <= 0 or self.k >= self.p:
-            return float("nan")
-        return self.L * self.lam / (2.0 * self.k * math.log(self.p - self.k))
+        return implied_beta(self.p, self.k, self.L, self.lam)
 
     @property
     def gamma(self) -> float:
-        if self.lam <= 0 or self.k < 2 or self.n < 1:
-            return float("nan")
-        return math.log(self.n * self.lam ** 2) / math.log(self.k)
+        return implied_gamma(self.k, self.n, self.lam)
 
     def with_counts(self, L: int | None = None, n: int | None = None) -> "ProblemParams":
         return replace(self, L=self.L if L is None else L, n=self.n if n is None else n)

@@ -290,22 +290,72 @@ def write_aggregates(rows: list[AggregateRow], path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# config files: flat "key = value" lines, '#' comments, comma-separated lists
+# experiment keys: one table drives config files and the CLI's flags
 # ---------------------------------------------------------------------------
 
-KNOWN_KEYS = ("p", "k", "L", "n", "alpha", "beta", "gamma", "c1", "c2", "lambda",
-              "seed", "methods", "trials", "Gamma", "beta_tilde", "sweep_axis",
-              "sweep_values", "out", "f32", "threads")
+def _items(value) -> list[str]:
+    if isinstance(value, (list, tuple)):
+        return [str(v) for v in value]
+    return [part.strip() for part in str(value).split(",") if part.strip()]
+
+
+# Converters take a flag's or a config file's text, or an already typed value,
+# and raise ValueError on bad input; their names appear in argparse's errors.
+
+def switch(value) -> bool:
+    text = str(value).strip().lower()
+    if text in ("true", "1", "yes"):
+        return True
+    if text in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected true/false, got {value!r}")
+
+
+def names(value) -> tuple[str, ...]:
+    return tuple(_items(value))
+
+
+def integers(value) -> tuple[int, ...]:
+    return tuple(int(v) for v in _items(value))
+
+
+def screening(value) -> float | str:
+    return value if value == "auto" else float(value)
+
+
+def axis(value) -> str:
+    if value not in SWEEP_AXES:
+        raise ValueError(f"expected one of {SWEEP_AXES}, got {value!r}")
+    return value
+
+
+# key -> (converter, default, help). A key's CLI flag is "--" + key with "_"
+# spelled "-"; sweep_* keys are flags of `sweep` only. Raw counts and their
+# exponent forms (_EXCLUSIVE_GROUPS) exclude each other.
+KEYS = {
+    "p": (int, 100000, "ambient dimension"),
+    "k": (int, None, "sparsity (group: k | alpha)"),
+    "alpha": (float, 0.4, "sparsity exponent, k = floor(c1 * p**alpha)"),
+    "L": (int, 200, "labeled count (group: L | beta)"),
+    "beta": (float, None, "labeled exponent, L = floor(2 beta k log(p-k)/lambda)"),
+    "n": (int, 1000, "unlabeled count (group: n | gamma)"),
+    "gamma": (float, None, "unlabeled exponent, n = floor(c2 * k**gamma / lambda**2)"),
+    "c1": (float, 1.0, "prefactor for k"),
+    "c2": (float, 1.0, "prefactor for n"),
+    "lambda": (float, 3.0, "separation ||mu||^2"),
+    "methods": (names, tuple(METHODS), "comma-separated method tags"),
+    "trials": (int, 50, "Monte Carlo trials M"),
+    "seed": (int, 1729, "master seed"),
+    "Gamma": (float, 0.8, "self-training confidence threshold"),
+    "beta_tilde": (screening, "auto", "screening factor in (0,1) or 'auto'"),
+    "out": (str, None, "per-trial CSV output path"),
+    "threads": (int, 1, "worker processes"),
+    "f32": (switch, False, "store datasets in float32 (metrics stay float64)"),
+    "sweep_axis": (axis, None, "grid axis: n or L"),
+    "sweep_values": (integers, (), "comma-separated strictly increasing grid values"),
+}
 
 _EXCLUSIVE_GROUPS = (("k", "alpha"), ("L", "beta"), ("n", "gamma"))
-
-DEFAULTS = {
-    "p": 100000, "alpha": 0.4, "L": 200, "n": 1000, "lambda": 3.0,
-    "c1": 1.0, "c2": 1.0, "seed": 1729, "trials": 50, "Gamma": 0.8,
-    "beta_tilde": "auto", "f32": False, "threads": 1,
-    "methods": ("lspca", "ls2pca", "top_k_labeled", "self_train",
-                "ul_diag_threshold_pca", "vanilla_pca"),
-}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:
@@ -321,7 +371,7 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise ConfigError(f"{source}:{lineno}: empty key")
-        if key not in KNOWN_KEYS:
+        if key not in KEYS:
             unknown.append(f"{key} (line {lineno})")
             continue
         if key in out:
@@ -330,37 +380,6 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     if unknown:
         raise ConfigError(f"{source}: unknown keys: {', '.join(unknown)}")
     return out
-
-
-def _parse_int(key: str, value) -> int:
-    try:
-        return int(str(value).strip())
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected an integer, got {value!r}") from None
-
-
-def _parse_float(key: str, value) -> float:
-    try:
-        return float(str(value).strip())
-    except ValueError:
-        raise ConfigError(f"key {key!r}: expected a number, got {value!r}") from None
-
-
-def _parse_bool(key: str, value) -> bool:
-    if isinstance(value, bool):
-        return value
-    text = str(value).strip().lower()
-    if text in ("true", "1", "yes"):
-        return True
-    if text in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"key {key!r}: expected true/false, got {value!r}")
-
-
-def _parse_list(value) -> list[str]:
-    if isinstance(value, (list, tuple)):
-        return [str(v) for v in value]
-    return [part.strip() for part in str(value).split(",") if part.strip()]
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
@@ -372,48 +391,26 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for a, b in _EXCLUSIVE_GROUPS:
         if a in raw and b in raw:
             raise ConfigError(f"keys {a!r} and {b!r} are mutually exclusive")
-    unknown = [key for key in raw if key not in KNOWN_KEYS]
+    unknown = [key for key in raw if key not in KEYS]
     if unknown:
         raise ConfigError(f"unknown keys: {', '.join(sorted(unknown))}")
+    v = {}
+    for key, (convert, default, _) in KEYS.items():
+        try:
+            v[key] = convert(raw[key]) if key in raw else default
+        except (TypeError, ValueError) as err:
+            raise ConfigError(f"key {key!r}: {err}") from None
 
-    def get(key, parser):
-        if key in raw:
-            return parser(key, raw[key])
-        return DEFAULTS.get(key)
-
-    p = get("p", _parse_int)
-    lam = get("lambda", _parse_float)
-    seed = get("seed", _parse_int)
-    c1 = get("c1", _parse_float)
-    c2 = get("c2", _parse_float)
-    if "k" in raw:
-        k = _parse_int("k", raw["k"])
-    else:
-        alpha = _parse_float("alpha", raw.get("alpha", DEFAULTS["alpha"]))
-        k = k_from_alpha(p, alpha, c1)
-    if "beta" in raw:
-        L = labeled_count(p, k, _parse_float("beta", raw["beta"]), lam)
-    else:
-        L = _parse_int("L", raw.get("L", DEFAULTS["L"]))
-    if "gamma" in raw:
-        n = unlabeled_count(k, _parse_float("gamma", raw["gamma"]), lam, c2)
-    else:
-        n = _parse_int("n", raw.get("n", DEFAULTS["n"]))
-    params = ProblemParams(p=p, k=k, lam=lam, L=L, n=n, seed=seed)
-
-    methods = tuple(_parse_list(raw.get("methods", DEFAULTS["methods"])))
-    sweep_axis = str(raw["sweep_axis"]).strip() if "sweep_axis" in raw else None
-    sweep_values = tuple(_parse_int("sweep_values", v) for v in _parse_list(raw["sweep_values"])) \
-        if "sweep_values" in raw else ()
-    beta_tilde = raw.get("beta_tilde", DEFAULTS["beta_tilde"])
-    if beta_tilde != "auto":
-        beta_tilde = _parse_float("beta_tilde", beta_tilde)
+    p, lam = v["p"], v["lambda"]
+    k = v["k"] if v["k"] is not None else k_from_alpha(p, v["alpha"], v["c1"])
+    L = v["L"] if v["beta"] is None else labeled_count(p, k, v["beta"], lam)
+    n = v["n"] if v["gamma"] is None else unlabeled_count(k, v["gamma"], lam, v["c2"])
     return ExperimentConfig(
-        params=params, methods=methods, trials=get("trials", _parse_int),
-        sweep_axis=sweep_axis, sweep_values=sweep_values,
-        gamma_threshold=get("Gamma", _parse_float), beta_tilde=beta_tilde,
-        out_path=str(raw["out"]).strip() if "out" in raw else None,
-        f32=get("f32", _parse_bool), threads=get("threads", _parse_int))
+        params=ProblemParams(p=p, k=k, lam=lam, L=L, n=n, seed=v["seed"]),
+        methods=v["methods"], trials=v["trials"], sweep_axis=v["sweep_axis"],
+        sweep_values=v["sweep_values"], gamma_threshold=v["Gamma"],
+        beta_tilde=v["beta_tilde"], out_path=v["out"], f32=v["f32"],
+        threads=v["threads"])
 
 
 def read_config(path) -> ExperimentConfig:

@@ -42,11 +42,11 @@ class RestrictedCovariance:
     """Sample covariance of rows restricted to an index set T, centered by the
     empirical mean and normalized by 1/n.
 
-    PSD by construction. Explicit when |T| <= explicit_max_dim, otherwise
+    PSD by construction. Explicit when |T| <= EXPLICIT_MAX_DIM, otherwise
     products are formed against the centered restricted rows.
     """
 
-    def __init__(self, rows: np.ndarray, indices, explicit_max_dim: int = EXPLICIT_MAX_DIM):
+    def __init__(self, rows: np.ndarray, indices):
         rows = np.asarray(rows)
         if rows.ndim != 2:
             raise ContractError("rows must be a 2-d array of samples")
@@ -61,12 +61,11 @@ class RestrictedCovariance:
         if idx.min() < 0 or idx.max() >= p:
             raise InvalidSupportError(f"index out of range for dimension p={p}")
 
-        self.indices = idx
         self.dim = int(idx.size)
         self.n_samples = n
 
         y = rows[:, idx]  # fancy indexing copies; safe to center in place
-        if self.dim <= explicit_max_dim:
+        if self.dim <= EXPLICIT_MAX_DIM:
             y = y.astype(np.float64, copy=False)
             y -= y.mean(axis=0)
             self._matrix = (y.T @ y) / n
@@ -99,10 +98,9 @@ class RestrictedCovariance:
         return (y.T @ y) / self.n_samples
 
 
-def restricted_covariance(rows: np.ndarray, indices,
-                          explicit_max_dim: int = EXPLICIT_MAX_DIM) -> RestrictedCovariance:
+def restricted_covariance(rows: np.ndarray, indices) -> RestrictedCovariance:
     """Empirical covariance of `rows` restricted to `indices` (0-based)."""
-    return RestrictedCovariance(rows, indices, explicit_max_dim=explicit_max_dim)
+    return RestrictedCovariance(rows, indices)
 
 
 def _psd_operator(a):

@@ -25,6 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BoundInapplicableError, ContractError, ExactInfeasibleError
+from .gmodel import implied_alpha, implied_beta
 from .rng import generator
 
 EXACT_MAX_K = 64
@@ -253,18 +254,6 @@ def lowdeg_norm_mc(params: LowDegParams, n_samples: int = 10 ** 6,
     return mean, math.sqrt(var / n_samples)
 
 
-def implied_alpha(params: LowDegParams) -> float:
-    """Sparsity exponent read back from k = p**alpha."""
-    return math.log(params.k) / math.log(params.p) if params.p > 1 else 0.0
-
-
-def implied_beta(params: LowDegParams) -> float:
-    """Labeled exponent read back from L = 2 beta k log(p-k) / lambda."""
-    if params.lam <= 0 or params.k >= params.p:
-        return math.nan
-    return params.L * params.lam / (2.0 * params.k * math.log(params.p - params.k))
-
-
 def lowdeg_norm_upper_bound(params: LowDegParams, alpha: float | None = None,
                             beta: float | None = None,
                             epsilon: float | None = None) -> float:
@@ -280,9 +269,9 @@ def lowdeg_norm_upper_bound(params: LowDegParams, alpha: float | None = None,
     if params.k >= params.p:
         raise BoundInapplicableError("bound requires k < p")
     if alpha is None:
-        alpha = implied_alpha(params)
+        alpha = implied_alpha(params.p, params.k)
     if beta is None:
-        beta = implied_beta(params)
+        beta = implied_beta(params.p, params.k, params.L, params.lam)
     if not math.isfinite(beta) or beta <= 0:
         raise BoundInapplicableError(f"implied beta={beta!r} is not a positive real")
     if epsilon is None:
@@ -324,9 +313,9 @@ def bound_dominates_exact(params: LowDegParams, epsilon: float | None = None) ->
     lam L / k + lam n D / (2 L k) <= (2 beta + epsilon) log(p - k)."""
     if params.L < 1 or params.k >= params.p or params.lam <= 0:
         return False
-    beta = implied_beta(params)
+    beta = implied_beta(params.p, params.k, params.L, params.lam)
     if epsilon is None:
-        epsilon = 0.5 - implied_alpha(params) - beta
+        epsilon = 0.5 - implied_alpha(params.p, params.k) - beta
     if epsilon <= 0 or not 0 < 2 * beta + epsilon < 1:
         return False
     lhs = params.lam * params.L / params.k \

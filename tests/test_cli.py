@@ -4,7 +4,8 @@ import math
 
 import pytest
 
-from sslgauss.cli import main
+from sslgauss import harness
+from sslgauss.cli import _collect_experiment, build_parser, main
 from sslgauss.gmodel import load_dataset
 from sslgauss.harness import CSV_HEADER
 
@@ -163,6 +164,57 @@ class TestExperimentCommands:
             "--beta-tilde", "0.4")
         assert code == 1
         assert "failed" in err
+
+
+# A non-default value for every experiment key, so that a flag or a config
+# key that is read wrongly or not at all shows as a mismatch.
+KEY_VALUES = {
+    "p": "500", "k": "6", "alpha": "0.3", "L": "40", "beta": "0.5", "n": "70",
+    "gamma": "1.5", "c1": "2.0", "c2": "3.0", "lambda": "2.5",
+    "methods": "lspca,top_k_labeled", "trials": "3", "seed": "77", "Gamma": "0.6",
+    "beta_tilde": "0.35", "out": "res.csv", "threads": "2", "f32": "true",
+    "sweep_axis": "n", "sweep_values": "10,20,40",
+}
+
+
+def flag(key: str) -> str:
+    return "--" + key.replace("_", "-")
+
+
+class TestKeyTable:
+    def test_values_cover_every_key(self):
+        assert set(KEY_VALUES) == set(harness.KEYS)
+
+    @pytest.mark.parametrize("sub", ["simulate", "sweep"])
+    def test_every_key_has_its_flag(self, sub):
+        subparsers = build_parser()._subparsers._group_actions[0].choices
+        options = subparsers[sub]._option_string_actions
+        for key in harness.KEYS:
+            wanted = sub == "sweep" or not key.startswith("sweep_")
+            assert (flag(key) in options) == wanted, (sub, key)
+
+    @pytest.mark.parametrize("forms", [("k", "L", "n"), ("alpha", "beta", "gamma")])
+    def test_config_file_equals_flags(self, tmp_path, forms):
+        twins = {a: b for group in harness._EXCLUSIVE_GROUPS
+                 for a, b in (group, group[::-1])}
+        keys = [key for key in harness.KEYS if twins.get(key) not in forms]
+        path = tmp_path / "all.cfg"
+        path.write_text("".join(f"{key} = {KEY_VALUES[key]}\n" for key in keys))
+        argv = ["sweep"]
+        for key in keys:
+            argv += [flag(key)] if key == "f32" else [flag(key), KEY_VALUES[key]]
+        from_flags = _collect_experiment(build_parser().parse_args(argv))
+        assert from_flags == harness.read_config(path)
+
+    def test_bad_int_flag_usage_exit(self, capsys):
+        code, _, err = run_cli(capsys, "simulate", "--trials", "abc")
+        assert code == 2
+        assert "usage" in err and "--trials" in err
+
+    def test_bad_sweep_axis_usage_exit(self, capsys):
+        code, _, err = run_cli(capsys, "sweep", "--sweep-axis", "x")
+        assert code == 2
+        assert "usage" in err and "--sweep-axis" in err
 
 
 class TestHelp:

@@ -259,6 +259,12 @@ sweep_values = 10, 20, 40
         with pytest.raises(ConfigError, match=":2:"):
             parse_config_text("p = 10\nthis is not a pair\n")
 
+    def test_bad_value_names_key(self, tmp_path):
+        path = tmp_path / "bad.cfg"
+        path.write_text("p = 10\ntrials = abc\n")
+        with pytest.raises(ConfigError, match="'trials'"):
+            read_config(path)
+
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_text("p = 10\np = 20\n")

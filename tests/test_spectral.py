@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sslgauss import spectral
 from sslgauss.errors import (ContractError, InsufficientSamplesError,
                              InvalidSupportError)
 from sslgauss.spectral import (power_iteration, restricted_covariance,
@@ -49,12 +50,13 @@ class TestRestrictedCovariance:
         var = float(np.var(rows[:, 3]))  # 1/n convention
         np.testing.assert_allclose(cov.matrix(), [[var]], rtol=1e-12)
 
-    def test_implicit_matches_explicit_on_basis_vectors(self):
+    def test_implicit_matches_explicit_on_basis_vectors(self, monkeypatch):
         rng = np.random.default_rng(1)
         rows = rng.standard_normal((5, 8))
         idx = [1, 4, 6]
         explicit = restricted_covariance(rows, idx)
-        implicit = restricted_covariance(rows, idx, explicit_max_dim=0)
+        monkeypatch.setattr(spectral, "EXPLICIT_MAX_DIM", 0)
+        implicit = restricted_covariance(rows, idx)
         assert not implicit.is_explicit and explicit.is_explicit
         mat = explicit.matrix()
         for j in range(3):
@@ -64,12 +66,13 @@ class TestRestrictedCovariance:
                                        rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("m", [2, 17, 50])
-    def test_equivalence_sweep(self, m):
+    def test_equivalence_sweep(self, m, monkeypatch):
         rng = np.random.default_rng(m)
         rows = rng.standard_normal((m + 3, m + 5))
         idx = rng.choice(m + 5, size=m, replace=False)
         explicit = restricted_covariance(rows, idx)
-        implicit = restricted_covariance(rows, idx, explicit_max_dim=0)
+        monkeypatch.setattr(spectral, "EXPLICIT_MAX_DIM", 0)
+        implicit = restricted_covariance(rows, idx)
         np.testing.assert_allclose(implicit.matrix(), explicit.matrix(),
                                    rtol=1e-10, atol=1e-12)
 
