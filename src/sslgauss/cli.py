@@ -139,6 +139,10 @@ def _run_experiment(args: argparse.Namespace, sweep: bool) -> int:
     if sweep and config.sweep_axis is None:
         print("error: sweep requires --sweep-axis and --sweep-values", file=sys.stderr)
         return 2
+    if not sweep and config.sweep_axis is not None:
+        print("error: simulate runs one point; use sweep for a config that sets sweep_axis",
+              file=sys.stderr)
+        return 2
     _echo_config(config)
     if args.dump:
         _, ds = harness.trial_ground_truth(config, 0)

@@ -18,15 +18,13 @@ import numpy as np
 from .errors import (ContractError, InsufficientSamplesError, MissingClassError,
                      ScreeningTooSmallError)
 from .gmodel import Dataset, ProblemParams
-from .spectral import (canonical_sign, power_iteration, restricted_covariance,
-                       top_k_indices, truncated_power)
+from .spectral import (DEFAULT_TOL, power_iteration, principal_direction,
+                       restricted_covariance, top_k_indices, truncated_power)
 
-# Storage in float32 caps achievable matvec accuracy; iterative tolerances
-# are loosened accordingly.
+# Storage in float32 caps achievable matvec accuracy; the screening solver's
+# tolerance is loosened accordingly.
 _F32_TOL = 1e-6
 _DEFAULT_BETA_TILDE = 0.5
-# Columns per centered block when vanilla_pca forms its n x n Gram matrix.
-_GRAM_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -116,34 +114,18 @@ def top_k_labeled(xs, ys, k: int) -> EstimatorOutput:
     return _finalize("top_k_labeled", w.size, support, w[support], aux={})
 
 
-def _leading_vec(cov, tol: float, aux: dict, tag: str,
-                 sparse_k: int | None = None) -> np.ndarray:
-    """Leading (possibly sparse) eigenvector; the solver's convergence flag,
-    iteration count and eigenvalue are recorded in aux, and a run that did
-    not converge still yields its last iterate."""
-    if sparse_k is None:
-        res = power_iteration(cov, tol=tol)
-    else:
-        res = truncated_power(cov, sparse_k, tol=tol)
-    aux[f"{tag}_converged"] = res.converged
-    aux[f"{tag}_iterations"] = res.iterations
-    aux[f"{tag}_eigenvalue"] = res.value
-    return res.vector
-
-
-def _iter_tol(rows: np.ndarray) -> float:
-    return _F32_TOL if rows.dtype == np.float32 else 1e-9
-
-
 def lspca(dataset: Dataset, config: LspcaConfig) -> EstimatorOutput:
     """Label screening followed by PCA on the unlabeled covariance.
 
     Step I ranks coordinates by |class-mean difference| and keeps the top
     ceil(p**(1-beta_tilde)). Step II takes the leading eigenvector of the
-    unlabeled covariance restricted to the screened set (hard-thresholded to
-    k nonzeros when sparse_pca is set), reads the support off its k largest
-    magnitudes, then re-solves on the support; the final sign follows the
-    labeled direction.
+    unlabeled covariance restricted to the screened set by power iteration
+    (truncated to k nonzeros when sparse_pca is set), reads the support off
+    its k largest magnitudes, then takes the exact principal direction of
+    the unlabeled rows on the support; the final sign follows the labeled
+    direction. The screened set is too large for a dense solver at paper
+    scale, so only that step iterates; its convergence flag, iteration count
+    and eigenvalue are recorded in aux.
     """
     w = labeled_direction(dataset.labeled_x, dataset.labeled_y)
     p = dataset.p
@@ -153,17 +135,20 @@ def lspca(dataset: Dataset, config: LspcaConfig) -> EstimatorOutput:
             f"screening keeps {retained} < k = {config.k} coordinates "
             f"(beta_tilde = {config.beta_tilde})")
     screen = top_k_indices(np.abs(w), retained)
-    tol = _iter_tol(dataset.unlabeled_x)
-    aux: dict = {"screening_size": int(retained), "sparse_pca": config.sparse_pca}
+    tol = _F32_TOL if dataset.unlabeled_x.dtype == np.float32 else DEFAULT_TOL
 
     cov_screen = restricted_covariance(dataset.unlabeled_x, screen)
-    v_screen = _leading_vec(cov_screen, tol, aux, "pca",
-                            sparse_k=config.k if config.sparse_pca else None)
-    local = top_k_indices(np.abs(v_screen), config.k)
+    if config.sparse_pca:
+        res = truncated_power(cov_screen, config.k, tol=tol)
+    else:
+        res = power_iteration(cov_screen, tol=tol)
+    local = top_k_indices(np.abs(res.vector), config.k)
     support = screen[local]
 
-    cov_support = restricted_covariance(dataset.unlabeled_x, support)
-    v_support = _leading_vec(cov_support, tol, aux, "refit")
+    v_support, value, _ = principal_direction(dataset.unlabeled_x[:, support])
+    aux = {"screening_size": int(retained), "sparse_pca": config.sparse_pca,
+           "pca_converged": res.converged, "pca_iterations": res.iterations,
+           "pca_eigenvalue": res.value, "refit_eigenvalue": value}
     side = float(v_support @ w[support])
     if side < 0.0:
         v_support = -v_support
@@ -203,8 +188,8 @@ def self_train(dataset: Dataset, k: int, gamma_threshold: float = 0.8) -> Estima
 
 def ul_diag_threshold_pca(xs: np.ndarray, k: int) -> EstimatorOutput:
     """Unlabeled-only baseline: keep the ceil(k log p) largest-variance
-    coordinates, take the leading eigenvector of the covariance there, and
-    keep its k largest magnitudes."""
+    coordinates, take the exact leading eigenvector of the covariance there
+    (spectral.principal_direction), and keep its k largest magnitudes."""
     xs = np.asarray(xs)
     if xs.ndim != 2 or xs.shape[0] < 2:
         raise InsufficientSamplesError("variance screening needs n >= 2 rows")
@@ -214,54 +199,22 @@ def ul_diag_threshold_pca(xs: np.ndarray, k: int) -> EstimatorOutput:
     m = min(p, max(k, int(math.ceil(k * math.log(p)))))
     variances = np.var(xs, axis=0, dtype=np.float64)
     keep = top_k_indices(variances, m)
-    aux: dict = {"screening_size": int(m)}
-    cov = restricted_covariance(xs, keep)
-    v = _leading_vec(cov, _iter_tol(xs), aux, "pca")
+    v, value, _ = principal_direction(xs[:, keep])
     local = top_k_indices(np.abs(v), k)
-    return _finalize("ul_diag_threshold_pca", p, keep[local], v[local], aux)
+    return _finalize("ul_diag_threshold_pca", p, keep[local], v[local],
+                     aux={"screening_size": int(m), "pca_eigenvalue": value})
 
 
 def vanilla_pca(xs: np.ndarray, k: int) -> EstimatorOutput:
-    """Unlabeled-only baseline: leading eigenvector of the full covariance,
-    then its k largest magnitudes.
-
-    The top eigenpair is taken exactly with a dense symmetric solver on the
-    smaller side of the centered rows: the p x p covariance when n >= p,
-    otherwise the n x n Gram matrix (same nonzero spectrum, identical
-    eigenvector after mapping back). The eigengap of a weak spike can be too
-    small for power iteration to resolve.
-    """
-    xs = np.asarray(xs)
-    if xs.ndim != 2 or xs.shape[0] < 2:
-        raise InsufficientSamplesError("covariance needs n >= 2 rows")
-    n, p = xs.shape
-    if not 1 <= k <= p:
-        raise ContractError(f"k={k} out of range for dimension {p}")
-    mean = xs.mean(axis=0, dtype=np.float64)
-    if n < p:
-        # the centered rows y = xs - mean are formed in float64 column blocks,
-        # never whole; y.T @ u = xs.T @ u - sum(u) * mean maps u back
-        gram = np.zeros((n, n))
-        for lo in range(0, p, _GRAM_BLOCK):
-            yb = xs[:, lo:lo + _GRAM_BLOCK] - mean[lo:lo + _GRAM_BLOCK]
-            gram += yb @ yb.T
-        gram /= n
-        values, vectors = np.linalg.eigh(gram)
-        u = vectors[:, -1]
-        v = xs.T @ u.astype(xs.dtype, copy=False) - u.sum() * mean
-    else:
-        y = xs - mean
-        values, vectors = np.linalg.eigh((y.T @ y) / n)
-        v = vectors[:, -1]
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        v = np.zeros(p)
-        v[0] = 1.0
-    else:
-        v = canonical_sign(v / nrm)
-    aux = {"dual_gram": n < p, "pca_eigenvalue": float(values[-1])}
+    """Unlabeled-only baseline: the exact leading eigenvector of the full
+    sample covariance (spectral.principal_direction), then its k largest
+    magnitudes."""
+    v, value, dual_gram = principal_direction(xs)
+    if not 1 <= k <= v.size:
+        raise ContractError(f"k={k} out of range for dimension {v.size}")
     local = top_k_indices(np.abs(v), k)
-    return _finalize("vanilla_pca", p, local, v[local], aux)
+    return _finalize("vanilla_pca", v.size, local, v[local],
+                     aux={"dual_gram": dual_gram, "pca_eigenvalue": value})
 
 
 # ---------------------------------------------------------------------------

@@ -174,9 +174,6 @@ class SparseMean:
         mu[list(self.support)] = np.asarray(self.signs, dtype=dtype) * dtype(self.magnitude)
         return mu
 
-    def support_set(self) -> frozenset[int]:
-        return frozenset(self.support)
-
 
 def make_sparse_mean(params: ProblemParams, support=None, signs=None,
                      seed: int | None = None) -> SparseMean:

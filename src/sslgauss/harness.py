@@ -419,26 +419,25 @@ def read_config(path) -> ExperimentConfig:
     return config_from_dict(parse_config_text(text, source=str(path)))
 
 
+# ExperimentConfig and ProblemParams spell three keys differently; the
+# exponent forms and their prefactors are resolved to counts and not kept.
+_ATTRIBUTES = {"lambda": "lam", "Gamma": "gamma_threshold", "out": "out_path"}
+_RESOLVED_AWAY = ("alpha", "beta", "gamma", "c1", "c2")
+
+
 def write_config(config: ExperimentConfig, path) -> None:
-    """Emit a config file that read_config() round-trips to an equal structure."""
-    lines = [
-        f"p = {config.params.p}",
-        f"k = {config.params.k}",
-        f"lambda = {config.params.lam!r}",
-        f"L = {config.params.L}",
-        f"n = {config.params.n}",
-        f"seed = {config.params.seed}",
-        "methods = " + ", ".join(config.methods),
-        f"trials = {config.trials}",
-        f"Gamma = {config.gamma_threshold!r}",
-        f"beta_tilde = {config.beta_tilde if config.beta_tilde == 'auto' else repr(float(config.beta_tilde))}",
-        f"f32 = {'true' if config.f32 else 'false'}",
-        f"threads = {config.threads}",
-    ]
-    if config.sweep_axis is not None:
-        lines.append(f"sweep_axis = {config.sweep_axis}")
-        lines.append("sweep_values = " + ", ".join(str(v) for v in config.sweep_values))
-    if config.out_path is not None:
-        lines.append(f"out = {config.out_path}")
+    """Emit a config file that read_config() round-trips to an equal
+    structure: every key of KEYS that the config holds, in table order,
+    with counts in place of exponents and unset keys left out."""
+    lines = []
+    for key in KEYS:
+        if key in _RESOLVED_AWAY:
+            continue
+        name = _ATTRIBUTES.get(key, key)
+        owner = config.params if hasattr(config.params, name) else config
+        value = getattr(owner, name)
+        if value is not None and value != ():
+            text = ", ".join(map(str, value)) if isinstance(value, tuple) else value
+            lines.append(f"{key} = {text}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -1,11 +1,11 @@
 """Minimal dense linear algebra for spiked covariances.
 
-Three pieces: the centered sample covariance restricted to an index set
-(materialized for small dimension, kept as an implicit operator otherwise),
-a deterministic power iteration for the leading eigenvector, and a truncated
-power method that alternates a power step with hard thresholding for sparse
-eigenvectors. Both solvers take a symmetric positive semidefinite operator,
-a RestrictedCovariance or an ndarray, and use only `a @ v` and `a.diagonal()`.
+`principal_direction` takes the exact top eigenpair of a sample covariance
+with a dense symmetric solver; every dense PCA step uses it. The one step too
+large for that, PCA on lspca's screened set, iterates: power iteration, or a
+truncated power method (a power step, then hard thresholding to k entries).
+Both take a symmetric PSD operator, an implicit RestrictedCovariance or an
+ndarray, and use only `a @ v` and `a.diagonal()`.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ from .errors import ContractError, InsufficientSamplesError, InvalidSupportError
 DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 1000
 
-# Above this dimension the restricted covariance stays implicit (matrix-vector
-# products against the centered rows) to avoid m^2 memory.
-EXPLICIT_MAX_DIM = 2000
+# Columns per centered block when principal_direction forms its n x n Gram matrix.
+_GRAM_BLOCK = 2048
 
 _SYMMETRY_TOL = 1e-10
 
@@ -42,8 +41,9 @@ class RestrictedCovariance:
     """Sample covariance of rows restricted to an index set T, centered by the
     empirical mean and normalized by 1/n.
 
-    PSD by construction. Explicit when |T| <= EXPLICIT_MAX_DIM, otherwise
-    products are formed against the centered restricted rows.
+    PSD by construction and never materialized: products are formed against
+    the centered restricted rows, kept in float32 when the rows are float32
+    and in float64 otherwise.
     """
 
     def __init__(self, rows: np.ndarray, indices):
@@ -65,25 +65,13 @@ class RestrictedCovariance:
         self.n_samples = n
 
         y = rows[:, idx]  # fancy indexing copies; safe to center in place
-        if self.dim <= EXPLICIT_MAX_DIM:
+        if y.dtype != np.float32:
             y = y.astype(np.float64, copy=False)
-            y -= y.mean(axis=0)
-            self._matrix = (y.T @ y) / n
-            self._rows = None
-            self._diag = np.diag(self._matrix).copy()
-        else:
-            y -= y.mean(axis=0, dtype=y.dtype)
-            self._matrix = None
-            self._rows = y
-            self._diag = np.einsum("ij,ij->j", y, y, dtype=np.float64) / n
-
-    @property
-    def is_explicit(self) -> bool:
-        return self._matrix is not None
+        y -= y.mean(axis=0, dtype=y.dtype)
+        self._rows = y
+        self._diag = np.einsum("ij,ij->j", y, y, dtype=np.float64) / n
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        if self._matrix is not None:
-            return self._matrix @ v
         w = self._rows @ v.astype(self._rows.dtype, copy=False)
         return np.asarray(self._rows.T @ w, dtype=np.float64) / self.n_samples
 
@@ -92,8 +80,6 @@ class RestrictedCovariance:
 
     def matrix(self) -> np.ndarray:
         """Materialize the m x m matrix (intended for small m / tests)."""
-        if self._matrix is not None:
-            return self._matrix.copy()
         y = self._rows.astype(np.float64)
         return (y.T @ y) / self.n_samples
 
@@ -101,6 +87,48 @@ class RestrictedCovariance:
 def restricted_covariance(rows: np.ndarray, indices) -> RestrictedCovariance:
     """Empirical covariance of `rows` restricted to `indices` (0-based)."""
     return RestrictedCovariance(rows, indices)
+
+
+def principal_direction(rows: np.ndarray) -> tuple[np.ndarray, float, bool]:
+    """Exact leading eigenpair of the centered 1/n sample covariance of rows.
+
+    A dense symmetric solver runs on the smaller side of the centered rows:
+    the p x p covariance when n >= p, otherwise the n x n Gram matrix (same
+    nonzero spectrum, identical eigenvector after mapping back). Returns the
+    unit eigenvector in canonical sign (e1 for a zero covariance), its
+    eigenvalue, and whether the Gram side was taken. The eigengap of a weak
+    spike can be too small for power iteration to resolve.
+    """
+    rows = np.asarray(rows)
+    if rows.dtype != np.float32:
+        rows = rows.astype(np.float64, copy=False)
+    if rows.ndim != 2 or rows.shape[0] < 2:
+        raise InsufficientSamplesError("covariance needs n >= 2 rows")
+    n, p = rows.shape
+    mean = rows.mean(axis=0, dtype=np.float64)
+    dual_gram = n < p
+    if dual_gram:
+        # the centered rows y = rows - mean are formed in float64 column
+        # blocks, never whole; y.T @ u = rows.T @ u - sum(u) * mean maps u back
+        gram = np.zeros((n, n))
+        for lo in range(0, p, _GRAM_BLOCK):
+            yb = rows[:, lo:lo + _GRAM_BLOCK] - mean[lo:lo + _GRAM_BLOCK]
+            gram += yb @ yb.T
+        gram /= n
+        values, vectors = np.linalg.eigh(gram)
+        u = vectors[:, -1]
+        v = rows.T @ u.astype(rows.dtype, copy=False) - u.sum() * mean
+    else:
+        y = rows - mean
+        values, vectors = np.linalg.eigh((y.T @ y) / n)
+        v = vectors[:, -1]
+    if values[-1] <= 0.0:
+        # a zero covariance: every vector is an eigenvector; return e1
+        v = np.zeros(p)
+        v[0] = 1.0
+    else:
+        v = canonical_sign(v / float(np.linalg.norm(v)))
+    return v, float(values[-1]), dual_gram
 
 
 def _psd_operator(a):

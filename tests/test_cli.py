@@ -145,6 +145,16 @@ class TestExperimentCommands:
         assert code == 2
         assert "sweep" in err
 
+    def test_simulate_refuses_a_sweep_config(self, capsys, tmp_path):
+        cfg = tmp_path / "sweep.cfg"
+        cfg.write_text("p = 30\nk = 3\nlambda = 2.0\nL = 10\nn = 10\n"
+                       "methods = top_k_labeled\ntrials = 1\n"
+                       "sweep_axis = n\nsweep_values = 10, 20\n")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(cfg))
+        assert code == 2
+        assert "sweep_axis" in err
+        assert "overlap_mean" not in out  # nothing ran
+
     def test_sweep_end_to_end(self, capsys, tmp_path):
         out_csv = tmp_path / "sweep.csv"
         code, out, _ = run_cli(

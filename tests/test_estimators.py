@@ -173,6 +173,22 @@ class TestLspca:
         assert np.mean(overlaps) >= 0.6
         assert np.mean(overlaps) >= np.mean(topk_overlaps) + 0.15
 
+    @pytest.mark.parametrize("sparse_pca", [False, True], ids=["lspca", "ls2pca"])
+    @pytest.mark.parametrize("n", [8, 300], ids=["gram", "covariance"])
+    def test_refit_is_exact_top_eigenvector_on_support(self, n, sparse_pca):
+        # the refit direction is the top eigenvector of the unlabeled sample
+        # covariance on the chosen support, signed by the labeled direction
+        pp, mu, ds = make_instance(200, 12, 3.0, 80, n, seed=31)
+        out = lspca(ds, LspcaConfig(k=12, beta_tilde=0.3, sparse_pca=sparse_pca))
+        cov, top = _sample_covariance_top(ds.unlabeled_x[:, out.support])
+        u = np.linalg.eigh(cov)[1][:, -1]
+        v = out.direction[out.support]
+        assert abs(float(v @ u)) >= 1.0 - 1e-12
+        assert abs(float(v @ cov @ v) - top) <= 1e-10 * top
+        assert abs(out.aux["refit_eigenvalue"] - top) <= 1e-10 * top
+        w = labeled_direction(ds.labeled_x, ds.labeled_y)
+        assert float(v @ w[out.support]) >= 0.0
+
     def test_sparse_pca_variant(self):
         pp, mu, ds = make_instance(400, 5, 3.0, 150, 500, seed=6)
         out = lspca(ds, LspcaConfig(k=5, beta_tilde=0.35, sparse_pca=True))
@@ -251,6 +267,18 @@ class TestUnsupervisedBaselines:
             out = ul_diag_threshold_pca(ds.unlabeled_x, 10)
             overlaps.append(support_overlap(mu.support, out.support, 10))
         assert np.mean(overlaps) <= 0.2
+
+    def test_diag_threshold_exact_on_small_eigengap(self):
+        # near-isotropic draw: the top two covariance eigenvalues are 0.25%
+        # apart, and 1000 power steps stop 1e-5 (relative) short of the top
+        # one; k = p keeps every coordinate, so the screen is the whole space
+        rng = np.random.default_rng(26)
+        rows = rng.standard_normal((100, 300))
+        cov, top = _sample_covariance_top(rows)
+        out = ul_diag_threshold_pca(rows, rows.shape[1])
+        v = out.direction
+        assert abs(float(v @ cov @ v) - top) <= 1e-10 * top
+        assert abs(out.aux["pca_eigenvalue"] - top) <= 1e-10 * top
 
     def test_vanilla_two_dims(self):
         rows = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])

@@ -8,7 +8,7 @@ import pytest
 from sslgauss import harness
 from sslgauss.errors import ConfigError
 from sslgauss.gmodel import ProblemParams, load_dataset
-from sslgauss.harness import (AGG_HEADER, CSV_HEADER, ExperimentConfig,
+from sslgauss.harness import (AGG_HEADER, CSV_HEADER, KEYS, ExperimentConfig,
                               TrialRecord, aggregate, config_from_dict,
                               parse_config_text, read_config, run_sweep, run_trial,
                               trial_ground_truth, write_aggregates, write_config,
@@ -229,11 +229,24 @@ class TestCsv:
 class TestConfigFiles:
     def test_round_trip(self, tmp_path):
         cfg = small_config(sweep_axis="n", sweep_values=(10, 20),
-                           out_path="res.csv", threads=2)
+                           out_path="res.csv", threads=2, f32=True,
+                           beta_tilde=0.35)
         path = tmp_path / "exp.cfg"
         write_config(cfg, path)
         back = read_config(path)
         assert back == cfg
+        written = [line.split(" = ")[0] for line in path.read_text().splitlines()]
+        # every key in table order, counts in place of exponents
+        assert written == [key for key in KEYS
+                           if key not in ("alpha", "beta", "gamma", "c1", "c2")]
+
+    def test_round_trip_skips_unset_keys(self, tmp_path):
+        cfg = small_config()
+        path = tmp_path / "exp.cfg"
+        write_config(cfg, path)
+        written = {line.split(" = ")[0] for line in path.read_text().splitlines()}
+        assert not written & {"out", "sweep_axis", "sweep_values"}
+        assert read_config(path) == cfg
 
     def test_parse_comments_and_lists(self):
         text = """

@@ -4,11 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from sslgauss import spectral
 from sslgauss.errors import (ContractError, InsufficientSamplesError,
                              InvalidSupportError)
-from sslgauss.spectral import (power_iteration, restricted_covariance,
-                               top_k_indices, truncated_power)
+from sslgauss.spectral import (power_iteration, principal_direction,
+                               restricted_covariance, top_k_indices, truncated_power)
 
 
 def jacobi_leading_eigenvector(a: np.ndarray, sweeps: int = 60) -> tuple[float, np.ndarray]:
@@ -50,31 +49,27 @@ class TestRestrictedCovariance:
         var = float(np.var(rows[:, 3]))  # 1/n convention
         np.testing.assert_allclose(cov.matrix(), [[var]], rtol=1e-12)
 
-    def test_implicit_matches_explicit_on_basis_vectors(self, monkeypatch):
-        rng = np.random.default_rng(1)
-        rows = rng.standard_normal((5, 8))
-        idx = [1, 4, 6]
-        explicit = restricted_covariance(rows, idx)
-        monkeypatch.setattr(spectral, "EXPLICIT_MAX_DIM", 0)
-        implicit = restricted_covariance(rows, idx)
-        assert not implicit.is_explicit and explicit.is_explicit
-        mat = explicit.matrix()
-        for j in range(3):
-            e = np.zeros(3)
-            e[j] = 1.0
-            np.testing.assert_allclose(implicit @ e, mat[:, j],
-                                       rtol=1e-10, atol=1e-12)
-
     @pytest.mark.parametrize("m", [2, 17, 50])
-    def test_equivalence_sweep(self, m, monkeypatch):
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_matches_numpy_cov(self, dtype, m):
+        # float32 rows are small integers over 16 rows, so the mean, the
+        # centered rows and every product are exact in float32 and the
+        # comparison checks the algebra (centering, 1/n, index mapping)
         rng = np.random.default_rng(m)
-        rows = rng.standard_normal((m + 3, m + 5))
+        if dtype == np.float64:
+            rows = rng.standard_normal((m + 3, m + 5))
+        else:
+            rows = rng.integers(-4, 5, size=(16, m + 5)).astype(np.float32)
         idx = rng.choice(m + 5, size=m, replace=False)
-        explicit = restricted_covariance(rows, idx)
-        monkeypatch.setattr(spectral, "EXPLICIT_MAX_DIM", 0)
-        implicit = restricted_covariance(rows, idx)
-        np.testing.assert_allclose(implicit.matrix(), explicit.matrix(),
-                                   rtol=1e-10, atol=1e-12)
+        want = np.atleast_2d(np.cov(rows[:, idx].T, bias=True))
+        cov = restricted_covariance(rows, idx)
+        assert cov.dim == m
+        np.testing.assert_allclose(cov.matrix(), want, rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(cov.diagonal(), np.diag(want), rtol=1e-10, atol=1e-12)
+        for j in range(m):
+            e = np.zeros(m)
+            e[j] = 1.0
+            np.testing.assert_allclose(cov @ e, want[:, j], rtol=1e-10, atol=1e-12)
 
     def test_errors(self):
         rows = np.zeros((1, 4))
@@ -87,6 +82,44 @@ class TestRestrictedCovariance:
             restricted_covariance(rows, [0, 0])
         with pytest.raises(InvalidSupportError):
             restricted_covariance(rows, [5])
+
+
+class TestPrincipalDirection:
+    @pytest.mark.parametrize("n", [12, 40], ids=["gram", "covariance"])
+    def test_exact_top_eigenpair(self, n):
+        rng = np.random.default_rng(n)
+        rows = rng.standard_normal((n, 20)) + 1.5 * np.outer(
+            rng.choice([-1.0, 1.0], n), np.eye(20)[3])
+        values, vectors = np.linalg.eigh(np.cov(rows.T, bias=True))
+        v, value, dual_gram = principal_direction(rows)
+        assert dual_gram == (n < 20)
+        assert abs(value - values[-1]) <= 1e-12 * values[-1]
+        assert abs(float(v @ vectors[:, -1])) >= 1.0 - 1e-12
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        assert v[int(np.argmax(np.abs(v)))] >= 0.0
+
+    def test_integer_rows_as_float64(self):
+        # on the Gram side u maps back through the rows; it must not be cast
+        # to the rows' integer dtype
+        rows = np.array([[3, 0, 1, 2], [-3, 1, 0, 1], [2, 0, 0, 5]])
+        v, value, dual_gram = principal_direction(rows)
+        want, want_value, _ = principal_direction(rows.astype(np.float64))
+        assert dual_gram
+        np.testing.assert_array_equal(v, want)
+        assert value == want_value
+
+    @pytest.mark.parametrize("n", [3, 8], ids=["gram", "covariance"])
+    def test_zero_covariance_returns_e1(self, n):
+        rows = np.tile([2.0, -1.0, 0.5, 0.0, 3.0], (n, 1))
+        v, value, _ = principal_direction(rows)
+        np.testing.assert_array_equal(v, [1.0, 0.0, 0.0, 0.0, 0.0])
+        assert value <= 1e-12
+
+    def test_needs_two_rows(self):
+        with pytest.raises(InsufficientSamplesError):
+            principal_direction(np.ones((1, 4)))
+        with pytest.raises(InsufficientSamplesError):
+            principal_direction(np.ones(4))
 
 
 class TestLeadingEigenvector:
