@@ -145,8 +145,8 @@ def _run_experiment(args: argparse.Namespace, sweep: bool) -> int:
         return 2
     _echo_config(config)
     if args.dump:
-        _, ds = harness.trial_ground_truth(config, 0)
-        dump_dataset(ds, args.dump)
+        # no name binds the dataset, so it is freed before the sweep draws
+        dump_dataset(harness.trial_ground_truth(config, 0)[1], args.dump)
         print(_kv("dump", args.dump))
     records, aggs = harness.run_sweep(config)
     if config.out_path:

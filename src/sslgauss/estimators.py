@@ -18,12 +18,9 @@ import numpy as np
 from .errors import (ContractError, InsufficientSamplesError, MissingClassError,
                      ScreeningTooSmallError)
 from .gmodel import Dataset, ProblemParams
-from .spectral import (DEFAULT_TOL, power_iteration, principal_direction,
-                       restricted_covariance, top_k_indices, truncated_power)
+from .spectral import (power_iteration, principal_direction, restricted_covariance,
+                       top_k_indices, truncated_power)
 
-# Storage in float32 caps achievable matvec accuracy; the screening solver's
-# tolerance is loosened accordingly.
-_F32_TOL = 1e-6
 _DEFAULT_BETA_TILDE = 0.5
 
 
@@ -119,13 +116,15 @@ def lspca(dataset: Dataset, config: LspcaConfig) -> EstimatorOutput:
 
     Step I ranks coordinates by |class-mean difference| and keeps the top
     ceil(p**(1-beta_tilde)). Step II takes the leading eigenvector of the
-    unlabeled covariance restricted to the screened set by power iteration
-    (truncated to k nonzeros when sparse_pca is set), reads the support off
-    its k largest magnitudes, then takes the exact principal direction of
-    the unlabeled rows on the support; the final sign follows the labeled
-    direction. The screened set is too large for a dense solver at paper
-    scale, so only that step iterates; its convergence flag, iteration count
-    and eigenvalue are recorded in aux.
+    unlabeled covariance restricted to the screened set by spectral's power
+    loop: power iteration, or the truncated power method at k nonzeros when
+    sparse_pca is set, with the stopping tolerance spectral derives from the
+    rows' storage dtype. It reads the support off that vector's k largest
+    magnitudes, then takes the exact principal direction of the unlabeled
+    rows on the support; the final sign follows the labeled direction. The
+    screened set is too large for a dense solver at paper scale, so only
+    that step iterates; its convergence flag, iteration count and eigenvalue
+    are recorded in aux.
     """
     w = labeled_direction(dataset.labeled_x, dataset.labeled_y)
     p = dataset.p
@@ -135,13 +134,12 @@ def lspca(dataset: Dataset, config: LspcaConfig) -> EstimatorOutput:
             f"screening keeps {retained} < k = {config.k} coordinates "
             f"(beta_tilde = {config.beta_tilde})")
     screen = top_k_indices(np.abs(w), retained)
-    tol = _F32_TOL if dataset.unlabeled_x.dtype == np.float32 else DEFAULT_TOL
 
     cov_screen = restricted_covariance(dataset.unlabeled_x, screen)
     if config.sparse_pca:
-        res = truncated_power(cov_screen, config.k, tol=tol)
+        res = truncated_power(cov_screen, config.k)
     else:
-        res = power_iteration(cov_screen, tol=tol)
+        res = power_iteration(cov_screen)
     local = top_k_indices(np.abs(res.vector), config.k)
     support = screen[local]
 

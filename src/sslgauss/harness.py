@@ -14,6 +14,7 @@ trials run in worker processes, each holding one draw at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -136,34 +137,25 @@ def trial_ground_truth(config: ExperimentConfig, trial_index: int,
     return mu, ds
 
 
-class _TrialSlot:
-    """Single-slot memo of one trial's draw, at the larger of the config's
-    largest point and the requested point. Every point of the trial is a
-    prefix slice of it."""
-
-    def __init__(self):
-        self._key = None
-        self._draw: tuple[SparseMean, Dataset] | None = None
-
-    def __call__(self, config: ExperimentConfig, trial_index: int,
-                 point: tuple[int, int]) -> tuple[SparseMean, Dataset]:
-        points = config.points() + [point]
-        draw_point = (max(L for L, _ in points), max(n for _, n in points))
-        key = (config, trial_index, draw_point)
-        if key != self._key:
-            self.clear()  # so that at most one draw is held at a time
-            self._draw = trial_ground_truth(config, trial_index, draw_point)
-            self._key = key
-        mu, ds = self._draw
-        L, n = point
-        return mu, Dataset(labeled_x=ds.labeled_x[:L], labeled_y=ds.labeled_y[:L],
-                           unlabeled_x=ds.unlabeled_x[:n])
-
-    def clear(self) -> None:
-        self._key = self._draw = None
+@functools.lru_cache(maxsize=1)
+def _draw(config: ExperimentConfig, trial_index: int,
+          draw_point: tuple[int, int]) -> tuple[SparseMean, Dataset]:
+    """One trial's draw, memoized so that every point of the trial slices it.
+    lru_cache draws a new entry before it evicts the old one, so
+    _run_trial_task clears it after each trial to hold one draw at a time."""
+    return trial_ground_truth(config, trial_index, draw_point)
 
 
-_trial_data = _TrialSlot()
+def _trial_data(config: ExperimentConfig, trial_index: int,
+                point: tuple[int, int]) -> tuple[SparseMean, Dataset]:
+    """The trial's data at point: prefix slices of its draw at the larger of
+    the config's largest point and the requested point."""
+    points = config.points() + [point]
+    draw_point = (max(L for L, _ in points), max(n for _, n in points))
+    mu, ds = _draw(config, trial_index, draw_point)
+    L, n = point
+    return mu, Dataset(labeled_x=ds.labeled_x[:L], labeled_y=ds.labeled_y[:L],
+                       unlabeled_x=ds.unlabeled_x[:n])
 
 
 def run_trial(config: ExperimentConfig, method: str, point: tuple[int, int],
@@ -204,7 +196,7 @@ def _run_trial_task(task) -> list[TrialRecord]:
         return [run_trial(config, method, point, trial_index)
                 for point in config.points() for method in config.methods]
     finally:
-        _trial_data.clear()
+        _draw.cache_clear()
 
 
 @dataclass(frozen=True)

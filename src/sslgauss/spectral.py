@@ -2,10 +2,12 @@
 
 `principal_direction` takes the exact top eigenpair of a sample covariance
 with a dense symmetric solver; every dense PCA step uses it. The one step too
-large for that, PCA on lspca's screened set, iterates: power iteration, or a
-truncated power method (a power step, then hard thresholding to k entries).
-Both take a symmetric PSD operator, an implicit RestrictedCovariance or an
-ndarray, and use only `a @ v` and `a.diagonal()`.
+large for that, PCA on lspca's screened set, runs one power loop: each step
+forms A v, keeps its k largest magnitudes (the truncated power method; k = m
+is plain power iteration) and renormalizes, until the iterate moves by at
+most 1e-6 for a RestrictedCovariance over float32 rows and 1e-9 otherwise.
+The loop takes a symmetric PSD operator, an implicit RestrictedCovariance or
+an ndarray, and uses only `a @ v` and `a.diagonal()`.
 """
 
 from __future__ import annotations
@@ -16,8 +18,11 @@ import numpy as np
 
 from .errors import ContractError, InsufficientSamplesError, InvalidSupportError
 
-DEFAULT_TOL = 1e-9
 DEFAULT_MAX_ITER = 1000
+# Step tolerances of the power loop. Products over float32 rows carry about
+# 1e-7 relative error, so their iterates stop moving near 1e-6.
+_TOL = 1e-9
+_F32_TOL = 1e-6
 
 # Columns per centered block when principal_direction forms its n x n Gram matrix.
 _GRAM_BLOCK = 2048
@@ -150,100 +155,75 @@ def _psd_operator(a):
 class PowerResult:
     vector: np.ndarray
     value: float
-    residual: float
+    step: float
     iterations: int
     converged: bool
     # Always False (the solvers run once); kept for perfbench's tracer, which reads it.
     restarted: bool = False
 
 
-def _zero_operator_result(m: int) -> PowerResult:
-    """The zero operator: every vector is an eigenvector; return e1."""
-    e1 = np.zeros(m)
-    e1[0] = 1.0
-    return PowerResult(vector=e1, value=0.0, residual=0.0, iterations=0, converged=True)
+def _power(a, v0: np.ndarray, k: int, max_iter: int) -> PowerResult:
+    """The power loop of both solvers, from the unit start v0.
 
-
-def power_iteration(a, tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
-    """Leading eigenpair of a PSD operator by power iteration.
-
-    Starts from the standard basis vector at the largest diagonal entry
-    (ties: lowest index) and stops when the residual ||A v - theta v|| falls
-    below tol times the operator's scale. After max_iter steps without that,
-    returns the last iterate with converged=False.
+    Each step forms w = A v, keeps the k largest |w| when k < m (ties: lowest
+    index), and renormalizes; it stops once ||v_new - v|| <= tol, with tol
+    set by the operator's storage (float32 rows cap the accuracy of A v).
+    `value` is the Rayleigh quotient of the iterate the last step started
+    from. After max_iter steps without convergence, returns the last iterate
+    with converged=False.
     """
-    a = _psd_operator(a)
-    diag = a.diagonal()
-    m = diag.size
-    if m < 1:
-        raise ContractError("operator dimension must be >= 1")
-    diag_scale = float(np.max(np.abs(diag)))
-    if diag_scale == 0.0:
-        return _zero_operator_result(m)
-
-    result = PowerResult(vector=np.zeros(m), value=0.0, residual=0.0,
-                         iterations=0, converged=False)
-    v = np.zeros(m)
-    v[int(np.argmax(diag))] = 1.0
-    for _ in range(max_iter):
-        w = a @ v
-        theta = float(v @ w)
-        resid = float(np.linalg.norm(w - theta * v))
-        result.vector, result.value, result.residual = v, theta, resid
-        result.iterations += 1
-        if resid <= tol * max(abs(theta), diag_scale):
-            result.converged = True
-            break
-        v = w / float(np.linalg.norm(w))
-    result.vector = canonical_sign(result.vector)
-    return result
-
-
-def _truncate(w: np.ndarray, k: int) -> np.ndarray:
-    keep = top_k_indices(np.abs(w), k)
-    out = np.zeros_like(w)
-    out[keep] = w[keep]
-    return out
-
-
-def truncated_power(a, k: int, tol: float = DEFAULT_TOL,
-                    max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
-    """Sparse leading eigenvector of a PSD operator: power step, keep the k
-    largest magnitudes, renormalize.
-
-    Initialized from the k largest diagonal entries with equal weights.
-    Converges when the iterate stops moving; otherwise, as in
-    power_iteration, returns the last iterate with converged=False.
-    """
-    a = _psd_operator(a)
-    diag = a.diagonal()
-    m = diag.size
-    if not 1 <= k <= m:
-        raise ContractError(f"sparsity k must be in [1, {m}], got {k}")
-    if float(np.max(np.abs(diag))) == 0.0:
-        return _zero_operator_result(m)
-
-    result = PowerResult(vector=np.zeros(m), value=0.0, residual=0.0,
-                         iterations=0, converged=False)
-    v = np.zeros(m)
-    v[top_k_indices(diag, k)] = 1.0 / np.sqrt(k)
+    f32 = isinstance(a, RestrictedCovariance) and a._rows.dtype == np.float32
+    tol = _F32_TOL if f32 else _TOL
+    result = PowerResult(vector=v0, value=0.0, step=0.0, iterations=0, converged=False)
+    v = v0
     for _ in range(max_iter):
         w = a @ v
         theta = float(v @ w)
         result.iterations += 1
-        wb = _truncate(w, k)
-        nb = float(np.linalg.norm(wb))
-        if nb == 0.0:
-            # the iterate lies in the null space of the operator
-            result.vector, result.value = v, theta
+        if k < v.size:
+            w[np.argsort(-np.abs(w), kind="stable")[k:]] = 0.0
+        norm = float(np.linalg.norm(w))
+        if norm == 0.0:
+            # A v = 0: for a PSD operator v leads only if A = 0, where every
+            # vector is an eigenvector; return e1 then
+            result.value = theta
+            result.converged = not a.diagonal().any()
+            if result.converged:
+                result.vector = np.zeros(v.size)
+                result.vector[0] = 1.0
             break
-        v_new = wb / nb
-        step = float(np.linalg.norm(v_new - v))
-        result.vector, result.value, result.residual = v_new, theta, step
-        if step <= tol:
+        v_new = w / norm
+        result.vector, result.value = v_new, theta
+        result.step = float(np.linalg.norm(v_new - v))
+        if result.step <= tol:
             result.converged = True
             break
         v = v_new
     result.vector = canonical_sign(result.vector)
     return result
+
+
+def power_iteration(a, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
+    """Leading eigenpair of a PSD operator by power iteration: the power loop
+    at k = m, so nothing is truncated, started from the standard basis
+    vector at the largest diagonal entry (ties: lowest index)."""
+    a = _psd_operator(a)
+    diag = a.diagonal()
+    if diag.size < 1:
+        raise ContractError("operator dimension must be >= 1")
+    v0 = np.zeros(diag.size)
+    v0[int(np.argmax(diag))] = 1.0
+    return _power(a, v0, diag.size, max_iter)
+
+
+def truncated_power(a, k: int, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
+    """Sparse leading eigenvector of a PSD operator by the truncated power
+    method (Yuan & Zhang, JMLR 2013): the power loop keeping the k largest
+    magnitudes, started from equal weights on the k largest diagonal entries."""
+    a = _psd_operator(a)
+    diag = a.diagonal()
+    if not 1 <= k <= diag.size:
+        raise ContractError(f"sparsity k must be in [1, {diag.size}], got {k}")
+    v0 = np.zeros(diag.size)
+    v0[top_k_indices(diag, k)] = 1.0 / np.sqrt(k)
+    return _power(a, v0, k, max_iter)

@@ -1,6 +1,8 @@
 import csv
+import gc
 import io
 import math
+import weakref
 
 import pytest
 
@@ -116,6 +118,30 @@ class TestExperimentCommands:
         assert ds.unlabeled_x.shape == (60, 40)
         values = kv(out)
         assert values["p"] == "40" and values["k"] == "4"
+
+    def test_dump_released_before_sweep(self, capsys, tmp_path, monkeypatch):
+        # the dumped dataset must not stay alive beside the sweep's own draw
+        dumped, alive = [], []
+        draw, sweep = harness.trial_ground_truth, harness.run_sweep
+
+        def tracked_draw(*args, **kwargs):
+            mu, ds = draw(*args, **kwargs)
+            dumped.append(weakref.ref(ds))
+            return mu, ds
+
+        def tracked_sweep(*args, **kwargs):
+            gc.collect()
+            alive.append(dumped[0]() is not None)
+            return sweep(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "trial_ground_truth", tracked_draw)
+        monkeypatch.setattr(harness, "run_sweep", tracked_sweep)
+        code, _, _ = run_cli(
+            capsys, "simulate", "--p", "40", "--k", "4", "--L", "30", "--n", "60",
+            "--trials", "1", "--methods", "top_k_labeled",
+            "--dump", str(tmp_path / "trial0.ssld"))
+        assert code == 0
+        assert alive == [False]
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"

@@ -152,7 +152,7 @@ class TestOneDrawPerTrial:
         records, _ = run_sweep(cfg, threads=1)
         assert len(records) == 3 * 3 * 2
         assert calls == [(0, (30, 100)), (1, (30, 100))]
-        assert harness._trial_data._draw is None  # the slot is emptied
+        assert harness._draw.cache_info().currsize == 0  # the draw is released
 
     def test_l_sweep_matches_fresh_draws(self, monkeypatch):
         cfg = small_config(methods=tuple(harness.METHODS), sweep_axis="L",
