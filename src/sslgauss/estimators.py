@@ -18,8 +18,8 @@ import numpy as np
 from .errors import (ContractError, InsufficientSamplesError, MissingClassError,
                      ScreeningTooSmallError)
 from .gmodel import Dataset, ProblemParams
-from .spectral import (power_iteration, principal_direction, restricted_covariance,
-                       top_k_indices, truncated_power)
+from .spectral import (COLUMN_BLOCK, column_slabs, power_iteration, principal_direction,
+                       restricted_covariance, row_blocks, top_k_indices, truncated_power)
 
 _DEFAULT_BETA_TILDE = 0.5
 
@@ -58,8 +58,8 @@ class LspcaConfig:
         return min(p, int(math.ceil(p ** (1.0 - self.beta_tilde) - 1e-9)))
 
 
-def _as_f64_labeled(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.asarray(xs, dtype=np.float64)
+def _as_labeled(xs, ys, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
+    xs = np.asarray(xs, dtype=dtype)
     ys = np.asarray(ys)
     if xs.ndim != 2 or xs.shape[0] != ys.shape[0]:
         raise ContractError("labeled data must be (L, p) with L matching labels")
@@ -69,18 +69,19 @@ def _as_f64_labeled(xs, ys) -> tuple[np.ndarray, np.ndarray]:
 
 
 def labeled_direction(xs, ys) -> np.ndarray:
-    """Class-mean difference: mean of the +1 class minus mean of the -1 class."""
-    xs, ys = _as_f64_labeled(xs, ys)
+    """Class-mean difference: mean of the +1 class minus mean of the -1 class,
+    accumulated in float64 whatever the rows' dtype."""
+    xs, ys = _as_labeled(xs, ys, dtype=None)
     pos = ys == 1
     neg = ys == -1
     if not pos.any() or not neg.any():
         raise MissingClassError("class-mean difference needs samples of both labels")
-    return xs[pos].mean(axis=0) - xs[neg].mean(axis=0)
+    return xs[pos].mean(axis=0, dtype=np.float64) - xs[neg].mean(axis=0, dtype=np.float64)
 
 
 def signed_mean_direction(xs, ys) -> np.ndarray:
     """Label-signed empirical mean (1/L) sum_i y_i x_i."""
-    xs, ys = _as_f64_labeled(xs, ys)
+    xs, ys = _as_labeled(xs, ys)
     return (ys.astype(np.float64) @ xs) / xs.shape[0]
 
 
@@ -157,57 +158,71 @@ def lspca(dataset: Dataset, config: LspcaConfig) -> EstimatorOutput:
 def self_train(dataset: Dataset, k: int, gamma_threshold: float = 0.8) -> EstimatorOutput:
     """Pseudo-label the unlabeled data with the thresholded signed mean, keep
     confident points (|score| > threshold), refit the signed mean on the
-    union, and read the support off its k largest magnitudes."""
+    union, and read the support off its k largest magnitudes. The confident
+    rows' sum is formed COLUMN_BLOCK columns at a time, never copied whole."""
     if gamma_threshold < 0:
         raise ContractError(f"threshold must be nonnegative, got {gamma_threshold}")
-    xs, ys = _as_f64_labeled(dataset.labeled_x, dataset.labeled_y)
-    w = signed_mean_direction(xs, ys)
+    xs, ys = _as_labeled(dataset.labeled_x, dataset.labeled_y)
+    labeled_sum = ys.astype(np.float64) @ xs
+    w = labeled_sum / xs.shape[0]  # signed_mean_direction(xs, ys)
     if k > w.size:
         raise ContractError(f"k={k} exceeds dimension {w.size}")
     pilot_support = top_k_indices(np.abs(w), k)
     pilot = np.zeros_like(w)
     pilot[pilot_support] = w[pilot_support]
 
-    labeled_sum = ys.astype(np.float64) @ xs
     n_eff = 0
     pseudo_sum = 0.0
     if dataset.n:
-        scores = dataset.unlabeled_x @ pilot
+        ux = dataset.unlabeled_x
+        scores = ux @ pilot
         confident = np.abs(scores) > gamma_threshold
         n_eff = int(confident.sum())
         if n_eff:
             signs = np.sign(scores[confident])
-            pseudo_sum = signs @ dataset.unlabeled_x[confident].astype(np.float64, copy=False)
+            pseudo_sum = np.empty(w.size)
+            for lo in range(0, w.size, COLUMN_BLOCK):
+                cols = slice(lo, lo + COLUMN_BLOCK)
+                pseudo_sum[cols] = signs @ ux[confident, cols].astype(np.float64, copy=False)
     w_self = (labeled_sum + pseudo_sum) / (xs.shape[0] + n_eff)
     support = top_k_indices(np.abs(w_self), k)
     return _finalize("self_train", w.size, support, w_self[support],
                      aux={"n_eff": n_eff})
 
 
-def ul_diag_threshold_pca(xs: np.ndarray, k: int) -> EstimatorOutput:
+def ul_diag_threshold_pca(rows, k: int) -> EstimatorOutput:
     """Unlabeled-only baseline: keep the ceil(k log p) largest-variance
     coordinates, take the exact leading eigenvector of the covariance there
-    (spectral.principal_direction), and keep its k largest magnitudes."""
-    xs = np.asarray(xs)
-    if xs.ndim != 2 or xs.shape[0] < 2:
+    (spectral.principal_direction), and keep its k largest magnitudes.
+
+    `rows` is one array or a sequence of row blocks read as if stacked. The
+    variances are taken a column slab at a time; only the kept columns are
+    copied out of the rows.
+    """
+    blocks = row_blocks(rows)
+    n = sum(b.shape[0] for b in blocks)
+    if n < 2:
         raise InsufficientSamplesError("variance screening needs n >= 2 rows")
-    n, p = xs.shape
+    p = blocks[0].shape[1]
     if not 1 <= k <= p:
         raise ContractError(f"k={k} out of range for dimension {p}")
     m = min(p, max(k, int(math.ceil(k * math.log(p)))))
-    variances = np.var(xs, axis=0, dtype=np.float64)
+    variances = np.empty(p)
+    for cols, x in column_slabs(blocks):
+        variances[cols] = np.var(x, axis=0, dtype=np.float64)
     keep = top_k_indices(variances, m)
-    v, value, _ = principal_direction(xs[:, keep])
+    v, value, _ = principal_direction([b[:, keep] for b in blocks])
     local = top_k_indices(np.abs(v), k)
     return _finalize("ul_diag_threshold_pca", p, keep[local], v[local],
                      aux={"screening_size": int(m), "pca_eigenvalue": value})
 
 
-def vanilla_pca(xs: np.ndarray, k: int) -> EstimatorOutput:
+def vanilla_pca(rows, k: int) -> EstimatorOutput:
     """Unlabeled-only baseline: the exact leading eigenvector of the full
     sample covariance (spectral.principal_direction), then its k largest
-    magnitudes."""
-    v, value, dual_gram = principal_direction(xs)
+    magnitudes. `rows` is one array or a sequence of row blocks read as if
+    stacked, a column slab at a time."""
+    v, value, dual_gram = principal_direction(rows)
     if not 1 <= k <= v.size:
         raise ContractError(f"k={k} out of range for dimension {v.size}")
     local = top_k_indices(np.abs(v), k)
@@ -272,12 +287,12 @@ def _run_self_train(ds: Dataset, pp: ProblemParams, opts: MethodOptions) -> Esti
 
 
 def _run_ul_diag(ds: Dataset, pp: ProblemParams, opts: MethodOptions) -> EstimatorOutput:
-    # unlabeled baselines consume every available vector, labels dropped
-    return ul_diag_threshold_pca(ds.all_vectors(), pp.k)
+    # unlabeled baselines read every available vector in place, labels dropped
+    return ul_diag_threshold_pca((ds.labeled_x, ds.unlabeled_x), pp.k)
 
 
 def _run_vanilla(ds: Dataset, pp: ProblemParams, opts: MethodOptions) -> EstimatorOutput:
-    return vanilla_pca(ds.all_vectors(), pp.k)
+    return vanilla_pca((ds.labeled_x, ds.unlabeled_x), pp.k)
 
 
 METHODS: dict[str, Callable[[Dataset, ProblemParams, MethodOptions], EstimatorOutput]] = {

@@ -245,6 +245,7 @@ class Dataset:
     def p(self) -> int:
         return self.labeled_x.shape[1] if self.L else self.unlabeled_x.shape[1]
 
+    # No package code calls this; kept because perfbench's tracer patches it by name.
     def all_vectors(self) -> np.ndarray:
         """Labeled and unlabeled rows stacked, labels dropped."""
         if self.L == 0:

@@ -141,8 +141,10 @@ def trial_ground_truth(config: ExperimentConfig, trial_index: int,
 def _draw(config: ExperimentConfig, trial_index: int,
           draw_point: tuple[int, int]) -> tuple[SparseMean, Dataset]:
     """One trial's draw, memoized so that every point of the trial slices it.
-    lru_cache draws a new entry before it evicts the old one, so
-    _run_trial_task clears it after each trial to hold one draw at a time."""
+    lru_cache calls this only on a miss and would evict the old entry after
+    the new draw is made, so the old one is dropped first: one draw is held
+    at a time. _run_trial_task clears the cache after each trial."""
+    _draw.cache_clear()
     return trial_ground_truth(config, trial_index, draw_point)
 
 

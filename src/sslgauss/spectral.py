@@ -1,13 +1,17 @@
 """Minimal dense linear algebra for spiked covariances.
 
 `principal_direction` takes the exact top eigenpair of a sample covariance
-with a dense symmetric solver; every dense PCA step uses it. The one step too
-large for that, PCA on lspca's screened set, runs one power loop: each step
-forms A v, keeps its k largest magnitudes (the truncated power method; k = m
-is plain power iteration) and renormalizes, until the iterate moves by at
-most 1e-6 for a RestrictedCovariance over float32 rows and 1e-9 otherwise.
-The loop takes a symmetric PSD operator, an implicit RestrictedCovariance or
-an ndarray, and uses only `a @ v` and `a.diagonal()`.
+with a dense symmetric solver; every dense PCA step uses it. It reads its
+rows as one array or as a sequence of row blocks (a trial's labeled and
+unlabeled rows) taken as if stacked, COLUMN_BLOCK columns at a time, so on
+the Gram side (fewer rows than columns) they are never copied whole. The
+one step too large for a dense solver, PCA on lspca's screened set, runs
+one power loop: each step forms A v, keeps its k largest magnitudes (the
+truncated power method; k = m is plain power iteration) and renormalizes,
+until the iterate moves by at most 1e-6 for a RestrictedCovariance over
+float32 rows and 1e-9 otherwise. The loop takes a symmetric PSD operator,
+an implicit RestrictedCovariance or an ndarray, and uses only `a @ v` and
+`a.diagonal()`.
 """
 
 from __future__ import annotations
@@ -24,8 +28,9 @@ DEFAULT_MAX_ITER = 1000
 _TOL = 1e-9
 _F32_TOL = 1e-6
 
-# Columns per centered block when principal_direction forms its n x n Gram matrix.
-_GRAM_BLOCK = 2048
+# Columns per slab of a column-blocked read (column_slabs): readers hold the
+# stacked rows COLUMN_BLOCK columns at a time.
+COLUMN_BLOCK = 2048
 
 _SYMMETRY_TOL = 1e-10
 
@@ -94,37 +99,76 @@ def restricted_covariance(rows: np.ndarray, indices) -> RestrictedCovariance:
     return RestrictedCovariance(rows, indices)
 
 
-def principal_direction(rows: np.ndarray) -> tuple[np.ndarray, float, bool]:
+def row_blocks(rows) -> list[np.ndarray]:
+    """One 2-d array, or a sequence of 2-d row blocks with a common column
+    count, as a list of blocks; readers take the list as if stacked. One
+    array is the one-block case."""
+    blocks = [rows] if isinstance(rows, np.ndarray) else [np.asarray(b) for b in rows]
+    if not blocks or any(b.ndim != 2 for b in blocks):
+        raise InsufficientSamplesError("rows must be 2-d, one array or a sequence of row blocks")
+    if len({b.shape[1] for b in blocks}) > 1:
+        raise ContractError("row blocks must have the same number of columns")
+    return blocks
+
+
+def column_slabs(blocks: list[np.ndarray]):
+    """Yield (cols, x): x holds columns cols of the stacked blocks, at most
+    COLUMN_BLOCK of them, in one array, float32 when every block is float32
+    and float64 otherwise. Empty blocks are skipped, and np.concatenate lays
+    x out as the blocks are laid out: row-major blocks give a row-major x,
+    column-major ones (as column indexing returns) a column-major x, so each
+    column is summed in the order the stacked rows would give."""
+    dtype = np.float32 if all(b.dtype == np.float32 for b in blocks) else np.float64
+    filled = [b for b in blocks if b.shape[0]]
+    for lo in range(0, blocks[0].shape[1], COLUMN_BLOCK):
+        cols = slice(lo, lo + COLUMN_BLOCK)
+        yield cols, np.concatenate([b[:, cols] for b in filled], dtype=dtype)
+
+
+def principal_direction(rows) -> tuple[np.ndarray, float, bool]:
     """Exact leading eigenpair of the centered 1/n sample covariance of rows.
 
-    A dense symmetric solver runs on the smaller side of the centered rows:
-    the p x p covariance when n >= p, otherwise the n x n Gram matrix (same
-    nonzero spectrum, identical eigenvector after mapping back). Returns the
-    unit eigenvector in canonical sign (e1 for a zero covariance), its
-    eigenvalue, and whether the Gram side was taken. The eigengap of a weak
-    spike can be too small for power iteration to resolve.
+    `rows` is one array or a sequence of row blocks read as if stacked
+    (row_blocks), in column slabs (column_slabs). A dense symmetric solver
+    runs on the smaller side of the centered rows: the p x p covariance when
+    n >= p, otherwise the n x n Gram matrix (same nonzero spectrum, identical
+    eigenvector after mapping back). Returns the unit eigenvector in
+    canonical sign (e1 for a zero covariance), its eigenvalue, and whether
+    the Gram side was taken. The eigengap of a weak spike can be too small
+    for power iteration to resolve.
+
+    Memory: the Gram side holds two slabs (n x COLUMN_BLOCK) and the n x n
+    Gram matrix at most; the covariance side (p <= n) centers all rows at
+    once, in an n x p float64 array.
     """
-    rows = np.asarray(rows)
-    if rows.dtype != np.float32:
-        rows = rows.astype(np.float64, copy=False)
-    if rows.ndim != 2 or rows.shape[0] < 2:
+    blocks = row_blocks(rows)
+    n = sum(b.shape[0] for b in blocks)
+    if n < 2:
         raise InsufficientSamplesError("covariance needs n >= 2 rows")
-    n, p = rows.shape
-    mean = rows.mean(axis=0, dtype=np.float64)
+    p = blocks[0].shape[1]
+    mean = np.empty(p)
     dual_gram = n < p
     if dual_gram:
-        # the centered rows y = rows - mean are formed in float64 column
-        # blocks, never whole; y.T @ u = rows.T @ u - sum(u) * mean maps u back
+        # the centered rows y = rows - mean are formed in float64, one slab
+        # at a time; y.T @ u = rows.T @ u - sum(u) * mean maps u back
         gram = np.zeros((n, n))
-        for lo in range(0, p, _GRAM_BLOCK):
-            yb = rows[:, lo:lo + _GRAM_BLOCK] - mean[lo:lo + _GRAM_BLOCK]
+        for cols, x in column_slabs(blocks):
+            mean[cols] = x.mean(axis=0, dtype=np.float64)
+            yb = x - mean[cols]
             gram += yb @ yb.T
         gram /= n
         values, vectors = np.linalg.eigh(gram)
         u = vectors[:, -1]
-        v = rows.T @ u.astype(rows.dtype, copy=False) - u.sum() * mean
+        v = np.empty(p)
+        for cols, x in column_slabs(blocks):
+            v[cols] = x.T @ u.astype(x.dtype, copy=False)
+        v -= u.sum() * mean
     else:
-        y = rows - mean
+        # p <= n: the centered rows are formed whole, in float64
+        y = np.empty((n, p))
+        for cols, x in column_slabs(blocks):
+            mean[cols] = x.mean(axis=0, dtype=np.float64)
+            np.subtract(x, mean[cols], out=y[:, cols])
         values, vectors = np.linalg.eigh((y.T @ y) / n)
         v = vectors[:, -1]
     if values[-1] <= 0.0:

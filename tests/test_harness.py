@@ -1,6 +1,8 @@
 import csv
+import gc
 import io
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -162,6 +164,29 @@ class TestOneDrawPerTrial:
         reference = [run_trial(cfg, r.method, (r.L, r.n), r.trial) for r in records]
         assert not any(r.failed for r in records)
         assert results(records) == results(reference)
+
+    def test_direct_calls_hold_one_draw(self, monkeypatch):
+        # each point needs a new draw: (30, 60), then (40, 200) beyond the
+        # sweep, then (30, 60) again; the held draw must be dropped before
+        # the next one is made
+        original = harness.trial_ground_truth
+        draws, alive = [], []
+
+        def tracked(config, t, point=None):
+            gc.collect()
+            alive.append(sum(ref() is not None for ref in draws))
+            mu, ds = original(config, t, point)
+            draws.append(weakref.ref(ds.unlabeled_x))
+            return mu, ds
+
+        monkeypatch.setattr(harness, "trial_ground_truth", tracked)
+        cfg = small_config(sweep_axis="n", sweep_values=(20, 60))
+        try:
+            for point in [(30, 60), (40, 200), (30, 20)]:
+                run_trial(cfg, "lspca", point, 1)
+        finally:
+            harness._draw.cache_clear()
+        assert alive == [0, 0, 0]
 
     def test_point_beyond_sweep_matches_fresh_draw(self, monkeypatch):
         cfg = small_config(sweep_axis="n", sweep_values=(20, 60))
