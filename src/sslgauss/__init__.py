@@ -6,9 +6,9 @@ reproducible Monte Carlo harness with a CLI front end.
 """
 
 from . import errors
-from .estimators import (EstimatorOutput, LspcaConfig, METHODS, MethodOptions,
-                         labeled_direction, lspca, resolve_beta_tilde,
-                         self_train, signed_mean_direction, top_k_labeled,
+from .estimators import (EstimatorOutput, METHODS, labeled_direction, lspca,
+                         resolve_beta_tilde, screened_count, self_train,
+                         signed_mean_direction, top_k_labeled,
                          ul_diag_threshold_pca, vanilla_pca)
 from .gmodel import (Dataset, ProblemParams, SparseMean, dump_dataset, k_from_alpha,
                      labeled_count, load_dataset, make_sparse_mean, sample_dataset,

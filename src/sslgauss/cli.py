@@ -7,8 +7,10 @@ Subcommands:
   lowdeg    degree-D likelihood-ratio norm: exact value, bound, MC fallback
   bounds    labeled/unlabeled recovery thresholds and their fusion verdict
 
-Flags echo the resolved raw counts so output files are self-describing;
-config-file values are overridden by explicit flags.
+simulate and sweep echo every key the resolved config holds, in
+harness.KEYS order and with raw counts in place of exponents, so output
+files are self-describing; config-file values are overridden by explicit
+flags.
 """
 
 from __future__ import annotations
@@ -118,20 +120,8 @@ def _collect_experiment(args: argparse.Namespace) -> harness.ExperimentConfig:
 
 
 def _echo_config(config: harness.ExperimentConfig) -> None:
-    pp = config.params
-    print(_kv("p", pp.p))
-    print(_kv("k", pp.k))
-    print(_kv("lambda", pp.lam))
-    print(_kv("L", pp.L))
-    print(_kv("n", pp.n))
-    print(_kv("seed", pp.seed))
-    print(_kv("methods", ",".join(config.methods)))
-    print(_kv("trials", config.trials))
-    print(_kv("Gamma", config.gamma_threshold))
-    print(_kv("beta_tilde", config.beta_tilde))
-    if config.sweep_axis:
-        print(_kv("sweep_axis", config.sweep_axis))
-        print(_kv("sweep_values", ",".join(str(v) for v in config.sweep_values)))
+    for key, text in harness.config_items(config):
+        print(_kv(key, text))
 
 
 def _run_experiment(args: argparse.Namespace, sweep: bool) -> int:
@@ -152,7 +142,6 @@ def _run_experiment(args: argparse.Namespace, sweep: bool) -> int:
     if config.out_path:
         harness.write_csv(records, config.out_path)
         harness.write_aggregates(aggs, config.out_path + ".agg.csv")
-        print(_kv("out", config.out_path))
         print(_kv("out_agg", config.out_path + ".agg.csv"))
     print()
     print("method,L,n = overlap_mean gen_error_mean excess_risk_mean (count, failures)")

@@ -38,24 +38,11 @@ class EstimatorOutput:
         return int(self.support.size)
 
 
-@dataclass(frozen=True)
-class LspcaConfig:
-    """Inputs of the screening-then-PCA scheme: target sparsity, screening
-    factor, and whether the PCA step itself enforces sparsity."""
-
-    k: int
-    beta_tilde: float
-    sparse_pca: bool = False
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ContractError(f"k must be positive, got {self.k}")
-        if not 0.0 < self.beta_tilde < 1.0:
-            raise ContractError(f"beta_tilde must lie in (0, 1), got {self.beta_tilde}")
-
-    def retained_count(self, p: int) -> int:
-        """Screening keeps ceil(p ** (1 - beta_tilde)) coordinates."""
-        return min(p, int(math.ceil(p ** (1.0 - self.beta_tilde) - 1e-9)))
+def screened_count(p: int, beta_tilde: float) -> int:
+    """Screening keeps ceil(p ** (1 - beta_tilde)) coordinates."""
+    if not 0.0 < beta_tilde < 1.0:
+        raise ContractError(f"beta_tilde must lie in (0, 1), got {beta_tilde}")
+    return min(p, int(math.ceil(p ** (1.0 - beta_tilde) - 1e-9)))
 
 
 def _as_labeled(xs, ys, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
@@ -112,7 +99,8 @@ def top_k_labeled(xs, ys, k: int) -> EstimatorOutput:
     return _finalize("top_k_labeled", w.size, support, w[support], aux={})
 
 
-def lspca(dataset: Dataset, config: LspcaConfig) -> EstimatorOutput:
+def lspca(dataset: Dataset, k: int, beta_tilde: float,
+          sparse_pca: bool = False) -> EstimatorOutput:
     """Label screening followed by PCA on the unlabeled covariance.
 
     Step I ranks coordinates by |class-mean difference| and keeps the top
@@ -127,40 +115,42 @@ def lspca(dataset: Dataset, config: LspcaConfig) -> EstimatorOutput:
     that step iterates; its convergence flag, iteration count and eigenvalue
     are recorded in aux.
     """
+    if k < 1:
+        raise ContractError(f"k must be positive, got {k}")
     w = labeled_direction(dataset.labeled_x, dataset.labeled_y)
     p = dataset.p
-    retained = config.retained_count(p)
-    if retained < config.k:
+    retained = screened_count(p, beta_tilde)
+    if retained < k:
         raise ScreeningTooSmallError(
-            f"screening keeps {retained} < k = {config.k} coordinates "
-            f"(beta_tilde = {config.beta_tilde})")
+            f"screening keeps {retained} < k = {k} coordinates (beta_tilde = {beta_tilde})")
     screen = top_k_indices(np.abs(w), retained)
 
     cov_screen = restricted_covariance(dataset.unlabeled_x, screen)
-    if config.sparse_pca:
-        res = truncated_power(cov_screen, config.k)
+    if sparse_pca:
+        res = truncated_power(cov_screen, k)
     else:
         res = power_iteration(cov_screen)
-    local = top_k_indices(np.abs(res.vector), config.k)
+    local = top_k_indices(np.abs(res.vector), k)
     support = screen[local]
 
     v_support, value, _ = principal_direction(dataset.unlabeled_x[:, support])
-    aux = {"screening_size": int(retained), "sparse_pca": config.sparse_pca,
+    aux = {"screening_size": int(retained), "sparse_pca": sparse_pca,
            "pca_converged": res.converged, "pca_iterations": res.iterations,
            "pca_eigenvalue": res.value, "refit_eigenvalue": value}
     side = float(v_support @ w[support])
     if side < 0.0:
         v_support = -v_support
-    return _finalize("ls2pca" if config.sparse_pca else "lspca",
+    return _finalize("ls2pca" if sparse_pca else "lspca",
                      p, support, v_support, aux)
 
 
-def self_train(dataset: Dataset, k: int, gamma_threshold: float = 0.8) -> EstimatorOutput:
+def self_train(dataset: Dataset, k: int, gamma_threshold: float) -> EstimatorOutput:
     """Pseudo-label the unlabeled data with the thresholded signed mean, keep
     confident points (|score| > threshold), refit the signed mean on the
-    union, and read the support off its k largest magnitudes. The confident
-    rows' sum is formed COLUMN_BLOCK columns at a time, never copied whole."""
-    if gamma_threshold < 0:
+    union, and read the support off its k largest magnitudes. The scores read
+    only the pilot's k columns, and the confident rows' sum is formed
+    COLUMN_BLOCK columns at a time: the rows are never copied whole."""
+    if not gamma_threshold >= 0:
         raise ContractError(f"threshold must be nonnegative, got {gamma_threshold}")
     xs, ys = _as_labeled(dataset.labeled_x, dataset.labeled_y)
     labeled_sum = ys.astype(np.float64) @ xs
@@ -168,14 +158,12 @@ def self_train(dataset: Dataset, k: int, gamma_threshold: float = 0.8) -> Estima
     if k > w.size:
         raise ContractError(f"k={k} exceeds dimension {w.size}")
     pilot_support = top_k_indices(np.abs(w), k)
-    pilot = np.zeros_like(w)
-    pilot[pilot_support] = w[pilot_support]
 
     n_eff = 0
     pseudo_sum = 0.0
     if dataset.n:
         ux = dataset.unlabeled_x
-        scores = ux @ pilot
+        scores = ux[:, pilot_support] @ w[pilot_support]
         confident = np.abs(scores) > gamma_threshold
         n_eff = int(confident.sum())
         if n_eff:
@@ -234,15 +222,7 @@ def vanilla_pca(rows, k: int) -> EstimatorOutput:
 # method registry (harness-facing)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MethodOptions:
-    """Per-run estimator knobs shared across methods."""
-
-    beta_tilde: float | str = "auto"
-    gamma_threshold: float = 0.8
-
-
-def resolve_beta_tilde(params: ProblemParams, setting: float | str = "auto") -> float:
+def resolve_beta_tilde(params: ProblemParams, setting: float | str) -> float:
     """Screening factor: explicit value, or the quarter-gap rule
     beta - (beta - (1 - gamma*alpha))/4 from the implied exponents.
 
@@ -267,35 +247,36 @@ def resolve_beta_tilde(params: ProblemParams, setting: float | str = "auto") -> 
     return min(max(value, 1e-9), hi)
 
 
-def _run_lspca(ds: Dataset, pp: ProblemParams, opts: MethodOptions) -> EstimatorOutput:
-    cfg = LspcaConfig(k=pp.k, beta_tilde=resolve_beta_tilde(pp, opts.beta_tilde))
-    return lspca(ds, cfg)
+# Every entry takes (dataset, params, beta_tilde, gamma_threshold): the two
+# run-level options, passed as the config holds them.
+
+def _run_lspca(ds: Dataset, pp: ProblemParams, beta_tilde, gamma_threshold) -> EstimatorOutput:
+    return lspca(ds, pp.k, resolve_beta_tilde(pp, beta_tilde))
 
 
-def _run_ls2pca(ds: Dataset, pp: ProblemParams, opts: MethodOptions) -> EstimatorOutput:
-    cfg = LspcaConfig(k=pp.k, beta_tilde=resolve_beta_tilde(pp, opts.beta_tilde),
-                      sparse_pca=True)
-    return lspca(ds, cfg)
+def _run_ls2pca(ds: Dataset, pp: ProblemParams, beta_tilde, gamma_threshold) -> EstimatorOutput:
+    return lspca(ds, pp.k, resolve_beta_tilde(pp, beta_tilde), sparse_pca=True)
 
 
-def _run_top_k(ds: Dataset, pp: ProblemParams, opts: MethodOptions) -> EstimatorOutput:
+def _run_top_k(ds: Dataset, pp: ProblemParams, beta_tilde, gamma_threshold) -> EstimatorOutput:
     return top_k_labeled(ds.labeled_x, ds.labeled_y, pp.k)
 
 
-def _run_self_train(ds: Dataset, pp: ProblemParams, opts: MethodOptions) -> EstimatorOutput:
-    return self_train(ds, pp.k, gamma_threshold=opts.gamma_threshold)
+def _run_self_train(ds: Dataset, pp: ProblemParams, beta_tilde,
+                    gamma_threshold) -> EstimatorOutput:
+    return self_train(ds, pp.k, gamma_threshold)
 
 
-def _run_ul_diag(ds: Dataset, pp: ProblemParams, opts: MethodOptions) -> EstimatorOutput:
+def _run_ul_diag(ds: Dataset, pp: ProblemParams, beta_tilde, gamma_threshold) -> EstimatorOutput:
     # unlabeled baselines read every available vector in place, labels dropped
     return ul_diag_threshold_pca((ds.labeled_x, ds.unlabeled_x), pp.k)
 
 
-def _run_vanilla(ds: Dataset, pp: ProblemParams, opts: MethodOptions) -> EstimatorOutput:
+def _run_vanilla(ds: Dataset, pp: ProblemParams, beta_tilde, gamma_threshold) -> EstimatorOutput:
     return vanilla_pca((ds.labeled_x, ds.unlabeled_x), pp.k)
 
 
-METHODS: dict[str, Callable[[Dataset, ProblemParams, MethodOptions], EstimatorOutput]] = {
+METHODS: dict[str, Callable[[Dataset, ProblemParams, float | str, float], EstimatorOutput]] = {
     "lspca": _run_lspca,
     "ls2pca": _run_ls2pca,
     "top_k_labeled": _run_top_k,

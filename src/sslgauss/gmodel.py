@@ -33,6 +33,8 @@ _DUMP_VERSION = 1
 
 
 def _floor_count(x: float) -> int:
+    if not math.isfinite(x):
+        raise ConfigError(f"a count derived from an exponent is not finite: {x}")
     return int(math.floor(x + _FLOOR_EPS))
 
 
@@ -60,7 +62,11 @@ def unlabeled_count(k: int, gamma: float, lam: float, c2: float = 1.0) -> int:
         raise ConfigError(f"gamma must be nonnegative, got {gamma}")
     if lam <= 0:
         raise ConfigError("deriving n from gamma requires lambda > 0")
-    return _floor_count(c2 * k ** gamma / lam ** 2)
+    try:
+        return _floor_count(c2 * k ** gamma / lam ** 2)
+    except OverflowError:
+        raise ConfigError(f"n = c2 * k**gamma / lambda**2 overflows at gamma = {gamma}, "
+                          f"lambda = {lam}") from None
 
 
 # Exponent read-backs use the c1 = c2 = 1 convention; they are the inverse of
@@ -104,8 +110,8 @@ class ProblemParams:
             raise ConfigError(f"p must be positive, got {self.p}")
         if not 1 <= self.k <= self.p:
             raise ConfigError(f"k must be in [1, p={self.p}], got {self.k}")
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be nonnegative, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam}")
         if self.L < 0 or self.n < 0:
             raise ConfigError(f"sample counts must be nonnegative, got L={self.L}, n={self.n}")
         if self.L + self.n < 1:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import METHODS, MethodOptions
+from .estimators import METHODS
 from .gmodel import (Dataset, ProblemParams, SparseMean, k_from_alpha, labeled_count,
                      make_sparse_mean, sample_dataset, unlabeled_count)
 from .metrics import score
@@ -78,8 +78,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown methods {unknown}; registered: {sorted(METHODS)}")
         if self.beta_tilde != "auto" and not 0.0 < float(self.beta_tilde) < 1.0:
             raise ConfigError(f"beta_tilde must be 'auto' or in (0, 1), got {self.beta_tilde}")
-        if self.gamma_threshold < 0:
-            raise ConfigError(f"Gamma must be nonnegative, got {self.gamma_threshold}")
+        if not 0 <= self.gamma_threshold < math.inf:
+            raise ConfigError(f"Gamma must be finite and nonnegative, got {self.gamma_threshold}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
@@ -170,11 +170,9 @@ def run_trial(config: ExperimentConfig, method: str, point: tuple[int, int],
     L, n = point
     pp = config.params.with_counts(L=L, n=n)
     mu, ds = _trial_data(config, trial_index, point)
-    opts = MethodOptions(beta_tilde=config.beta_tilde,
-                         gamma_threshold=config.gamma_threshold)
     start = time.perf_counter()
     try:
-        est = METHODS[method](ds, pp, opts)
+        est = METHODS[method](ds, pp, config.beta_tilde, config.gamma_threshold)
         runtime_ms = (time.perf_counter() - start) * 1e3
         metrics = score(mu, est.support, est.direction, runtime_ms)
         return TrialRecord(method=method, p=pp.p, k=pp.k, lam=pp.lam, L=L, n=n,
@@ -419,11 +417,11 @@ _ATTRIBUTES = {"lambda": "lam", "Gamma": "gamma_threshold", "out": "out_path"}
 _RESOLVED_AWAY = ("alpha", "beta", "gamma", "c1", "c2")
 
 
-def write_config(config: ExperimentConfig, path) -> None:
-    """Emit a config file that read_config() round-trips to an equal
-    structure: every key of KEYS that the config holds, in table order,
-    with counts in place of exponents and unset keys left out."""
-    lines = []
+def config_items(config: ExperimentConfig) -> list[tuple[str, str]]:
+    """(key, text) for every key of KEYS that the config holds, in table
+    order, with counts in place of exponents and unset keys left out; each
+    text converts back to the same value through the key's converter."""
+    items = []
     for key in KEYS:
         if key in _RESOLVED_AWAY:
             continue
@@ -431,7 +429,13 @@ def write_config(config: ExperimentConfig, path) -> None:
         owner = config.params if hasattr(config.params, name) else config
         value = getattr(owner, name)
         if value is not None and value != ():
-            text = ", ".join(map(str, value)) if isinstance(value, tuple) else value
-            lines.append(f"{key} = {text}")
+            items.append((key, ", ".join(map(str, value)) if isinstance(value, tuple)
+                          else str(value)))
+    return items
+
+
+def write_config(config: ExperimentConfig, path) -> None:
+    """Emit a config file that read_config() round-trips to an equal
+    structure: config_items as `key = value` lines."""
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("".join(f"{key} = {text}\n" for key, text in config_items(config)))

@@ -44,7 +44,7 @@ def support_overlap(s_true, s_hat, k: int) -> float:
 def _check_unit(direction: np.ndarray) -> np.ndarray:
     v = np.asarray(direction, dtype=np.float64)
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > _UNIT_NORM_TOL:
+    if not abs(nrm - 1.0) <= _UNIT_NORM_TOL:  # a NaN norm fails too
         raise ContractError(f"direction must be unit norm, got ||v|| = {nrm!r}")
     return v
 

@@ -54,8 +54,8 @@ class ThresholdReport:
 def _check_threshold_args(k: int, lam: float, p: int, delta: float) -> None:
     if not 1 <= k < p:
         raise ContractError(f"need 1 <= k < p, got k={k}, p={p}")
-    if lam < 0:
-        raise ContractError(f"lambda must be nonnegative, got {lam}")
+    if not 0 <= lam < math.inf:
+        raise ContractError(f"lambda must be finite and nonnegative, got {lam}")
     if not 0.0 <= delta <= 1.0:
         raise ContractError(f"delta must lie in [0, 1], got {delta}")
 
@@ -185,8 +185,8 @@ class LowDegParams:
             raise ContractError(f"need 1 <= k <= p, got k={self.k}, p={self.p}")
         if self.L < 0 or self.n < 0 or self.D < 0:
             raise ContractError("L, n and D must be nonnegative")
-        if self.lam < 0:
-            raise ContractError(f"lambda must be nonnegative, got {self.lam}")
+        if not 0 <= self.lam < math.inf:
+            raise ContractError(f"lambda must be finite and nonnegative, got {self.lam}")
 
 
 def _shifted_sign_sum_moment(L: int, n: int, d: int) -> Fraction:

@@ -29,7 +29,7 @@ import pytest
 import conftest
 
 from sslgauss.cli import main as cli_main
-from sslgauss.estimators import (LspcaConfig, labeled_direction,
+from sslgauss.estimators import (labeled_direction, screened_count,
                                   signed_mean_direction, top_k_labeled)
 from sslgauss.gmodel import ProblemParams, labeled_count, make_sparse_mean, \
     sample_dataset, unlabeled_count
@@ -181,8 +181,7 @@ BLUE_L = labeled_count(BLUE_P, BLUE_K, BLUE_BETA, BLUE_LAM)            # 192
 BLUE_N = unlabeled_count(BLUE_K, BLUE_GAMMA, BLUE_LAM, c2=10.0)        # 1410
 BLUE_BETA_TILDE = 0.29            # inside (1 - gamma*alpha, beta) = (0.28, 0.55)
 BLUE_TRIALS = 20
-BLUE_SCREEN = LspcaConfig(k=BLUE_K,
-                          beta_tilde=BLUE_BETA_TILDE).retained_count(BLUE_P)  # 1132
+BLUE_SCREEN = screened_count(BLUE_P, BLUE_BETA_TILDE)  # 1132
 
 
 def _screening_retention(p: int, k: int, lam: float, L: int, kept: int) -> float:

@@ -119,6 +119,23 @@ class TestExperimentCommands:
         values = kv(out)
         assert values["p"] == "40" and values["k"] == "4"
 
+    def test_echo_lists_every_key_the_config_holds(self, capsys, tmp_path):
+        out_csv = tmp_path / "trials.csv"
+        code, out, _ = run_cli(
+            capsys, "sweep", "--p", "40", "--alpha", "0.4", "--L", "30", "--trials", "1",
+            "--methods", "top_k_labeled,lspca", "--sweep-axis", "n",
+            "--sweep-values", "10,20", "--out", str(out_csv))
+        assert code == 0
+        # in table order, counts in place of exponents; n keeps its default
+        keys = [key for key in harness.KEYS
+                if key not in ("alpha", "beta", "gamma", "c1", "c2")]
+        assert [line.split(":")[0] for line in out.splitlines()][:len(keys)] == keys
+        values = kv(out)
+        assert values["k"] == "4"
+        assert values["methods"] == "top_k_labeled, lspca"
+        assert values["sweep_values"] == "10, 20"
+        assert (values["out"], values["threads"], values["f32"]) == (str(out_csv), "1", "False")
+
     def test_dump_released_before_sweep(self, capsys, tmp_path, monkeypatch):
         # the dumped dataset must not stay alive beside the sweep's own draw
         dumped, alive = [], []
@@ -192,6 +209,28 @@ class TestExperimentCommands:
         rows = list(csv.DictReader(io.StringIO(out_csv.read_text())))
         assert len(rows) == 4
         assert {r["n"] for r in rows} == {"10", "30"}
+
+    @pytest.mark.parametrize("sizes", [
+        "--k 5 --L 40 --n 80 --lambda nan",
+        "--k 5 --L 40 --n 80 --lambda inf",
+        "--k 5 --L 40 --n 80 --Gamma nan",
+        "--k 5 --L 40 --n 80 --Gamma inf",
+        "--k 5 --beta inf --n 80",
+        "--k 5 --beta nan --n 80",
+        "--k 5 --L 40 --gamma inf",
+        "--k 5 --L 40 --gamma nan",
+        "--k 5 --L 40 --gamma 1000",  # 5**1000 overflows a float
+        "--alpha 0.4 --c1 nan --L 40 --n 80",
+        "--k 5 --L 40 --gamma 1.5 --c2 nan",
+    ])
+    def test_non_finite_input_is_an_error(self, capsys, sizes):
+        # each stops before any trial runs: no traceback, no nan rows
+        code, out, err = run_cli(capsys, "simulate", "--p", "200", "--lambda", "3",
+                                 "--trials", "1", "--methods", "top_k_labeled,self_train",
+                                 *sizes.split())
+        assert code == 1, (out, err)
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "overlap_mean" not in out
 
     def test_failed_trials_nonzero_exit(self, capsys):
         code, _, err = run_cli(

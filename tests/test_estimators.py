@@ -6,10 +6,9 @@ import pytest
 
 from sslgauss.errors import (ContractError, InsufficientSamplesError,
                              MissingClassError, ScreeningTooSmallError)
-from sslgauss.estimators import (METHODS, LspcaConfig, MethodOptions,
-                                 labeled_direction, lspca, resolve_beta_tilde,
-                                 self_train, signed_mean_direction, top_k_labeled,
-                                 ul_diag_threshold_pca, vanilla_pca)
+from sslgauss.estimators import (METHODS, labeled_direction, lspca, resolve_beta_tilde,
+                                 screened_count, self_train, signed_mean_direction,
+                                 top_k_labeled, ul_diag_threshold_pca, vanilla_pca)
 from sslgauss.gmodel import Dataset, ProblemParams, make_sparse_mean, sample_dataset
 from sslgauss.metrics import support_overlap
 from sslgauss.spectral import canonical_sign, top_k_indices
@@ -123,10 +122,9 @@ class TestTopKLabeled:
 class TestLspca:
     def test_screening_containment(self):
         pp, mu, ds = make_instance(60, 4, 3.0, 40, 60, seed=2)
-        cfg = LspcaConfig(k=4, beta_tilde=0.5)
-        out = lspca(ds, cfg)
+        out = lspca(ds, 4, 0.5)
         w = labeled_direction(ds.labeled_x, ds.labeled_y)
-        retained = cfg.retained_count(60)
+        retained = screened_count(60, 0.5)
         screen = set(np.argsort(-np.abs(w), kind="stable")[:retained].tolist())
         assert set(out.support.tolist()) <= screen
         assert out.aux["screening_size"] == retained
@@ -144,13 +142,13 @@ class TestLspca:
         xs[3] = -xs[3]
         unlabeled = rng.standard_normal((50, p))
         ds = Dataset(labeled_x=xs, labeled_y=ys, unlabeled_x=unlabeled)
-        out = lspca(ds, LspcaConfig(k=k, beta_tilde=0.69))  # retains 2 coords
+        out = lspca(ds, k, 0.69)  # retains 2 coords
         assert set(out.support.tolist()) == {8, 9}
         assert support_overlap(mu.support, out.support, k) == 0.0
 
     def test_sign_follows_labeled_direction(self):
         pp, mu, ds = make_instance(40, 3, 4.0, 200, 400, seed=4)
-        out = lspca(ds, LspcaConfig(k=3, beta_tilde=0.4))
+        out = lspca(ds, 3, 0.4)
         w = labeled_direction(ds.labeled_x, ds.labeled_y)
         assert float(out.direction @ w) >= 0.0
 
@@ -166,7 +164,7 @@ class TestLspca:
         overlaps, topk_overlaps = [], []
         for trial in range(20):
             pp, mu, ds = make_instance(p, k, lam, L, n, seed=1000 + trial)
-            out = lspca(ds, LspcaConfig(k=k, beta_tilde=bt))
+            out = lspca(ds, k, bt)
             overlaps.append(support_overlap(mu.support, out.support, k))
             topk = top_k_labeled(ds.labeled_x, ds.labeled_y, k)
             topk_overlaps.append(support_overlap(mu.support, topk.support, k))
@@ -179,7 +177,7 @@ class TestLspca:
         # the refit direction is the top eigenvector of the unlabeled sample
         # covariance on the chosen support, signed by the labeled direction
         pp, mu, ds = make_instance(200, 12, 3.0, 80, n, seed=31)
-        out = lspca(ds, LspcaConfig(k=12, beta_tilde=0.3, sparse_pca=sparse_pca))
+        out = lspca(ds, 12, 0.3, sparse_pca=sparse_pca)
         cov, top = _sample_covariance_top(ds.unlabeled_x[:, out.support])
         u = np.linalg.eigh(cov)[1][:, -1]
         v = out.direction[out.support]
@@ -191,23 +189,28 @@ class TestLspca:
 
     def test_sparse_pca_variant(self):
         pp, mu, ds = make_instance(400, 5, 3.0, 150, 500, seed=6)
-        out = lspca(ds, LspcaConfig(k=5, beta_tilde=0.35, sparse_pca=True))
+        out = lspca(ds, 5, 0.35, sparse_pca=True)
         assert out.method == "ls2pca"
         assert support_overlap(mu.support, out.support, 5) >= 0.8
 
     def test_errors(self):
         pp, mu, ds = make_instance(30, 3, 2.0, 20, 30, seed=1)
         with pytest.raises(ScreeningTooSmallError):
-            lspca(ds, LspcaConfig(k=3, beta_tilde=0.95))
+            lspca(ds, 3, 0.95)
+        with pytest.raises(ContractError):
+            lspca(ds, 0, 0.5)
+        for beta_tilde in (0.0, 1.0, math.nan):
+            with pytest.raises(ContractError):
+                lspca(ds, 3, beta_tilde)
         xs = ds.labeled_x[ds.labeled_y == 1]
         one_class = Dataset(labeled_x=xs, labeled_y=np.ones(len(xs), dtype=np.int8),
                             unlabeled_x=ds.unlabeled_x)
         with pytest.raises(MissingClassError):
-            lspca(one_class, LspcaConfig(k=3, beta_tilde=0.5))
+            lspca(one_class, 3, 0.5)
         starved = Dataset(labeled_x=ds.labeled_x, labeled_y=ds.labeled_y,
                           unlabeled_x=ds.unlabeled_x[:1])
         with pytest.raises(InsufficientSamplesError):
-            lspca(starved, LspcaConfig(k=3, beta_tilde=0.5))
+            lspca(starved, 3, 0.5)
 
 
 class TestSelfTrain:
@@ -348,7 +351,7 @@ class TestOutputContract:
     @pytest.mark.parametrize("tag", sorted(METHODS))
     def test_every_method_contract(self, tag):
         pp, mu, ds = make_instance(80, 5, 3.0, 60, 200, seed=21)
-        out = METHODS[tag](ds, pp, MethodOptions(beta_tilde=0.4))
+        out = METHODS[tag](ds, pp, 0.4, 0.8)
         assert out.support.size == pp.k
         assert np.all(np.diff(out.support) > 0)
         assert abs(np.linalg.norm(out.direction) - 1.0) <= 1e-12
@@ -363,9 +366,8 @@ class TestOutputContract:
         ds_perm = Dataset(labeled_x=ds.labeled_x[:, perm],
                           labeled_y=ds.labeled_y,
                           unlabeled_x=ds.unlabeled_x[:, perm])
-        opts = MethodOptions(beta_tilde=0.4)
-        out = METHODS[tag](ds, pp, opts)
-        out_perm = METHODS[tag](ds_perm, pp, opts)
+        out = METHODS[tag](ds, pp, 0.4, 0.8)
+        out_perm = METHODS[tag](ds_perm, pp, 0.4, 0.8)
         inv = np.empty(40, dtype=np.int64)
         inv[perm] = np.arange(40)
         assert set(out_perm.support.tolist()) == set(inv[out.support].tolist())
@@ -397,4 +399,4 @@ class TestBetaTildeResolution:
         pp = ProblemParams(p=1000, k=10, lam=1.0, L=5, n=10 ** 6, seed=0)
         value = resolve_beta_tilde(pp, "auto")
         assert 0.0 < value < 1.0
-        assert LspcaConfig(k=10, beta_tilde=value).retained_count(1000) >= 10
+        assert screened_count(1000, value) >= 10

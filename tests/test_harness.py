@@ -2,6 +2,7 @@ import csv
 import gc
 import io
 import math
+import pathlib
 import weakref
 
 import numpy as np
@@ -15,6 +16,8 @@ from sslgauss.harness import (AGG_HEADER, CSV_HEADER, KEYS, ExperimentConfig,
                               parse_config_text, read_config, run_sweep, run_trial,
                               trial_ground_truth, write_aggregates, write_config,
                               write_csv)
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
 
 def small_config(**kw):
@@ -101,7 +104,7 @@ class TestRunSweep:
         assert len(aggs) == 2 * 3
 
     def test_estimator_exception_recorded(self, monkeypatch):
-        def boom(ds, pp, opts):
+        def boom(ds, pp, beta_tilde, gamma_threshold):
             raise RuntimeError("solver blew up")
 
         monkeypatch.setitem(harness.METHODS, "lspca", boom)
@@ -271,6 +274,25 @@ class TestConfigFiles:
         write_config(cfg, path)
         written = {line.split(" = ")[0] for line in path.read_text().splitlines()}
         assert not written & {"out", "sweep_axis", "sweep_values"}
+        assert read_config(path) == cfg
+
+    # the grids the files' comments document; L = 154 is
+    # floor(2 * 0.45 * 52 * log(19948) / 3) at beta = 0.45
+    @pytest.mark.parametrize("name,point,axis,values,methods", [
+        ("labeled_sweep", (50, 1000), "L", (50, 100, 200, 400, 800),
+         ("lspca", "ls2pca", "top_k_labeled", "self_train")),
+        ("unlabeled_sweep", (154, 1000), "n", (100, 200, 400, 800, 1600, 3200),
+         ("lspca", "ls2pca", "top_k_labeled", "self_train", "ul_diag_threshold_pca",
+          "vanilla_pca")),
+    ])
+    def test_checked_in_sweep_configs(self, tmp_path, name, point, axis, values, methods):
+        cfg = read_config(CONFIGS / f"{name}.cfg")
+        pp = cfg.params
+        assert (pp.p, pp.k, pp.lam, (pp.L, pp.n)) == (20000, 52, 3.0, point)
+        assert (cfg.sweep_axis, cfg.sweep_values, cfg.methods) == (axis, values, methods)
+        assert (cfg.trials, cfg.out_path) == (20, f"{name}.csv")
+        path = tmp_path / "again.cfg"
+        write_config(cfg, path)
         assert read_config(path) == cfg
 
     def test_parse_comments_and_lists(self):

@@ -94,6 +94,15 @@ class TestRiskMetrics:
         with pytest.raises(ContractError):
             generalization_error(mu, 0.5 * mu.to_dense())
 
+    def test_nan_direction_rejected(self):
+        # a NaN norm is not within the tolerance of 1, so scoring fails
+        # and the trial becomes a failed row instead of a nan one
+        mu = _mean(6, 2, 1.0)
+        v = mu.to_dense()
+        v[0] = math.nan
+        with pytest.raises(ContractError):
+            generalization_error(mu, v)
+
     @given(st.integers(0, 10 ** 6))
     @settings(max_examples=60, deadline=None)
     def test_excess_risk_nonnegative(self, seed):

@@ -76,6 +76,14 @@ class TestThresholds:
         with pytest.raises(ContractError):
             sl_threshold(10, 1.0, 100, 1.5)
 
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_lambda_must_be_finite(self, lam):
+        for threshold in (sl_threshold, ul_threshold):
+            with pytest.raises(ContractError):
+                threshold(10, lam, 100, 0.5)
+        with pytest.raises(ContractError):
+            fusion_verdict(5, 7, 10, lam, 100, 0.5)
+
 
 class TestFusionVerdict:
     def test_half_half_split_below(self):
@@ -193,6 +201,11 @@ class TestLowDegNorm:
 
     def test_zero_signal_is_one(self):
         assert lowdeg_norm_exact(LowDegParams(p=9, k=3, L=4, n=5, lam=0.0, D=7)) == 1.0
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
+    def test_lambda_must_be_finite(self, lam):
+        with pytest.raises(ContractError):
+            LowDegParams(p=9, k=3, L=4, n=5, lam=lam, D=2)
 
     def test_small_case_hand_value(self):
         # p=6,k=2,L=1,n=2,lam=1,D=3 -> 1 + 1/3 + 3/10 + 7/45 = 161/90
