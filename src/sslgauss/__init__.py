@@ -15,8 +15,8 @@ from .gmodel import (Dataset, ProblemParams, SparseMean, dump_dataset, k_from_al
                      unlabeled_count)
 from .harness import (AggregateRow, ExperimentConfig, TrialRecord, aggregate,
                       read_config, run_sweep, run_trial, write_config, write_csv)
-from .metrics import (TrialMetrics, empirical_error, excess_risk,
-                      generalization_error, phi_c, support_overlap)
+from .metrics import (empirical_error, excess_risk, generalization_error, phi_c,
+                      support_overlap)
 from .spectral import power_iteration, restricted_covariance, truncated_power
 from .theory import (LowDegParams, RegionLabel, ThresholdReport, Verdict,
                      fusion_verdict, hypergeom_overlap_moment, hypergeom_overlap_pmf,

@@ -33,10 +33,6 @@ class EstimatorOutput:
     direction: np.ndarray        # length p, float64, ||.|| = 1
     aux: dict = field(default_factory=dict)
 
-    @property
-    def k(self) -> int:
-        return int(self.support.size)
-
 
 def screened_count(p: int, beta_tilde: float) -> int:
     """Screening keeps ceil(p ** (1 - beta_tilde)) coordinates."""

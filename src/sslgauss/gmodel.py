@@ -117,20 +117,6 @@ class ProblemParams:
         if self.L + self.n < 1:
             raise ConfigError("need at least one sample: L + n >= 1")
 
-    @classmethod
-    def from_exponents(cls, p: int, alpha: float, beta: float, gamma: float,
-                       lam: float, seed: int = 0, c1: float = 1.0, c2: float = 1.0
-                       ) -> "ProblemParams":
-        """Build counts from the scaling exponents.
-
-        k = floor(c1 * p**alpha), L = floor(2*beta*k*log(p-k)/lam),
-        n = floor(c2 * k**gamma / lam**2).
-        """
-        k = k_from_alpha(p, alpha, c1)
-        L = labeled_count(p, k, beta, lam)
-        n = unlabeled_count(k, gamma, lam, c2)
-        return cls(p=p, k=k, lam=lam, L=L, n=n, seed=seed)
-
     @property
     def alpha(self) -> float:
         return implied_alpha(self.p, self.k)

@@ -76,6 +76,9 @@ class ExperimentConfig:
         unknown = [m for m in self.methods if m not in METHODS]
         if unknown:
             raise ConfigError(f"unknown methods {unknown}; registered: {sorted(METHODS)}")
+        repeated = sorted({m for m in self.methods if self.methods.count(m) > 1})
+        if repeated:
+            raise ConfigError(f"methods repeated: {repeated}")
         if self.beta_tilde != "auto" and not 0.0 < float(self.beta_tilde) < 1.0:
             raise ConfigError(f"beta_tilde must be 'auto' or in (0, 1), got {self.beta_tilde}")
         if not 0 <= self.gamma_threshold < math.inf:
@@ -170,23 +173,20 @@ def run_trial(config: ExperimentConfig, method: str, point: tuple[int, int],
     L, n = point
     pp = config.params.with_counts(L=L, n=n)
     mu, ds = _trial_data(config, trial_index, point)
+    error = ""
     start = time.perf_counter()
     try:
         est = METHODS[method](ds, pp, config.beta_tilde, config.gamma_threshold)
         runtime_ms = (time.perf_counter() - start) * 1e3
-        metrics = score(mu, est.support, est.direction, runtime_ms)
-        return TrialRecord(method=method, p=pp.p, k=pp.k, lam=pp.lam, L=L, n=n,
-                           trial=trial_index, seed=trial_seed(config, trial_index),
-                           overlap=metrics.overlap, gen_error=metrics.gen_error,
-                           excess_risk=metrics.excess_risk,
-                           runtime_ms=metrics.runtime_ms, failed=False)
+        overlap, gen_error, excess = score(mu, est.support, est.direction)
     except Exception as err:  # one failing estimator must not end the sweep
         runtime_ms = (time.perf_counter() - start) * 1e3
-        return TrialRecord(method=method, p=pp.p, k=pp.k, lam=pp.lam, L=L, n=n,
-                           trial=trial_index, seed=trial_seed(config, trial_index),
-                           overlap=math.nan, gen_error=math.nan, excess_risk=math.nan,
-                           runtime_ms=runtime_ms, failed=True,
-                           error=f"{type(err).__name__}: {err}")
+        overlap = gen_error = excess = math.nan
+        error = f"{type(err).__name__}: {err}"
+    return TrialRecord(method=method, p=pp.p, k=pp.k, lam=pp.lam, L=L, n=n,
+                       trial=trial_index, seed=trial_seed(config, trial_index),
+                       overlap=overlap, gen_error=gen_error, excess_risk=excess,
+                       runtime_ms=runtime_ms, failed=bool(error), error=error)
 
 
 def _run_trial_task(task) -> list[TrialRecord]:

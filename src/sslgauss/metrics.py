@@ -8,7 +8,6 @@ in closed form and no test set is needed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,14 +16,6 @@ from .gmodel import SparseMean
 
 _UNIT_NORM_TOL = 1e-9
 _NEG_RISK_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class TrialMetrics:
-    overlap: float
-    gen_error: float
-    excess_risk: float
-    runtime_ms: float
 
 
 def phi_c(t: float) -> float:
@@ -76,15 +67,12 @@ def excess_risk(mu: SparseMean, direction_hat: np.ndarray) -> float:
     return _over_bayes(mu, generalization_error(mu, direction_hat))
 
 
-def score(mu: SparseMean, support_hat, direction_hat: np.ndarray,
-          runtime_ms: float) -> TrialMetrics:
-    """Bundle the per-trial metrics for one support/direction estimate."""
+def score(mu: SparseMean, support_hat,
+          direction_hat: np.ndarray) -> tuple[float, float, float]:
+    """(overlap, gen_error, excess_risk) of one support/direction estimate."""
     gen_error = generalization_error(mu, direction_hat)
-    return TrialMetrics(
-        overlap=support_overlap(mu.support, support_hat, mu.k),
-        gen_error=gen_error,
-        excess_risk=_over_bayes(mu, gen_error),
-        runtime_ms=runtime_ms)
+    return (support_overlap(mu.support, support_hat, mu.k), gen_error,
+            _over_bayes(mu, gen_error))
 
 
 def empirical_error(direction_hat: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float:

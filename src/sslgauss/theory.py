@@ -31,6 +31,7 @@ from .rng import generator
 EXACT_MAX_K = 64
 EXACT_MAX_N = 64
 EXACT_MAX_D = 30
+MC_BATCH = 200_000  # Monte Carlo draws held in memory at once
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +224,7 @@ def lowdeg_norm_exact(params: LowDegParams) -> float:
 
 
 def lowdeg_norm_mc(params: LowDegParams, n_samples: int = 10 ** 6,
-                   seed: int = 0, batch: int = 200_000) -> tuple[float, float]:
+                   seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of the truncated norm with its standard error.
 
     Samples the two supports' overlap and the n sign products directly and
@@ -237,7 +238,7 @@ def lowdeg_norm_mc(params: LowDegParams, n_samples: int = 10 ** 6,
     total_sq = 0.0
     remaining = n_samples
     while remaining > 0:
-        b = min(batch, remaining)
+        b = min(MC_BATCH, remaining)
         g = rng.hypergeometric(k, p - k, k, size=b) if p > k else np.full(b, k)
         r = 2.0 * rng.binomial(n, 0.5, size=b) - n if n > 0 else np.zeros(b)
         x = (lam / k) * g * (L + r)
@@ -254,57 +255,34 @@ def lowdeg_norm_mc(params: LowDegParams, n_samples: int = 10 ** 6,
     return mean, math.sqrt(var / n_samples)
 
 
-def lowdeg_norm_upper_bound(params: LowDegParams, alpha: float | None = None,
-                            beta: float | None = None,
-                            epsilon: float | None = None) -> float:
+def lowdeg_norm_upper_bound(params: LowDegParams, epsilon: float | None = None) -> float:
     """Closed-form bound (1 + k/(p-k)**(1 - 2 beta - epsilon))**k, log-space.
 
-    alpha and beta default to the exponents implied by the counts; epsilon
-    defaults to 1/2 - alpha - beta when positive. Raises
-    BoundInapplicableError when L = 0 or the exponent condition
+    alpha and beta are the exponents implied by the counts; epsilon defaults
+    to 1/2 - alpha - beta when positive. Raises BoundInapplicableError when
+    L = 0, epsilon is not positive or the exponent condition
     0 < 2 beta + epsilon < 1 fails.
     """
     if params.L < 1:
         raise BoundInapplicableError("bound requires at least one labeled sample")
     if params.k >= params.p:
         raise BoundInapplicableError("bound requires k < p")
-    if alpha is None:
-        alpha = implied_alpha(params.p, params.k)
-    if beta is None:
-        beta = implied_beta(params.p, params.k, params.L, params.lam)
+    beta = implied_beta(params.p, params.k, params.L, params.lam)
     if not math.isfinite(beta) or beta <= 0:
         raise BoundInapplicableError(f"implied beta={beta!r} is not a positive real")
     if epsilon is None:
-        epsilon = 0.5 - alpha - beta
+        epsilon = 0.5 - implied_alpha(params.p, params.k) - beta
         if epsilon <= 0:
             raise BoundInapplicableError(
                 f"default epsilon = 1/2 - alpha - beta = {epsilon:.4g} is nonpositive")
-    if epsilon <= 0:
+    if not epsilon > 0:  # a NaN epsilon fails too
         raise BoundInapplicableError(f"epsilon must be positive, got {epsilon}")
     expo = 1.0 - 2.0 * beta - epsilon
-    if expo <= 0:
+    if not expo > 0:
         raise BoundInapplicableError(
             f"exponent condition 2*beta + epsilon < 1 fails (got {2 * beta + epsilon:.4g})")
     log_bound = params.k * math.log1p(params.k * math.exp(-expo * math.log(params.p - params.k)))
     return math.exp(log_bound) if log_bound < 700 else math.inf
-
-
-def lowdeg_degree_bound_terms(params: LowDegParams) -> list[float]:
-    """Per-degree diagnostic terms (1/d!) E[<mu,mu'>^d] (L + nD/2L)**d.
-
-    The sign-sum factor is replaced by its (L + nD/2L)**d majorant; summing
-    the list gives an intermediate bound between the exact value and the
-    closed form.
-    """
-    if params.L < 1:
-        raise BoundInapplicableError("per-degree bound requires at least one labeled sample")
-    p, k, L, n, lam, D = params.p, params.k, params.L, params.n, params.lam, params.D
-    base = L + n * D / (2.0 * L)
-    terms = [1.0]
-    for d in range(1, D + 1):
-        eg = float(_overlap_moment_fraction(p, k, d))
-        terms.append((lam / k) ** d * eg * base ** d / math.factorial(d))
-    return terms
 
 
 def bound_dominates_exact(params: LowDegParams, epsilon: float | None = None) -> bool:
@@ -349,7 +327,7 @@ def region_classify(alpha: float, beta: float, gamma: float) -> RegionLabel:
     """
     if not 0.0 < alpha < 0.5:
         raise ContractError(f"alpha must lie in (0, 1/2), got {alpha}")
-    if beta < 0 or gamma < 0:
+    if not (beta >= 0 and gamma >= 0):  # a NaN fails too
         raise ContractError(f"beta and gamma must be nonnegative, got {beta}, {gamma}")
     if beta > 1.0 - alpha:
         return RegionLabel.SL_EASY

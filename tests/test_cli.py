@@ -44,6 +44,15 @@ class TestRegion:
         assert code == 1
         assert "alpha" in err
 
+    @pytest.mark.parametrize("exponent", ["--alpha", "--beta", "--gamma"])
+    def test_nan_exponent_is_an_error(self, capsys, exponent):
+        argv = {"--alpha": "0.3", "--beta": "0.1", "--gamma": "1"}
+        argv[exponent] = "nan"
+        code, out, err = run_cli(capsys, "region", *[x for pair in argv.items() for x in pair])
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert "region" not in out
+
 
 class TestBounds:
     def test_reference_thresholds(self, capsys):
@@ -90,6 +99,16 @@ class TestLowdeg:
         assert values["exact"].startswith("infeasible")
         assert "mc_estimate" in values and "mc_stderr" in values
         assert "Monte Carlo" in err
+
+    @pytest.mark.parametrize("size", [("--p", "10", "--L", "2"), ("--p", "10000", "--L", "1")])
+    def test_nan_epsilon_bound_inapplicable(self, capsys, size):
+        # at p = 10000 the bound holds with the default epsilon; NaN must not pass
+        code, out, _ = run_cli(capsys, "lowdeg", "--k", "2", "--D", "3", *size)
+        assert code == 0
+        code, out, _ = run_cli(capsys, "lowdeg", "--k", "2", "--D", "3", *size,
+                               "--epsilon", "nan")
+        assert code == 0
+        assert kv(out)["bound"].startswith("inapplicable (epsilon must be positive")
 
     def test_hard_regime_flag(self, capsys):
         # alpha ~ .333, beta small, gamma < 2 -> inside the hard rectangle
@@ -230,6 +249,14 @@ class TestExperimentCommands:
                                  *sizes.split())
         assert code == 1, (out, err)
         assert err.startswith("error:") and "Traceback" not in err
+        assert "overlap_mean" not in out
+
+    def test_repeated_method_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "simulate", "--p", "30", "--k", "3",
+                                 "--lambda", "2", "--L", "10", "--n", "10",
+                                 "--trials", "2", "--methods", "lspca,lspca")
+        assert code == 1
+        assert err.startswith("error:") and "lspca" in err and "Traceback" not in err
         assert "overlap_mean" not in out
 
     def test_failed_trials_nonzero_exit(self, capsys):

@@ -10,6 +10,7 @@ from sslgauss.estimators import (METHODS, labeled_direction, lspca, resolve_beta
                                  screened_count, self_train, signed_mean_direction,
                                  top_k_labeled, ul_diag_threshold_pca, vanilla_pca)
 from sslgauss.gmodel import Dataset, ProblemParams, make_sparse_mean, sample_dataset
+from sslgauss.harness import config_from_dict
 from sslgauss.metrics import support_overlap
 from sslgauss.spectral import canonical_sign, top_k_indices
 
@@ -383,8 +384,8 @@ class TestBetaTildeResolution:
             resolve_beta_tilde(pp, 1.5)
 
     def test_auto_quarter_gap(self):
-        pp = ProblemParams.from_exponents(p=20000, alpha=0.4, beta=0.45,
-                                          gamma=1.8, lam=3.0)
+        pp = config_from_dict({"p": 20000, "alpha": 0.4, "beta": 0.45,
+                               "gamma": 1.8, "lambda": 3.0}).params
         a, b, g = pp.alpha, pp.beta, pp.gamma
         want = b - (b - (1 - g * a)) / 4.0
         assert abs(resolve_beta_tilde(pp, "auto") - want) < 1e-12

@@ -9,6 +9,7 @@ from sslgauss.errors import ConfigError, EmptyDatasetError, InvalidSupportError
 from sslgauss.gmodel import (ProblemParams, dump_dataset, k_from_alpha,
                              labeled_count, load_dataset, make_sparse_mean,
                              sample_dataset, unlabeled_count)
+from sslgauss.harness import config_from_dict
 
 
 def params(p, k, lam, L=10, n=10, seed=0):
@@ -66,8 +67,8 @@ class TestSparseMean:
 
 class TestProblemParams:
     def test_exponent_constructor_reference_point(self):
-        pp = ProblemParams.from_exponents(p=10 ** 5, alpha=0.4, beta=0.2606,
-                                          gamma=2.0, lam=3.0)
+        pp = config_from_dict({"p": 10 ** 5, "alpha": 0.4, "beta": 0.2606,
+                               "gamma": 2.0, "lambda": 3.0}).params
         assert pp.k == 100
         # L = floor(2 * beta * k * log(p - k) / lam)
         assert pp.L == math.floor(2 * 0.2606 * 100 * math.log(10 ** 5 - 100) / 3.0)
@@ -87,8 +88,8 @@ class TestProblemParams:
             ProblemParams(p=4, k=2, lam=1.0, L=0, n=0)
 
     def test_exponent_roundtrip(self):
-        pp = ProblemParams.from_exponents(p=2000, alpha=0.4, beta=0.45,
-                                          gamma=1.8, lam=3.0)
+        pp = config_from_dict({"p": 2000, "alpha": 0.4, "beta": 0.45,
+                               "gamma": 1.8, "lambda": 3.0}).params
         assert pp.k == 20
         assert abs(pp.alpha - 0.4) < 0.02     # floor slippage only
         assert abs(pp.beta - 0.45) < 0.02

@@ -4,12 +4,14 @@ import io
 import math
 import pathlib
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from sslgauss import harness
 from sslgauss.errors import ConfigError
+from sslgauss.estimators import EstimatorOutput
 from sslgauss.gmodel import ProblemParams, load_dataset
 from sslgauss.harness import (AGG_HEADER, CSV_HEADER, KEYS, ExperimentConfig,
                               TrialRecord, aggregate, config_from_dict,
@@ -116,6 +118,28 @@ class TestRunSweep:
                 assert rec.failed and rec.error == "RuntimeError: solver blew up"
             else:
                 assert not rec.failed and math.isfinite(rec.overlap)
+        assert {(a.method, a.count, a.failures) for a in aggs} \
+            == {("lspca", 0, 2), ("top_k_labeled", 2, 0)}
+
+    def test_scoring_failure_recorded(self, monkeypatch):
+        # the estimator returns, but its direction fails the unit-norm check
+        # inside score(): the row fails and the other rows are untouched
+        def nan_direction(ds, pp, beta_tilde, gamma_threshold):
+            return EstimatorOutput(method="lspca", support=np.arange(pp.k),
+                                   direction=np.full(pp.p, np.nan))
+
+        cfg = small_config(sweep_axis="n", sweep_values=(20, 60), trials=2)
+        clean, _ = run_sweep(cfg, threads=1)
+        monkeypatch.setitem(harness.METHODS, "lspca", nan_direction)
+        records, aggs = run_sweep(cfg, threads=1)
+        assert len(records) == len(clean) == 2 * 2 * 2
+        for rec, ref in zip(records, clean):
+            if rec.method == "lspca":
+                assert rec.failed and rec.error.startswith("ContractError")
+                assert all(math.isnan(x) for x in (rec.overlap, rec.gen_error,
+                                                   rec.excess_risk))
+            else:
+                assert rec == replace(ref, runtime_ms=rec.runtime_ms)
         assert {(a.method, a.count, a.failures) for a in aggs} \
             == {("lspca", 0, 2), ("top_k_labeled", 2, 0)}
 
@@ -361,6 +385,14 @@ sweep_values = 10, 20, 40
         with pytest.raises(ConfigError):
             ExperimentConfig(params=ProblemParams(p=4, k=2, lam=1.0, L=2, n=2),
                              trials=0)
+
+    def test_repeated_methods_rejected(self):
+        # a repeated method would write each record twice under one key
+        with pytest.raises(ConfigError, match=r"repeated: \['lspca'\]"):
+            ExperimentConfig(params=ProblemParams(p=4, k=2, lam=1.0, L=2, n=2),
+                             methods=("lspca", "top_k_labeled", "lspca"))
+        with pytest.raises(ConfigError, match="repeated"):
+            config_from_dict(parse_config_text("methods = vanilla_pca, vanilla_pca"))
 
 
 class TestDump:

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from sslgauss.errors import BoundInapplicableError, ContractError, ExactInfeasibleError
 from sslgauss.theory import (LowDegParams, RegionLabel, Verdict, bound_dominates_exact,
                              fusion_verdict, hypergeom_overlap_moment,
-                             hypergeom_overlap_pmf, lowdeg_degree_bound_terms,
-                             lowdeg_norm_exact, lowdeg_norm_mc, lowdeg_norm_upper_bound,
+                             hypergeom_overlap_pmf, lowdeg_norm_exact, lowdeg_norm_mc, lowdeg_norm_upper_bound,
                              rademacher_sum_moment, region_classify, sl_threshold,
                              ul_threshold)
 
@@ -252,28 +251,32 @@ class TestLowDegNorm:
                                 checked += 1
         assert checked >= 20
 
-    def test_intermediate_terms_dominate_exact_terms(self):
-        params = LowDegParams(p=100, k=4, L=5, n=8, lam=1.0, D=4)
-        terms = lowdeg_degree_bound_terms(params)
-        assert sum(terms) >= lowdeg_norm_exact(params) - 1e-12
-
     def test_bound_tends_to_one(self):
+        # implied beta ~ 2e-5
         params = LowDegParams(p=10 ** 6, k=2, L=1, n=0, lam=0.001, D=2)
-        val = lowdeg_norm_upper_bound(params, alpha=0.05, beta=0.05, epsilon=0.1)
+        val = lowdeg_norm_upper_bound(params, epsilon=0.1)
         assert 1.0 <= val < 1.0 + 1e-3
 
     def test_bound_log_space_smoke(self):
-        # alpha = 1/3, beta = 0.1, epsilon = 1/2 - alpha - beta
+        # implied alpha = 1/3, beta = 0.054, epsilon = 1/2 - alpha - beta
         params = LowDegParams(p=10 ** 6, k=100, L=50, n=10, lam=3.0, D=10)
-        val = lowdeg_norm_upper_bound(params, alpha=1.0 / 3.0, beta=0.1, epsilon=None)
+        val = lowdeg_norm_upper_bound(params)
         assert math.isfinite(val) and val >= 1.0
 
     def test_bound_inapplicable_cases(self):
         with pytest.raises(BoundInapplicableError):
             lowdeg_norm_upper_bound(LowDegParams(p=10, k=2, L=0, n=4, lam=2.0, D=5))
-        with pytest.raises(BoundInapplicableError):
+        with pytest.raises(BoundInapplicableError):  # implied beta = 0.72: 2*beta >= 1
             lowdeg_norm_upper_bound(LowDegParams(p=10, k=2, L=3, n=4, lam=2.0, D=5),
-                                    alpha=0.2, beta=0.6)  # 2*beta >= 1
+                                    epsilon=0.1)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, 0.0, -0.1])
+    def test_bound_rejects_a_nonpositive_or_nan_epsilon(self, epsilon):
+        # implied beta = 0.016, so 2*beta + epsilon < 1 holds for any epsilon below 0.96
+        params = LowDegParams(p=10 ** 4, k=10, L=1, n=0, lam=3.0, D=3)
+        assert math.isfinite(lowdeg_norm_upper_bound(params, epsilon=0.1))
+        with pytest.raises(BoundInapplicableError, match="epsilon must be positive"):
+            lowdeg_norm_upper_bound(params, epsilon=epsilon)
 
 
 class TestRegionClassify:
@@ -302,6 +305,13 @@ class TestRegionClassify:
             region_classify(0.6, 0.1, 1.0)
         with pytest.raises(ContractError):
             region_classify(0.0, 0.1, 1.0)
+
+    @pytest.mark.parametrize("alpha, beta, gamma", [
+        (math.nan, 0.1, 1.0), (0.3, math.nan, 1.0), (0.3, 0.1, math.nan), (0.3, -0.1, 1.0),
+        (0.3, 0.1, -1.0)])
+    def test_nan_or_negative_exponent_rejected(self, alpha, beta, gamma):
+        with pytest.raises(ContractError):
+            region_classify(alpha, beta, gamma)
 
     @given(st.floats(0.01, 0.49), st.floats(0, 2), st.floats(0, 4))
     @settings(max_examples=200, deadline=None)
