@@ -109,7 +109,9 @@ def lspca(dataset: Dataset, k: int, beta_tilde: float,
     rows on the support; the final sign follows the labeled direction. The
     screened set is too large for a dense solver at paper scale, so only
     that step iterates; its convergence flag, iteration count and eigenvalue
-    are recorded in aux.
+    are recorded in aux. Both steps read their unlabeled columns through
+    Dataset.unlabeled_columns, so unless another reader has drawn the whole
+    unlabeled block, only the screened columns are drawn.
     """
     if k < 1:
         raise ContractError(f"k must be positive, got {k}")
@@ -121,7 +123,7 @@ def lspca(dataset: Dataset, k: int, beta_tilde: float,
             f"screening keeps {retained} < k = {k} coordinates (beta_tilde = {beta_tilde})")
     screen = top_k_indices(np.abs(w), retained)
 
-    cov_screen = restricted_covariance(dataset.unlabeled_x, screen)
+    cov_screen = restricted_covariance(dataset.unlabeled_columns(screen))
     if sparse_pca:
         res = truncated_power(cov_screen, k)
     else:
@@ -129,7 +131,7 @@ def lspca(dataset: Dataset, k: int, beta_tilde: float,
     local = top_k_indices(np.abs(res.vector), k)
     support = screen[local]
 
-    v_support, value, _ = principal_direction(dataset.unlabeled_x[:, support])
+    v_support, value, _ = principal_direction(dataset.unlabeled_columns(support))
     aux = {"screening_size": int(retained), "sparse_pca": sparse_pca,
            "pca_converged": res.converged, "pca_iterations": res.iterations,
            "pca_eigenvalue": res.value, "refit_eigenvalue": value}

@@ -4,18 +4,28 @@ The model: y ~ Unif{-1,+1}, x | y ~ N(y*mu, I_p) where mu has exactly k
 nonzero entries, all of magnitude sqrt(lam/k), so that ||mu||^2 = lam.
 Everything downstream (estimators, metrics, harness) consumes the types
 defined here.
+
+A draw's labeled block is drawn whole, row after row from one stream. Its
+unlabeled rows are drawn on read (UnlabeledSource): the noise of column j is
+the Philox stream under the 128-bit key (noise seed, j), so a reader that
+needs only some columns (lspca's screened set) draws only those, and the
+full block, drawn when a reader takes every column, is drawn in column tiles
+on all usable cores with the same bits as a serial draw.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConfigError, EmptyDatasetError, InvalidSupportError
-from .rng import generator, mix64
+from .rng import MASK64, generator, mix64
 
 # Stream tags for child-seed derivation; fixed constants, see rng.mix64.
 STREAM_SUPPORT = 0x11
@@ -30,6 +40,12 @@ _FLOOR_EPS = 1e-9
 
 _DUMP_MAGIC = b"SSLD"
 _DUMP_VERSION = 1
+# Bytes of float64 rows per write of dump_dataset.
+_DUMP_CHUNK_BYTES = 1 << 24
+
+# Columns per tile of an unlabeled draw: a thread draws a tile's columns into
+# a (tile, n) buffer and copies it into the row-major result.
+_TILE = 256
 
 
 def _floor_count(x: float) -> int:
@@ -203,26 +219,119 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask on this platform
+        return os.cpu_count() or 1
+
+
+def _labels(seed: int, count: int) -> np.ndarray:
+    return (generator(seed).integers(0, 2, size=count) * 2 - 1).astype(np.int8)
+
+
+class UnlabeledSource:
+    """The n x p unlabeled rows x_i = y_i * mu + z_i of one draw, drawn on read.
+
+    The labels y come from one stream. The noise of column j is the first n
+    normals of Philox under the 128-bit key (noise_seed, j) (Salmon et al.,
+    SC'11): a column's bits do not depend on which other columns are drawn,
+    in what order or on how many threads, and n' < n rows are a prefix.
+    columns() draws a set of columns; whole() draws every column once and
+    keeps the block.
+    """
+
+    def __init__(self, mu: SparseMean, n: int, y_seed: int, noise_seed: int, dtype):
+        self.dtype = np.dtype(dtype)
+        self.shape = (n, mu.p)
+        self.block: np.ndarray | None = None
+        self._noise_seed = noise_seed & MASK64
+        self._y = _labels(y_seed, n).astype(self.dtype)
+        scalar = self.dtype.type
+        self._bumps = {} if mu.magnitude == 0.0 else {
+            j: scalar(s) * scalar(mu.magnitude) for j, s in zip(mu.support, mu.signs)}
+
+    def columns(self, idx, n: int | None = None) -> np.ndarray:
+        """Rows [0, n) of columns idx (any order) as a new row-major
+        (n, len(idx)) array; n defaults to all rows."""
+        n = self.shape[0] if n is None else n
+        if not 0 <= n <= self.shape[0]:
+            raise ConfigError(f"row count {n} out of range [0, {self.shape[0]}]")
+        cols = np.asarray(idx, dtype=np.int64).ravel()
+        if cols.size and (cols.min() < 0 or cols.max() >= self.shape[1]):
+            raise InvalidSupportError(f"column index out of range for p={self.shape[1]}")
+        return self._draw(cols.tolist(), n)
+
+    def whole(self) -> np.ndarray:
+        """Every row and column, drawn on the first call and kept read-only."""
+        if self.block is None:
+            self.block = _freeze(self._draw(range(self.shape[1]), self.shape[0]))
+        return self.block
+
+    def _draw(self, cols, n: int) -> np.ndarray:
+        """Tiles of _TILE columns, spread over the usable cores; each thread
+        keeps one Philox and rekeys it per column through its state."""
+        out = np.empty((n, len(cols)), dtype=self.dtype)
+        y = self._y[:n]
+        local = threading.local()
+
+        def tile(lo: int) -> None:
+            if not hasattr(local, "gen"):
+                local.gen = generator(0)
+                local.buf = np.empty((_TILE, n), dtype=self.dtype)
+                # plain lists: the state setter reads them faster than arrays
+                local.state = {"bit_generator": "Philox",
+                               "state": {"counter": [0, 0, 0, 0], "key": [self._noise_seed, 0]},
+                               "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                               "has_uint32": 0, "uinteger": 0}
+            key = local.state["state"]["key"]
+            hi = min(lo + _TILE, len(cols))
+            for row, j in zip(local.buf, cols[lo:hi]):
+                key[1] = j
+                local.gen.bit_generator.state = local.state
+                local.gen.standard_normal(dtype=self.dtype, out=row)
+                bump = self._bumps.get(j)
+                if bump is not None:
+                    row += y * bump
+            out[:, lo:hi] = local.buf[:hi - lo].T
+
+        starts = range(0, len(cols), _TILE)
+        workers = min(_usable_cores(), len(starts))
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(tile, starts))
+        else:
+            for lo in starts:
+                tile(lo)
+        return out
+
+
 class Dataset:
     """L labeled pairs and n unlabeled vectors, all of dimension p.
 
-    Arrays are marked read-only; datasets can be shared across workers.
+    unlabeled_x is the unlabeled rows as an array, or an UnlabeledSource that
+    draws them on read; n reads the first n of them (default all). Reading
+    the unlabeled_x property draws every column; unlabeled_columns draws only
+    the columns asked for until the whole block is drawn. Arrays are marked
+    read-only; datasets can be shared across workers.
     """
 
-    labeled_x: np.ndarray
-    labeled_y: np.ndarray
-    unlabeled_x: np.ndarray
-
-    def __post_init__(self):
-        if self.labeled_x.ndim != 2 or self.unlabeled_x.ndim != 2:
+    def __init__(self, labeled_x: np.ndarray, labeled_y: np.ndarray,
+                 unlabeled_x, n: int | None = None):
+        self.labeled_x = labeled_x
+        self.labeled_y = labeled_y
+        self._unlabeled = unlabeled_x
+        if labeled_x.ndim != 2 or len(unlabeled_x.shape) != 2:
             raise ConfigError("data matrices must be 2-d (rows are samples)")
-        if self.labeled_x.shape[0] != self.labeled_y.shape[0]:
+        rows, cols = unlabeled_x.shape
+        self._n = rows if n is None else n
+        if not 0 <= self._n <= rows:
+            raise ConfigError(f"n = {self._n} exceeds the {rows} unlabeled rows held")
+        if labeled_x.shape[0] != labeled_y.shape[0]:
             raise ConfigError("labeled_x and labeled_y row counts differ")
-        if self.labeled_x.shape[0] and self.unlabeled_x.shape[0] \
-                and self.labeled_x.shape[1] != self.unlabeled_x.shape[1]:
+        if labeled_x.shape[0] and self._n and labeled_x.shape[1] != cols:
             raise ConfigError("labeled and unlabeled dimensions differ")
-        if self.labeled_y.size and not np.all(np.isin(self.labeled_y, (-1, 1))):
+        if labeled_y.size and not np.all(np.isin(labeled_y, (-1, 1))):
             raise ConfigError("labels must lie in {-1, +1}")
 
     @property
@@ -231,11 +340,36 @@ class Dataset:
 
     @property
     def n(self) -> int:
-        return self.unlabeled_x.shape[0]
+        return self._n
 
     @property
     def p(self) -> int:
-        return self.labeled_x.shape[1] if self.L else self.unlabeled_x.shape[1]
+        return self.labeled_x.shape[1] if self.L else self._unlabeled.shape[1]
+
+    @property
+    def unlabeled_x(self) -> np.ndarray:
+        """The n x p unlabeled rows; a source draws them all on first read."""
+        u = self._unlabeled
+        block = u.whole() if isinstance(u, UnlabeledSource) else u
+        # the held array itself when all its rows are read: every read then
+        # returns the same object, which identity checks and weakrefs rely on
+        return block if block.shape[0] == self._n else block[:self._n]
+
+    def unlabeled_columns(self, idx) -> np.ndarray:
+        """A new row-major n x len(idx) array of the unlabeled columns idx:
+        taken from the whole block once it is drawn, otherwise drawn alone.
+        Both give the same bits and the same layout, so what a reader
+        computes from them does not depend on which one served it."""
+        u = self._unlabeled
+        if isinstance(u, UnlabeledSource) and u.block is None:
+            return u.columns(idx, self._n)
+        # np.take lays the result out row-major; x[:, idx] would not
+        return np.take(self.unlabeled_x, idx, axis=1)
+
+    def prefix(self, L: int, n: int) -> "Dataset":
+        """The first L labeled pairs and n unlabeled vectors, sharing this
+        dataset's arrays and source."""
+        return Dataset(self.labeled_x[:L], self.labeled_y[:L], self._unlabeled, n)
 
     # No package code calls this; kept because perfbench's tracer patches it by name.
     def all_vectors(self) -> np.ndarray:
@@ -247,18 +381,6 @@ class Dataset:
         return np.vstack([self.labeled_x, self.unlabeled_x])
 
 
-def _sample_block(mu: SparseMean, count: int, y_seed: int, noise_seed: int,
-                  dtype) -> tuple[np.ndarray, np.ndarray]:
-    """count rows of x = y*mu + noise; separate streams keep the draw
-    prefix-stable in count."""
-    y = (generator(y_seed).integers(0, 2, size=count) * 2 - 1).astype(np.int8)
-    x = generator(noise_seed).standard_normal((count, mu.p), dtype=dtype)
-    if mu.magnitude != 0.0 and count:
-        bump = np.asarray(mu.signs, dtype=dtype) * dtype(mu.magnitude)
-        x[:, list(mu.support)] += y[:, None].astype(dtype) * bump
-    return x, y
-
-
 def sample_dataset(mu: SparseMean, L: int, n: int, seed: int,
                    dtype=np.float64) -> Dataset:
     """Draw L labeled pairs and n unlabeled vectors i.i.d. from the mixture.
@@ -266,27 +388,39 @@ def sample_dataset(mu: SparseMean, L: int, n: int, seed: int,
     Pure function of (mu, L, n, seed, dtype): labeled and unlabeled streams
     are keyed separately, so the labeled block does not depend on n and vice
     versa, and the first rows of a larger draw coincide with a smaller one.
+    The labeled block is drawn here; the unlabeled rows are an
+    UnlabeledSource, drawn when they are read.
     """
     if L < 0 or n < 0:
         raise ConfigError(f"sample counts must be nonnegative, got L={L}, n={n}")
     if L + n == 0:
         raise EmptyDatasetError("refusing to build a dataset with L = n = 0")
-    lx, ly = _sample_block(mu, L, mix64(seed, STREAM_LABELED_Y),
-                           mix64(seed, STREAM_LABELED_NOISE), dtype)
-    ux, _ = _sample_block(mu, n, mix64(seed, STREAM_UNLABELED_Y),
-                          mix64(seed, STREAM_UNLABELED_NOISE), dtype)
-    return Dataset(labeled_x=_freeze(lx), labeled_y=_freeze(ly), unlabeled_x=_freeze(ux))
+    ly = _labels(mix64(seed, STREAM_LABELED_Y), L)
+    lx = generator(mix64(seed, STREAM_LABELED_NOISE)).standard_normal((L, mu.p), dtype=dtype)
+    if mu.magnitude != 0.0 and L:
+        bump = np.asarray(mu.signs, dtype=dtype) * dtype(mu.magnitude)
+        lx[:, list(mu.support)] += ly[:, None].astype(dtype) * bump
+    source = UnlabeledSource(mu, n, mix64(seed, STREAM_UNLABELED_Y),
+                             mix64(seed, STREAM_UNLABELED_NOISE), dtype)
+    return Dataset(labeled_x=_freeze(lx), labeled_y=_freeze(ly), unlabeled_x=source)
+
+
+def _write_f64_rows(fh, rows: np.ndarray) -> None:
+    step = max(1, _DUMP_CHUNK_BYTES // (8 * max(rows.shape[1], 1)))
+    for lo in range(0, rows.shape[0], step):
+        fh.write(np.ascontiguousarray(rows[lo:lo + step], dtype="<f8").tobytes())
 
 
 def dump_dataset(ds: Dataset, path) -> None:
     """Binary dump: magic 'SSLD', u32 version, u64 p, L, n (little-endian),
-    then labeled rows as f64, labels as i8, unlabeled rows as f64."""
+    then labeled rows as f64, labels as i8, unlabeled rows as f64. Rows are
+    converted and written a chunk at a time."""
     with open(path, "wb") as fh:
         fh.write(_DUMP_MAGIC)
         fh.write(struct.pack("<IQQQ", _DUMP_VERSION, ds.p, ds.L, ds.n))
-        fh.write(np.ascontiguousarray(ds.labeled_x, dtype="<f8").tobytes())
+        _write_f64_rows(fh, ds.labeled_x)
         fh.write(np.ascontiguousarray(ds.labeled_y, dtype="i1").tobytes())
-        fh.write(np.ascontiguousarray(ds.unlabeled_x, dtype="<f8").tobytes())
+        _write_f64_rows(fh, ds.unlabeled_x)
 
 
 def load_dataset(path) -> Dataset:

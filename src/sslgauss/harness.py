@@ -129,8 +129,9 @@ def trial_ground_truth(config: ExperimentConfig, trial_index: int,
                        point: tuple[int, int] | None = None
                        ) -> tuple[SparseMean, Dataset]:
     """Mean and dataset of one trial. The mean and the sample streams depend
-    only on (master seed, trial index); the point sets how many rows are
-    materialized, and smaller draws are prefixes of larger ones."""
+    only on (master seed, trial index); the point sets how many rows the
+    draw holds, and smaller draws are prefixes of larger ones. The labeled
+    rows are drawn here, the unlabeled ones as estimators read them."""
     L, n = point if point is not None else (config.params.L, config.params.n)
     pp = config.params.with_counts(L=L, n=n)
     seed = trial_seed(config, trial_index)
@@ -153,14 +154,12 @@ def _draw(config: ExperimentConfig, trial_index: int,
 
 def _trial_data(config: ExperimentConfig, trial_index: int,
                 point: tuple[int, int]) -> tuple[SparseMean, Dataset]:
-    """The trial's data at point: prefix slices of its draw at the larger of
+    """The trial's data at point: a prefix view of its draw at the larger of
     the config's largest point and the requested point."""
     points = config.points() + [point]
     draw_point = (max(L for L, _ in points), max(n for _, n in points))
     mu, ds = _draw(config, trial_index, draw_point)
-    L, n = point
-    return mu, Dataset(labeled_x=ds.labeled_x[:L], labeled_y=ds.labeled_y[:L],
-                       unlabeled_x=ds.unlabeled_x[:n])
+    return mu, ds.prefix(*point)
 
 
 def run_trial(config: ExperimentConfig, method: str, point: tuple[int, int],

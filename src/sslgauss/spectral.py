@@ -53,28 +53,34 @@ class RestrictedCovariance:
 
     PSD by construction and never materialized: products are formed against
     the centered restricted rows, kept in float32 when the rows are float32
-    and in float64 otherwise.
+    and in float64 otherwise. Without indices, rows is the restricted block
+    itself: the covariance takes it over and centers it in place when it is
+    writable and already in its storage dtype, and copies it otherwise.
     """
 
-    def __init__(self, rows: np.ndarray, indices):
+    def __init__(self, rows: np.ndarray, indices=None):
         rows = np.asarray(rows)
         if rows.ndim != 2:
             raise ContractError("rows must be a 2-d array of samples")
         n, p = rows.shape
         if n < 2:
             raise InsufficientSamplesError(f"covariance needs n >= 2 samples, got {n}")
-        idx = np.asarray(list(indices), dtype=np.int64)
-        if idx.size == 0:
-            raise InvalidSupportError("index set must be nonempty")
-        if np.unique(idx).size != idx.size:
-            raise InvalidSupportError("index set contains duplicates")
-        if idx.min() < 0 or idx.max() >= p:
-            raise InvalidSupportError(f"index out of range for dimension p={p}")
+        if indices is None:
+            if p == 0:
+                raise InvalidSupportError("index set must be nonempty")
+            y = rows if rows.flags.writeable else rows.copy()
+        else:
+            idx = np.asarray(list(indices), dtype=np.int64)
+            if idx.size == 0:
+                raise InvalidSupportError("index set must be nonempty")
+            if np.unique(idx).size != idx.size:
+                raise InvalidSupportError("index set contains duplicates")
+            if idx.min() < 0 or idx.max() >= p:
+                raise InvalidSupportError(f"index out of range for dimension p={p}")
+            y = rows[:, idx]  # fancy indexing copies; safe to center in place
 
-        self.dim = int(idx.size)
+        self.dim = int(y.shape[1])
         self.n_samples = n
-
-        y = rows[:, idx]  # fancy indexing copies; safe to center in place
         if y.dtype != np.float32:
             y = y.astype(np.float64, copy=False)
         y -= y.mean(axis=0, dtype=y.dtype)
@@ -94,8 +100,9 @@ class RestrictedCovariance:
         return (y.T @ y) / self.n_samples
 
 
-def restricted_covariance(rows: np.ndarray, indices) -> RestrictedCovariance:
-    """Empirical covariance of `rows` restricted to `indices` (0-based)."""
+def restricted_covariance(rows: np.ndarray, indices=None) -> RestrictedCovariance:
+    """Empirical covariance of `rows` restricted to `indices` (0-based), or of
+    the block `rows` itself, centered in place, when indices is None."""
     return RestrictedCovariance(rows, indices)
 
 

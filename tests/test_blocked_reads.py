@@ -99,6 +99,7 @@ def _peak_share(method, dtype) -> float:
     p, L, n = 16000, 100, 500
     pp = ProblemParams(p=p, k=k_from_alpha(p, 0.4), lam=3.0, L=L, n=n, seed=5)
     ds = sample_dataset(make_sparse_mean(pp, seed=5), L, n, seed=6, dtype=dtype)
+    ds.unlabeled_x  # the unlabeled rows are drawn on first read: draw them here
     tracemalloc.start()
     try:
         METHODS[method](ds, pp, "auto", 0.8)

@@ -1,10 +1,12 @@
 import math
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sslgauss import gmodel
 from sslgauss.errors import ConfigError, EmptyDatasetError, InvalidSupportError
 from sslgauss.gmodel import (ProblemParams, dump_dataset, k_from_alpha,
                              labeled_count, load_dataset, make_sparse_mean,
@@ -178,6 +180,20 @@ class TestDumpFormat:
         assert np.array_equal(back.labeled_x, ds.labeled_x)
         assert np.array_equal(back.labeled_y, ds.labeled_y)
         assert np.array_equal(back.unlabeled_x, ds.unlabeled_x)
+
+    def test_chunked_dump_matches_one_piece_dump(self, tmp_path, monkeypatch):
+        # rows go out three at a time; the bytes are those of the whole
+        # blocks converted and written in one piece each
+        mu = make_sparse_mean(params(50, 3, 1.5), seed=9)
+        ds = sample_dataset(mu, 7, 30, seed=17, dtype=np.float32)
+        one_piece = (b"SSLD" + struct.pack("<IQQQ", 1, 50, 7, 30)
+                     + np.ascontiguousarray(ds.labeled_x, dtype="<f8").tobytes()
+                     + np.ascontiguousarray(ds.labeled_y, dtype="i1").tobytes()
+                     + np.ascontiguousarray(ds.unlabeled_x, dtype="<f8").tobytes())
+        monkeypatch.setattr(gmodel, "_DUMP_CHUNK_BYTES", 3 * 8 * 50)
+        path = tmp_path / "dump.ssld"
+        dump_dataset(ds, path)
+        assert path.read_bytes() == one_piece
 
     def test_header_layout(self, tmp_path):
         mu = make_sparse_mean(params(3, 1, 1.0), seed=0)
