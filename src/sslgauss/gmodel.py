@@ -10,7 +10,8 @@ unlabeled rows are drawn on read (UnlabeledSource): the noise of column j is
 the Philox stream under the 128-bit key (noise seed, j), so a reader that
 needs only some columns (lspca's screened set) draws only those, and the
 full block, drawn when a reader takes every column, is drawn in column tiles
-on all usable cores with the same bits as a serial draw.
+on the process's share of the usable cores (all of them outside a process
+pool) with the same bits as a serial draw.
 """
 
 from __future__ import annotations
@@ -219,11 +220,26 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _usable_cores() -> int:
+# Processes that draw at once on the usable cores (a process pool's workers);
+# each draws on its share of the cores. See share_cores.
+_processes = 1
+
+
+def share_cores(processes: int) -> None:
+    """Draw on 1/processes of the usable cores from now on in this process.
+
+    A process pool's initializer calls it in each worker, so that the
+    workers' draw threads together do not outnumber the cores."""
+    global _processes
+    _processes = max(1, processes)
+
+
+def _draw_threads() -> int:
     try:
-        return len(os.sched_getaffinity(0))
+        cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity mask on this platform
-        return os.cpu_count() or 1
+        cores = os.cpu_count() or 1
+    return max(1, cores // _processes)
 
 
 def _labels(seed: int, count: int) -> np.ndarray:
@@ -269,8 +285,9 @@ class UnlabeledSource:
         return self.block
 
     def _draw(self, cols, n: int) -> np.ndarray:
-        """Tiles of _TILE columns, spread over the usable cores; each thread
-        keeps one Philox and rekeys it per column through its state."""
+        """Tiles of _TILE columns, spread over this process's share of the
+        usable cores; each thread keeps one Philox and rekeys it per column
+        through its state."""
         out = np.empty((n, len(cols)), dtype=self.dtype)
         y = self._y[:n]
         local = threading.local()
@@ -296,7 +313,7 @@ class UnlabeledSource:
             out[:, lo:hi] = local.buf[:hi - lo].T
 
         starts = range(0, len(cols), _TILE)
-        workers = min(_usable_cores(), len(starts))
+        workers = min(_draw_threads(), len(starts))
         if workers > 1:
             with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(tile, starts))

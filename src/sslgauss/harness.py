@@ -9,7 +9,8 @@ same data, and parallel execution is bit-identical to serial.
 The trial is the unit of work: a trial draws its data once, at the sweep's
 largest (L, n), and serves every point from prefix slices of that draw,
 which the prefix stability of the sampler makes exact. With threads > 1
-trials run in worker processes, each holding one draw at a time.
+trials run in worker processes, each holding one draw at a time and
+drawing on its share of the usable cores.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .errors import ConfigError
 from .estimators import METHODS
 from .gmodel import (Dataset, ProblemParams, SparseMean, k_from_alpha, labeled_count,
-                     make_sparse_mean, sample_dataset, unlabeled_count)
+                     make_sparse_mean, sample_dataset, share_cores, unlabeled_count)
 from .metrics import score
 from .rng import mix64
 
@@ -256,7 +257,8 @@ def run_sweep(config: ExperimentConfig, threads: int | None = None
     workers = min(config.threads if threads is None else threads, config.trials)
     tasks = [(config, t) for t in range(config.trials)]
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=share_cores,
+                                 initargs=(workers,)) as pool:
             per_trial = list(pool.map(_run_trial_task, tasks, chunksize=1))
     else:
         per_trial = [_run_trial_task(t) for t in tasks]

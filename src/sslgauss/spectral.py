@@ -48,42 +48,31 @@ def canonical_sign(v: np.ndarray) -> np.ndarray:
 
 
 class RestrictedCovariance:
-    """Sample covariance of rows restricted to an index set T, centered by the
-    empirical mean and normalized by 1/n.
+    """Sample covariance of a restricted block of rows (the columns of an
+    index set T), centered by the empirical mean and normalized by 1/n.
 
     PSD by construction and never materialized: products are formed against
-    the centered restricted rows, kept in float32 when the rows are float32
-    and in float64 otherwise. Without indices, rows is the restricted block
-    itself: the covariance takes it over and centers it in place when it is
-    writable and already in its storage dtype, and copies it otherwise.
+    the centered rows, kept in float32 when the rows are float32 and in
+    float64 otherwise. The covariance takes the block over and centers it in
+    place when it is writable and already in its storage dtype, and copies
+    it otherwise.
     """
 
-    def __init__(self, rows: np.ndarray, indices=None):
-        rows = np.asarray(rows)
-        if rows.ndim != 2:
+    def __init__(self, rows: np.ndarray):
+        y = np.asarray(rows)
+        if y.ndim != 2:
             raise ContractError("rows must be a 2-d array of samples")
-        n, p = rows.shape
+        n, m = y.shape
         if n < 2:
             raise InsufficientSamplesError(f"covariance needs n >= 2 samples, got {n}")
-        if indices is None:
-            if p == 0:
-                raise InvalidSupportError("index set must be nonempty")
-            y = rows if rows.flags.writeable else rows.copy()
-        else:
-            idx = np.asarray(list(indices), dtype=np.int64)
-            if idx.size == 0:
-                raise InvalidSupportError("index set must be nonempty")
-            if np.unique(idx).size != idx.size:
-                raise InvalidSupportError("index set contains duplicates")
-            if idx.min() < 0 or idx.max() >= p:
-                raise InvalidSupportError(f"index out of range for dimension p={p}")
-            y = rows[:, idx]  # fancy indexing copies; safe to center in place
-
-        self.dim = int(y.shape[1])
+        if m == 0:
+            raise InvalidSupportError("index set must be nonempty")
+        self.dim = m
         self.n_samples = n
-        if y.dtype != np.float32:
-            y = y.astype(np.float64, copy=False)
-        y -= y.mean(axis=0, dtype=y.dtype)
+        dtype = np.float32 if y.dtype == np.float32 else np.float64
+        if y.dtype != dtype or not y.flags.writeable:
+            y = y.astype(dtype)
+        y -= y.mean(axis=0, dtype=dtype)
         self._rows = y
         self._diag = np.einsum("ij,ij->j", y, y, dtype=np.float64) / n
 
@@ -100,10 +89,10 @@ class RestrictedCovariance:
         return (y.T @ y) / self.n_samples
 
 
-def restricted_covariance(rows: np.ndarray, indices=None) -> RestrictedCovariance:
-    """Empirical covariance of `rows` restricted to `indices` (0-based), or of
-    the block `rows` itself, centered in place, when indices is None."""
-    return RestrictedCovariance(rows, indices)
+def restricted_covariance(rows: np.ndarray) -> RestrictedCovariance:
+    """Empirical covariance of the restricted block `rows` (n x |T|), which
+    it centers in place when it can."""
+    return RestrictedCovariance(rows)
 
 
 def row_blocks(rows) -> list[np.ndarray]:

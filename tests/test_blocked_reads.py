@@ -93,19 +93,30 @@ def test_self_train_column_blocks_match_whole_rows():
                                rtol=1e-12)
 
 
-def _peak_share(method, dtype) -> float:
-    """tracemalloc's peak over one METHODS call on a p = 16000, L = 100,
-    n = 500 draw, as a share of the draw's bytes."""
+def _draw(dtype):
+    """A p = 16000, L = 100, n = 500 draw, its unlabeled rows not yet drawn."""
     p, L, n = 16000, 100, 500
     pp = ProblemParams(p=p, k=k_from_alpha(p, 0.4), lam=3.0, L=L, n=n, seed=5)
-    ds = sample_dataset(make_sparse_mean(pp, seed=5), L, n, seed=6, dtype=dtype)
-    ds.unlabeled_x  # the unlabeled rows are drawn on first read: draw them here
+    return sample_dataset(make_sparse_mean(pp, seed=5), L, n, seed=6, dtype=dtype), pp
+
+
+def _peak(method, ds, pp):
+    """tracemalloc's peak over one METHODS call, and the call's output."""
     tracemalloc.start()
     try:
-        METHODS[method](ds, pp, "auto", 0.8)
+        out = METHODS[method](ds, pp, "auto", 0.8)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return peak, out
+
+
+def _peak_share(method, dtype) -> float:
+    """The peak over one METHODS call on a draw whose unlabeled block is
+    already drawn, as a share of the draw's bytes."""
+    ds, pp = _draw(dtype)
+    ds.unlabeled_x  # the unlabeled rows are drawn on first read: draw them here
+    peak, _ = _peak(method, ds, pp)
     return peak / (ds.labeled_x.nbytes + ds.unlabeled_x.nbytes)
 
 
@@ -130,3 +141,19 @@ def test_self_train_float32_reads_no_whole_block():
     # such copy. Float32 slabs cost other methods more (vanilla_pca: 0.72).
     share = _peak_share("self_train", np.float32)
     assert share < 1.0, f"self_train: peak {share:.2f} of the float32 draw"
+
+
+@pytest.mark.parametrize("method", ["lspca", "ls2pca"])
+def test_lspca_on_a_fresh_draw_holds_only_its_screened_columns(method):
+    # On a fresh draw lspca draws its screened columns (n x 1118 float64,
+    # 4.5 MB) and the k-column refit, and centers the screened block in
+    # place. Each 256-column tile of a draw passes through one (256, n)
+    # buffer per thread (1 MB), one thread per tile at most. The bound is
+    # the screened block plus the labeled block (17.3 MB); the whole
+    # unlabeled block alone is 64 MB, and it must never be drawn.
+    ds, pp = _draw(np.float64)
+    peak, out = _peak(method, ds, pp)
+    screened = ds.n * out.aux["screening_size"] * 8
+    assert peak < screened + ds.labeled_x.nbytes, \
+        f"{method}: peak {peak / 1e6:.1f} MB, screened block {screened / 1e6:.1f} MB"
+    assert ds._unlabeled.block is None

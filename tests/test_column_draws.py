@@ -78,11 +78,22 @@ def test_column_is_its_keyed_stream(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_whole_block_independent_of_thread_count(monkeypatch, dtype):
     blocks = []
-    for cores in (1, 2):
-        monkeypatch.setattr(gmodel, "_usable_cores", lambda cores=cores: cores)
+    for threads in (1, 2):
+        monkeypatch.setattr(gmodel, "_draw_threads", lambda threads=threads: threads)
         blocks.append(draw(dtype)[1].unlabeled_x)
     assert blocks[0].tobytes() == blocks[1].tobytes()
     assert not blocks[0].flags.writeable
+
+
+def test_pool_worker_draws_on_its_share_of_the_cores(monkeypatch):
+    monkeypatch.setattr(gmodel.os, "sched_getaffinity", lambda pid: set(range(8)),
+                        raising=False)
+    monkeypatch.setattr(gmodel, "_processes", 1)
+    assert gmodel._draw_threads() == 8
+    gmodel.share_cores(3)
+    assert gmodel._draw_threads() == 2
+    gmodel.share_cores(16)
+    assert gmodel._draw_threads() == 1
 
 
 def test_column_read_rejects_bad_requests():
