@@ -10,11 +10,10 @@ from .estimators import (EstimatorOutput, METHODS, labeled_direction, lspca,
                          resolve_beta_tilde, screened_count, self_train,
                          signed_mean_direction, top_k_labeled,
                          ul_diag_threshold_pca, vanilla_pca)
-from .gmodel import (Dataset, ProblemParams, SparseMean, dump_dataset, k_from_alpha,
-                     labeled_count, load_dataset, make_sparse_mean, sample_dataset,
-                     unlabeled_count)
+from .gmodel import (Dataset, ProblemParams, SparseMean, k_from_alpha, labeled_count,
+                     make_sparse_mean, sample_dataset, unlabeled_count)
 from .harness import (AggregateRow, ExperimentConfig, TrialRecord, aggregate,
-                      read_config, run_sweep, run_trial, write_config, write_csv)
+                      read_config, run_sweep, run_trial, write_csv)
 from .metrics import (empirical_error, excess_risk, generalization_error, phi_c,
                       support_overlap)
 from .spectral import power_iteration, restricted_covariance, truncated_power

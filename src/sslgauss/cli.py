@@ -21,7 +21,7 @@ import sys
 
 from . import harness, theory
 from .errors import BoundInapplicableError, ExactInfeasibleError, SslgaussError
-from .gmodel import dump_dataset, implied_alpha, implied_beta, implied_gamma
+from .gmodel import implied_alpha, implied_beta, implied_gamma
 
 _NUM_FMT = "%.12g"
 
@@ -54,8 +54,6 @@ def _add_problem_flags(sub: argparse.ArgumentParser, sweep: bool) -> None:
     r = sub.add_argument_group("run")
     r.add_argument("--config", type=str, default=None,
                    help="config file; explicit flags override its values")
-    r.add_argument("--dump", type=str, default=None,
-                   help="dump trial 0's dataset to this path (binary)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -134,10 +132,6 @@ def _run_experiment(args: argparse.Namespace, sweep: bool) -> int:
               file=sys.stderr)
         return 2
     _echo_config(config)
-    if args.dump:
-        # no name binds the dataset, so it is freed before the sweep draws
-        dump_dataset(harness.trial_ground_truth(config, 0)[1], args.dump)
-        print(_kv("dump", args.dump))
     records, aggs = harness.run_sweep(config)
     if config.out_path:
         harness.write_csv(records, config.out_path)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -39,11 +38,6 @@ STREAM_UNLABELED_NOISE = 0x24
 # Absorbs pow() rounding so that e.g. floor(1e6 ** (1/3)) lands on 100.
 _FLOOR_EPS = 1e-9
 
-_DUMP_MAGIC = b"SSLD"
-_DUMP_VERSION = 1
-# Bytes of float64 rows per write of dump_dataset.
-_DUMP_CHUNK_BYTES = 1 << 24
-
 # Columns per tile of an unlabeled draw: a thread draws a tile's columns into
 # a (tile, n) buffer and copies it into the row-major result.
 _TILE = 256
@@ -59,6 +53,8 @@ def k_from_alpha(p: int, alpha: float, c1: float = 1.0) -> int:
     """Sparsity from its exponent: floor(c1 * p**alpha), at least 1."""
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
+    if not 0 < c1 < math.inf:
+        raise ConfigError(f"c1 must be positive and finite, got {c1}")
     return max(1, _floor_count(c1 * p ** alpha))
 
 
@@ -79,6 +75,8 @@ def unlabeled_count(k: int, gamma: float, lam: float, c2: float = 1.0) -> int:
         raise ConfigError(f"gamma must be nonnegative, got {gamma}")
     if lam <= 0:
         raise ConfigError("deriving n from gamma requires lambda > 0")
+    if not 0 < c2 < math.inf:
+        raise ConfigError(f"c2 must be positive and finite, got {c2}")
     try:
         return _floor_count(c2 * k ** gamma / lam ** 2)
     except OverflowError:
@@ -420,36 +418,3 @@ def sample_dataset(mu: SparseMean, L: int, n: int, seed: int,
     source = UnlabeledSource(mu, n, mix64(seed, STREAM_UNLABELED_Y),
                              mix64(seed, STREAM_UNLABELED_NOISE), dtype)
     return Dataset(labeled_x=_freeze(lx), labeled_y=_freeze(ly), unlabeled_x=source)
-
-
-def _write_f64_rows(fh, rows: np.ndarray) -> None:
-    step = max(1, _DUMP_CHUNK_BYTES // (8 * max(rows.shape[1], 1)))
-    for lo in range(0, rows.shape[0], step):
-        fh.write(np.ascontiguousarray(rows[lo:lo + step], dtype="<f8").tobytes())
-
-
-def dump_dataset(ds: Dataset, path) -> None:
-    """Binary dump: magic 'SSLD', u32 version, u64 p, L, n (little-endian),
-    then labeled rows as f64, labels as i8, unlabeled rows as f64. Rows are
-    converted and written a chunk at a time."""
-    with open(path, "wb") as fh:
-        fh.write(_DUMP_MAGIC)
-        fh.write(struct.pack("<IQQQ", _DUMP_VERSION, ds.p, ds.L, ds.n))
-        _write_f64_rows(fh, ds.labeled_x)
-        fh.write(np.ascontiguousarray(ds.labeled_y, dtype="i1").tobytes())
-        _write_f64_rows(fh, ds.unlabeled_x)
-
-
-def load_dataset(path) -> Dataset:
-    """Inverse of dump_dataset."""
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _DUMP_MAGIC:
-            raise ConfigError(f"bad magic {magic!r} in dataset file {path}")
-        version, p, L, n = struct.unpack("<IQQQ", fh.read(28))
-        if version != _DUMP_VERSION:
-            raise ConfigError(f"unsupported dataset file version {version}")
-        lx = np.frombuffer(fh.read(8 * L * p), dtype="<f8").reshape(L, p).copy()
-        ly = np.frombuffer(fh.read(L), dtype="i1").copy()
-        ux = np.frombuffer(fh.read(8 * n * p), dtype="<f8").reshape(n, p).copy()
-    return Dataset(labeled_x=_freeze(lx), labeled_y=_freeze(ly), unlabeled_x=_freeze(ux))

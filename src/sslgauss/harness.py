@@ -433,10 +433,3 @@ def config_items(config: ExperimentConfig) -> list[tuple[str, str]]:
             items.append((key, ", ".join(map(str, value)) if isinstance(value, tuple)
                           else str(value)))
     return items
-
-
-def write_config(config: ExperimentConfig, path) -> None:
-    """Emit a config file that read_config() round-trips to an equal
-    structure: config_items as `key = value` lines."""
-    with open(path, "w") as fh:
-        fh.write("".join(f"{key} = {text}\n" for key, text in config_items(config)))

@@ -87,8 +87,9 @@ def fusion_verdict(L: int, n: int, k: int, lam: float, p: int, delta: float) -> 
         raise ContractError(f"sample counts must be nonnegative, got L={L}, n={n}")
     L0 = sl_threshold(k, lam, p, delta)
     n0 = ul_threshold(k, lam, p, delta)
-    load_l = L / L0 if math.isfinite(L0) else 0.0
-    load_n = n / n0 if math.isfinite(n0) else 0.0
+    # a count loads an infinite threshold (lambda = 0) by 0, a zero one (delta = 1) by inf
+    load_l, load_n = (0.0 if c == 0 or math.isinf(t) else c / t if t else math.inf
+                      for c, t in ((L, L0), (n, n0)))
     below = load_l + load_n <= 1.0
     q = min(1.0, load_l)
     return ThresholdReport(sl_max_L=L0, ul_max_n=n0, delta=delta, q=q,

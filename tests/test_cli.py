@@ -1,14 +1,11 @@
 import csv
-import gc
 import io
 import math
-import weakref
 
 import pytest
 
 from sslgauss import harness
 from sslgauss.cli import _collect_experiment, build_parser, main
-from sslgauss.gmodel import load_dataset
 from sslgauss.harness import CSV_HEADER
 
 
@@ -76,6 +73,15 @@ class TestBounds:
         row = lines[1].split(",")
         assert row[0] == "1000" and row[-1] in ("below-bound", "above-bound")
 
+    def test_delta_one_gives_a_verdict(self, capsys):
+        # both thresholds are 0 at delta = 1; the verdict must not divide by them
+        code, out, err = run_cli(capsys, "bounds", "--p", "100", "--k", "5",
+                                 "--lambda", "3", "--delta", "1", "--L", "10", "--n", "5")
+        assert code == 0, err
+        values = kv(out)
+        assert (values["sl_max_L"], values["ul_max_n"]) == ("0", "0")
+        assert values["verdict"] == "above-bound"
+
 
 class TestLowdeg:
     def test_degree_zero(self, capsys):
@@ -121,20 +127,16 @@ class TestLowdeg:
 class TestExperimentCommands:
     def test_simulate_end_to_end(self, capsys, tmp_path):
         out_csv = tmp_path / "trials.csv"
-        dump = tmp_path / "trial0.ssld"
         code, out, _ = run_cli(
             capsys, "simulate", "--p", "40", "--k", "4", "--lambda", "3",
             "--L", "30", "--n", "60", "--trials", "2", "--seed", "5",
             "--methods", "top_k_labeled,lspca", "--beta-tilde", "0.4",
-            "--out", str(out_csv), "--dump", str(dump))
+            "--out", str(out_csv))
         assert code == 0
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == CSV_HEADER
         assert len(lines) == 1 + 2 * 2
         assert (tmp_path / "trials.csv.agg.csv").exists()
-        ds = load_dataset(dump)
-        assert ds.labeled_x.shape == (30, 40)
-        assert ds.unlabeled_x.shape == (60, 40)
         values = kv(out)
         assert values["p"] == "40" and values["k"] == "4"
 
@@ -154,30 +156,6 @@ class TestExperimentCommands:
         assert values["methods"] == "top_k_labeled, lspca"
         assert values["sweep_values"] == "10, 20"
         assert (values["out"], values["threads"], values["f32"]) == (str(out_csv), "1", "False")
-
-    def test_dump_released_before_sweep(self, capsys, tmp_path, monkeypatch):
-        # the dumped dataset must not stay alive beside the sweep's own draw
-        dumped, alive = [], []
-        draw, sweep = harness.trial_ground_truth, harness.run_sweep
-
-        def tracked_draw(*args, **kwargs):
-            mu, ds = draw(*args, **kwargs)
-            dumped.append(weakref.ref(ds))
-            return mu, ds
-
-        def tracked_sweep(*args, **kwargs):
-            gc.collect()
-            alive.append(dumped[0]() is not None)
-            return sweep(*args, **kwargs)
-
-        monkeypatch.setattr(harness, "trial_ground_truth", tracked_draw)
-        monkeypatch.setattr(harness, "run_sweep", tracked_sweep)
-        code, _, _ = run_cli(
-            capsys, "simulate", "--p", "40", "--k", "4", "--L", "30", "--n", "60",
-            "--trials", "1", "--methods", "top_k_labeled",
-            "--dump", str(tmp_path / "trial0.ssld"))
-        assert code == 0
-        assert alive == [False]
 
     def test_config_file_with_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -249,6 +227,22 @@ class TestExperimentCommands:
                                  *sizes.split())
         assert code == 1, (out, err)
         assert err.startswith("error:") and "Traceback" not in err
+        assert "overlap_mean" not in out
+
+    @pytest.mark.parametrize("prefactor", [
+        "--alpha 0.4 --c1 0 --L 40 --n 80",
+        "--alpha 0.4 --c1 -5 --L 40 --n 80",
+        "--k 5 --L 40 --gamma 1.5 --c2 0",
+        "--k 5 --L 40 --gamma 1.5 --c2 -1",
+    ])
+    def test_nonpositive_prefactor_is_an_error(self, capsys, prefactor):
+        # c1 <= 0 used to clamp to k = 1 and c2 = 0 to give n = 0, silently
+        code, out, err = run_cli(capsys, "simulate", "--p", "200", "--lambda", "3",
+                                 "--trials", "1", "--methods", "top_k_labeled,self_train",
+                                 *prefactor.split())
+        assert code == 1, (out, err)
+        assert err.startswith("error:") and "Traceback" not in err
+        assert ("c1" if "--c1" in prefactor else "c2") in err
         assert "overlap_mean" not in out
 
     def test_repeated_method_is_an_error(self, capsys):
@@ -323,7 +317,7 @@ class TestHelp:
     @pytest.mark.parametrize("sub,flags", [
         ("simulate", ["--p", "--k", "--lambda", "--L", "--n", "--alpha", "--beta",
                       "--gamma", "--beta-tilde", "--Gamma", "--trials", "--seed",
-                      "--config", "--out", "--threads", "--f32", "--dump"]),
+                      "--config", "--out", "--threads", "--f32"]),
         ("sweep", ["--sweep-axis", "--sweep-values", "--p", "--threads"]),
         ("region", ["--alpha", "--beta", "--gamma"]),
         ("lowdeg", ["--p", "--k", "--L", "--n", "--lambda", "--D", "--mc-samples"]),

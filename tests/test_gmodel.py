@@ -1,16 +1,13 @@
 import math
-import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sslgauss import gmodel
 from sslgauss.errors import ConfigError, EmptyDatasetError, InvalidSupportError
-from sslgauss.gmodel import (ProblemParams, dump_dataset, k_from_alpha,
-                             labeled_count, load_dataset, make_sparse_mean,
-                             sample_dataset, unlabeled_count)
+from sslgauss.gmodel import (ProblemParams, k_from_alpha, labeled_count,
+                             make_sparse_mean, sample_dataset, unlabeled_count)
 from sslgauss.harness import config_from_dict
 
 
@@ -80,6 +77,18 @@ class TestProblemParams:
         assert k_from_alpha(10 ** 6, 1.0 / 3.0) == 100  # pow rounding absorbed
         assert labeled_count(20000, 53, 0.45, 3.0) == 157
         assert unlabeled_count(53, 1.8, 3.0, c2=10.0) == 1410
+
+    @pytest.mark.parametrize("c1", [0.0, -5.0])
+    def test_k_from_alpha_rejects_bad_prefactor(self, c1):
+        # max(1, ...) used to turn c1 <= 0 into k = 1 silently
+        with pytest.raises(ConfigError, match="c1"):
+            k_from_alpha(1000, 0.4, c1=c1)
+
+    @pytest.mark.parametrize("c2", [0.0, -1.0])
+    def test_unlabeled_count_rejects_bad_prefactor(self, c2):
+        # c2 = 0 used to give n = 0 silently
+        with pytest.raises(ConfigError, match="c2"):
+            unlabeled_count(53, 1.5, 3.0, c2=c2)
 
     def test_validation(self):
         with pytest.raises(ConfigError):
@@ -168,49 +177,3 @@ class TestSampleDataset:
         ds = sample_dataset(mu, 3, 3, seed=5)
         with pytest.raises(ValueError):
             ds.labeled_x[0, 0] = 1.0
-
-
-class TestDumpFormat:
-    def test_round_trip(self, tmp_path):
-        mu = make_sparse_mean(params(7, 2, 1.5), seed=9)
-        ds = sample_dataset(mu, 5, 8, seed=17)
-        path = tmp_path / "dump.ssld"
-        dump_dataset(ds, path)
-        back = load_dataset(path)
-        assert np.array_equal(back.labeled_x, ds.labeled_x)
-        assert np.array_equal(back.labeled_y, ds.labeled_y)
-        assert np.array_equal(back.unlabeled_x, ds.unlabeled_x)
-
-    def test_chunked_dump_matches_one_piece_dump(self, tmp_path, monkeypatch):
-        # rows go out three at a time; the bytes are those of the whole
-        # blocks converted and written in one piece each
-        mu = make_sparse_mean(params(50, 3, 1.5), seed=9)
-        ds = sample_dataset(mu, 7, 30, seed=17, dtype=np.float32)
-        one_piece = (b"SSLD" + struct.pack("<IQQQ", 1, 50, 7, 30)
-                     + np.ascontiguousarray(ds.labeled_x, dtype="<f8").tobytes()
-                     + np.ascontiguousarray(ds.labeled_y, dtype="i1").tobytes()
-                     + np.ascontiguousarray(ds.unlabeled_x, dtype="<f8").tobytes())
-        monkeypatch.setattr(gmodel, "_DUMP_CHUNK_BYTES", 3 * 8 * 50)
-        path = tmp_path / "dump.ssld"
-        dump_dataset(ds, path)
-        assert path.read_bytes() == one_piece
-
-    def test_header_layout(self, tmp_path):
-        mu = make_sparse_mean(params(3, 1, 1.0), seed=0)
-        ds = sample_dataset(mu, 2, 1, seed=1)
-        path = tmp_path / "dump.ssld"
-        dump_dataset(ds, path)
-        raw = path.read_bytes()
-        assert raw[:4] == b"SSLD"
-        version = int.from_bytes(raw[4:8], "little")
-        p = int.from_bytes(raw[8:16], "little")
-        L = int.from_bytes(raw[16:24], "little")
-        n = int.from_bytes(raw[24:32], "little")
-        assert (version, p, L, n) == (1, 3, 2, 1)
-        assert len(raw) == 32 + 8 * (2 * 3) + 2 + 8 * (1 * 3)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "junk.bin"
-        path.write_bytes(b"NOPE" + b"\x00" * 40)
-        with pytest.raises(ConfigError):
-            load_dataset(path)

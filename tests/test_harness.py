@@ -12,12 +12,11 @@ import pytest
 from sslgauss import harness
 from sslgauss.errors import ConfigError
 from sslgauss.estimators import EstimatorOutput
-from sslgauss.gmodel import ProblemParams, load_dataset
+from sslgauss.gmodel import ProblemParams
 from sslgauss.harness import (AGG_HEADER, CSV_HEADER, KEYS, ExperimentConfig,
-                              TrialRecord, aggregate, config_from_dict,
+                              TrialRecord, aggregate, config_from_dict, config_items,
                               parse_config_text, read_config, run_sweep, run_trial,
-                              trial_ground_truth, write_aggregates, write_config,
-                              write_csv)
+                              trial_ground_truth, write_aggregates, write_csv)
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -279,26 +278,21 @@ class TestCsv:
 
 
 class TestConfigFiles:
-    def test_round_trip(self, tmp_path):
+    def test_round_trip(self):
         cfg = small_config(sweep_axis="n", sweep_values=(10, 20),
                            out_path="res.csv", threads=2, f32=True,
                            beta_tilde=0.35)
-        path = tmp_path / "exp.cfg"
-        write_config(cfg, path)
-        back = read_config(path)
-        assert back == cfg
-        written = [line.split(" = ")[0] for line in path.read_text().splitlines()]
+        items = config_items(cfg)
+        assert config_from_dict(dict(items)) == cfg
         # every key in table order, counts in place of exponents
-        assert written == [key for key in KEYS
-                           if key not in ("alpha", "beta", "gamma", "c1", "c2")]
+        assert [key for key, _ in items] == [
+            key for key in KEYS if key not in ("alpha", "beta", "gamma", "c1", "c2")]
 
-    def test_round_trip_skips_unset_keys(self, tmp_path):
+    def test_round_trip_skips_unset_keys(self):
         cfg = small_config()
-        path = tmp_path / "exp.cfg"
-        write_config(cfg, path)
-        written = {line.split(" = ")[0] for line in path.read_text().splitlines()}
-        assert not written & {"out", "sweep_axis", "sweep_values"}
-        assert read_config(path) == cfg
+        items = dict(config_items(cfg))
+        assert not items.keys() & {"out", "sweep_axis", "sweep_values"}
+        assert config_from_dict(items) == cfg
 
     # the grids the files' comments document; L = 154 is
     # floor(2 * 0.45 * 52 * log(19948) / 3) at beta = 0.45
@@ -309,15 +303,13 @@ class TestConfigFiles:
          ("lspca", "ls2pca", "top_k_labeled", "self_train", "ul_diag_threshold_pca",
           "vanilla_pca")),
     ])
-    def test_checked_in_sweep_configs(self, tmp_path, name, point, axis, values, methods):
+    def test_checked_in_sweep_configs(self, name, point, axis, values, methods):
         cfg = read_config(CONFIGS / f"{name}.cfg")
         pp = cfg.params
         assert (pp.p, pp.k, pp.lam, (pp.L, pp.n)) == (20000, 52, 3.0, point)
         assert (cfg.sweep_axis, cfg.sweep_values, cfg.methods) == (axis, values, methods)
         assert (cfg.trials, cfg.out_path) == (20, f"{name}.csv")
-        path = tmp_path / "again.cfg"
-        write_config(cfg, path)
-        assert read_config(path) == cfg
+        assert config_from_dict(dict(config_items(cfg))) == cfg
 
     def test_parse_comments_and_lists(self):
         text = """
@@ -393,15 +385,3 @@ sweep_values = 10, 20, 40
                              methods=("lspca", "top_k_labeled", "lspca"))
         with pytest.raises(ConfigError, match="repeated"):
             config_from_dict(parse_config_text("methods = vanilla_pca, vanilla_pca"))
-
-
-class TestDump:
-    def test_trial_zero_dump_round_trip(self, tmp_path):
-        from sslgauss.gmodel import dump_dataset
-        cfg = small_config()
-        mu, ds = trial_ground_truth(cfg, 0)
-        path = tmp_path / "trial0.ssld"
-        dump_dataset(ds, path)
-        back = load_dataset(path)
-        assert np.array_equal(back.labeled_x, ds.labeled_x)
-        assert np.array_equal(back.unlabeled_x, ds.unlabeled_x)

@@ -113,6 +113,20 @@ class TestFusionVerdict:
         assert fusion_verdict(int(L0 * 1.1) + 1, 0, 100, 3.0, 10 ** 5, 0.5).verdict \
             is Verdict.ABOVE_BOUND
 
+    @pytest.mark.parametrize("L,n", [(10, 5), (10, 0)])
+    def test_delta_one_any_labeled_sample_is_above(self, L, n):
+        # both thresholds are 0: a positive count loads them infinitely
+        rep = fusion_verdict(L, n, 5, 3.0, 100, 1.0)
+        assert (rep.sl_max_L, rep.ul_max_n) == (0.0, 0.0)
+        assert rep.verdict is Verdict.ABOVE_BOUND
+        assert rep.q == 1.0
+
+    def test_delta_one_is_below_only_with_no_samples(self):
+        rep = fusion_verdict(0, 0, 5, 3.0, 100, 1.0)
+        assert rep.verdict is Verdict.BELOW_BOUND
+        assert rep.q == 0.0
+        assert fusion_verdict(0, 3, 5, 3.0, 100, 1.0).verdict is Verdict.ABOVE_BOUND
+
 
 class TestHypergeomOverlap:
     def test_normalization(self):
