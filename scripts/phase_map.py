@@ -10,7 +10,15 @@ import sys
 
 import numpy as np
 
+from sslgauss.errors import SslgaussError
 from sslgauss.theory import region_classify
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -19,18 +27,22 @@ def main(argv=None) -> int:
     ap.add_argument("--alpha", type=float, default=0.4)
     ap.add_argument("--beta-max", type=float, default=1.0)
     ap.add_argument("--gamma-max", type=float, default=3.0)
-    ap.add_argument("--resolution", type=int, default=60)
+    ap.add_argument("--resolution", type=positive_int, default=60)
     ap.add_argument("--out", type=str, default="phase_map.csv")
     args = ap.parse_args(argv)
 
     betas = np.linspace(0.0, args.beta_max, args.resolution)
     gammas = np.linspace(0.0, args.gamma_max, args.resolution)
+    try:
+        labels = [[region_classify(args.alpha, float(b), float(g)).value for g in gammas]
+                  for b in betas]
+    except SslgaussError as err:  # nothing is written
+        print(f"error: {err}", file=sys.stderr)
+        return 1
     with open(args.out, "w") as fh:
         fh.write("beta\\gamma," + ",".join(f"{g:.4f}" for g in gammas) + "\n")
-        for b in betas:
-            labels = [region_classify(args.alpha, float(b), float(g)).value
-                      for g in gammas]
-            fh.write(f"{b:.4f}," + ",".join(labels) + "\n")
+        for b, row in zip(betas, labels):
+            fh.write(f"{b:.4f}," + ",".join(row) + "\n")
     print(f"wrote {args.out} (alpha={args.alpha}, {args.resolution}x{args.resolution})")
     return 0
 

@@ -21,7 +21,7 @@ import sys
 
 from . import harness, theory
 from .errors import BoundInapplicableError, ExactInfeasibleError, SslgaussError
-from .gmodel import implied_alpha, implied_beta, implied_gamma
+from .gmodel import ProblemParams
 
 _NUM_FMT = "%.12g"
 
@@ -164,11 +164,10 @@ def _run_region(args: argparse.Namespace) -> int:
 
 
 def _run_lowdeg(args: argparse.Namespace) -> int:
-    params = theory.LowDegParams(p=args.p, k=args.k, L=args.L, n=args.n,
-                                 lam=args.lam, D=args.D)
+    params = ProblemParams(p=args.p, k=args.k, lam=args.lam, L=args.L, n=args.n)
     exact = None
     try:
-        exact = theory.lowdeg_norm_exact(params)
+        exact = theory.lowdeg_norm_exact(params, args.D)
         print(_kv("exact", exact, width=14))
     except ExactInfeasibleError as err:
         print(_kv("exact", f"infeasible ({err})", width=14))
@@ -180,12 +179,11 @@ def _run_lowdeg(args: argparse.Namespace) -> int:
     if exact is None:
         print("warning: exact value infeasible; falling back to Monte Carlo",
               file=sys.stderr)
-        est, se = theory.lowdeg_norm_mc(params, n_samples=args.mc_samples, seed=args.seed)
+        est, se = theory.lowdeg_norm_mc(params, args.D, n_samples=args.mc_samples,
+                                        seed=args.seed)
         print(_kv("mc_estimate", est, width=14))
         print(_kv("mc_stderr", se, width=14))
-    alpha = implied_alpha(params.p, params.k)
-    beta = implied_beta(params.p, params.k, params.L, params.lam)
-    gamma = implied_gamma(params.k, params.n, params.lam)
+    alpha, beta, gamma = params.alpha, params.beta, params.gamma
     print(_kv("alpha_implied", alpha, width=14))
     print(_kv("beta_implied", beta, width=14))
     print(_kv("gamma_implied", gamma, width=14))

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -50,12 +49,15 @@ def _floor_count(x: float) -> int:
 
 
 def k_from_alpha(p: int, alpha: float, c1: float = 1.0) -> int:
-    """Sparsity from its exponent: floor(c1 * p**alpha), at least 1."""
+    """Sparsity from its exponent: floor(c1 * p**alpha)."""
     if not 0 < alpha < 1:
         raise ConfigError(f"alpha must be in (0, 1), got {alpha}")
     if not 0 < c1 < math.inf:
         raise ConfigError(f"c1 must be positive and finite, got {c1}")
-    return max(1, _floor_count(c1 * p ** alpha))
+    k = _floor_count(c1 * p ** alpha)
+    if k < 1:
+        raise ConfigError(f"k = floor(c1 * p**alpha) is 0 at alpha = {alpha}, c1 = {c1}")
+    return k
 
 
 def labeled_count(p: int, k: int, beta: float, lam: float) -> int:
@@ -84,33 +86,13 @@ def unlabeled_count(k: int, gamma: float, lam: float, c2: float = 1.0) -> int:
                           f"lambda = {lam}") from None
 
 
-# Exponent read-backs use the c1 = c2 = 1 convention; they are the inverse of
-# the counts above only at those constants.
-def implied_alpha(p: int, k: int) -> float:
-    """Sparsity exponent read back from k = p**alpha."""
-    return math.log(k) / math.log(p) if p > 1 else 0.0
-
-
-def implied_beta(p: int, k: int, L: int, lam: float) -> float:
-    """Labeled exponent read back from L = 2 beta k log(p-k) / lam."""
-    if lam <= 0 or k >= p:
-        return math.nan
-    return L * lam / (2.0 * k * math.log(p - k))
-
-
-def implied_gamma(k: int, n: int, lam: float) -> float:
-    """Unlabeled exponent read back from n = k**gamma / lam**2."""
-    if lam <= 0 or k < 2 or n < 1:
-        return math.nan
-    return math.log(n * lam ** 2) / math.log(k)
-
-
 @dataclass(frozen=True)
 class ProblemParams:
     """Problem size tuple (p, k, lam, L, n) plus the master seed.
 
     lam is the squared norm of the mean vector; L and n are the labeled and
-    unlabeled sample counts.
+    unlabeled sample counts, both of which may be 0 (sample_dataset and the
+    experiment grid refuse L = n = 0; the calculators accept it).
     """
 
     p: int
@@ -129,20 +111,27 @@ class ProblemParams:
             raise ConfigError(f"lambda must be finite and nonnegative, got {self.lam}")
         if self.L < 0 or self.n < 0:
             raise ConfigError(f"sample counts must be nonnegative, got L={self.L}, n={self.n}")
-        if self.L + self.n < 1:
-            raise ConfigError("need at least one sample: L + n >= 1")
 
+    # Exponent read-backs use the c1 = c2 = 1 convention; they invert
+    # k_from_alpha, labeled_count and unlabeled_count only at those constants.
     @property
     def alpha(self) -> float:
-        return implied_alpha(self.p, self.k)
+        """Sparsity exponent read back from k = p**alpha."""
+        return math.log(self.k) / math.log(self.p) if self.p > 1 else 0.0
 
     @property
     def beta(self) -> float:
-        return implied_beta(self.p, self.k, self.L, self.lam)
+        """Labeled exponent read back from L = 2 beta k log(p-k) / lam."""
+        if self.lam <= 0 or self.k >= self.p:
+            return math.nan
+        return self.L * self.lam / (2.0 * self.k * math.log(self.p - self.k))
 
     @property
     def gamma(self) -> float:
-        return implied_gamma(self.k, self.n, self.lam)
+        """Unlabeled exponent read back from n = k**gamma / lam**2."""
+        if self.lam <= 0 or self.k < 2 or self.n < 1:
+            return math.nan
+        return math.log(self.n * self.lam ** 2) / math.log(self.k)
 
     def with_counts(self, L: int | None = None, n: int | None = None) -> "ProblemParams":
         return replace(self, L=self.L if L is None else L, n=self.n if n is None else n)
@@ -284,40 +273,35 @@ class UnlabeledSource:
 
     def _draw(self, cols, n: int) -> np.ndarray:
         """Tiles of _TILE columns, spread over this process's share of the
-        usable cores; each thread keeps one Philox and rekeys it per column
-        through its state."""
+        usable cores; each thread takes a fixed stripe of tiles, keeps one
+        Philox and rekeys it per column through its state."""
         out = np.empty((n, len(cols)), dtype=self.dtype)
         y = self._y[:n]
-        local = threading.local()
-
-        def tile(lo: int) -> None:
-            if not hasattr(local, "gen"):
-                local.gen = generator(0)
-                local.buf = np.empty((_TILE, n), dtype=self.dtype)
-                # plain lists: the state setter reads them faster than arrays
-                local.state = {"bit_generator": "Philox",
-                               "state": {"counter": [0, 0, 0, 0], "key": [self._noise_seed, 0]},
-                               "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                               "has_uint32": 0, "uinteger": 0}
-            key = local.state["state"]["key"]
-            hi = min(lo + _TILE, len(cols))
-            for row, j in zip(local.buf, cols[lo:hi]):
-                key[1] = j
-                local.gen.bit_generator.state = local.state
-                local.gen.standard_normal(dtype=self.dtype, out=row)
-                bump = self._bumps.get(j)
-                if bump is not None:
-                    row += y * bump
-            out[:, lo:hi] = local.buf[:hi - lo].T
-
         starts = range(0, len(cols), _TILE)
-        workers = min(_draw_threads(), len(starts))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(tile, starts))
-        else:
-            for lo in starts:
-                tile(lo)
+        workers = max(1, min(_draw_threads(), len(starts)))
+
+        def stripe(first: int) -> None:
+            gen = generator(0)
+            buf = np.empty((_TILE, n), dtype=self.dtype)
+            # plain lists: the state setter reads them faster than arrays
+            state = {"bit_generator": "Philox",
+                     "state": {"counter": [0, 0, 0, 0], "key": [self._noise_seed, 0]},
+                     "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                     "has_uint32": 0, "uinteger": 0}
+            key = state["state"]["key"]
+            for lo in starts[first::workers]:
+                hi = min(lo + _TILE, len(cols))
+                for row, j in zip(buf, cols[lo:hi]):
+                    key[1] = j
+                    gen.bit_generator.state = state
+                    gen.standard_normal(dtype=self.dtype, out=row)
+                    bump = self._bumps.get(j)
+                    if bump is not None:
+                        row += y * bump
+                out[:, lo:hi] = buf[:hi - lo].T
+
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(stripe, range(workers)))
         return out
 
 

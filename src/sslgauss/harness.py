@@ -72,6 +72,9 @@ class ExperimentConfig:
                 raise ConfigError("sweep values must be strictly increasing")
         elif self.sweep_values:
             raise ConfigError("sweep_values given without sweep_axis")
+        if (0, 0) in self.points():
+            raise ConfigError("grid point (L, n) = (0, 0) has no samples; "
+                              "every point needs L + n >= 1")
         if not self.methods:
             raise ConfigError("at least one method is required")
         unknown = [m for m in self.methods if m not in METHODS]

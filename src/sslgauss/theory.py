@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import BoundInapplicableError, ContractError, ExactInfeasibleError
-from .gmodel import implied_alpha, implied_beta
+from .gmodel import ProblemParams
 from .rng import generator
 
 EXACT_MAX_K = 64
@@ -171,24 +171,9 @@ def rademacher_sum_moment(n: int, d: int) -> float:
 # low-degree likelihood-ratio norm
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LowDegParams:
-    """Inputs of the degree-D norm: sizes, separation, max degree."""
-
-    p: int
-    k: int
-    L: int
-    n: int
-    lam: float
-    D: int
-
-    def __post_init__(self):
-        if not 1 <= self.k <= self.p:
-            raise ContractError(f"need 1 <= k <= p, got k={self.k}, p={self.p}")
-        if self.L < 0 or self.n < 0 or self.D < 0:
-            raise ContractError("L, n and D must be nonnegative")
-        if not 0 <= self.lam < math.inf:
-            raise ContractError(f"lambda must be finite and nonnegative, got {self.lam}")
+def _check_degree(D: int) -> None:
+    if D < 0:
+        raise ContractError(f"degree D must be nonnegative, got {D}")
 
 
 def _shifted_sign_sum_moment(L: int, n: int, d: int) -> Fraction:
@@ -200,14 +185,15 @@ def _shifted_sign_sum_moment(L: int, n: int, d: int) -> Fraction:
     return total
 
 
-def lowdeg_norm_exact(params: LowDegParams) -> float:
-    """Exact truncated norm: sum over degrees d of
+def lowdeg_norm_exact(params: ProblemParams, D: int) -> float:
+    """Exact truncated norm: sum over degrees d <= D of
     (1/d!) * E[<mu_S, mu_S'>^d] * E[(L + sum of n signs)^d],
     the first factor reducing to (lam/k)^d times an overlap moment.
 
     Exact combinatorics only; guarded to k <= 64, n <= 64, D <= 30.
     """
-    p, k, L, n, lam, D = params.p, params.k, params.L, params.n, params.lam, params.D
+    _check_degree(D)
+    p, k, L, n, lam = params.p, params.k, params.L, params.n, params.lam
     if k > EXACT_MAX_K or n > EXACT_MAX_N or D > EXACT_MAX_D:
         raise ExactInfeasibleError(
             f"exact path requires k <= {EXACT_MAX_K}, n <= {EXACT_MAX_N}, "
@@ -224,14 +210,15 @@ def lowdeg_norm_exact(params: LowDegParams) -> float:
     return float(total)
 
 
-def lowdeg_norm_mc(params: LowDegParams, n_samples: int = 10 ** 6,
+def lowdeg_norm_mc(params: ProblemParams, D: int, n_samples: int = 10 ** 6,
                    seed: int = 0) -> tuple[float, float]:
     """Monte Carlo estimate of the truncated norm with its standard error.
 
     Samples the two supports' overlap and the n sign products directly and
     averages the inner exponential series truncated at degree D.
     """
-    p, k, L, n, lam, D = params.p, params.k, params.L, params.n, params.lam, params.D
+    _check_degree(D)
+    p, k, L, n, lam = params.p, params.k, params.L, params.n, params.lam
     if n_samples < 2:
         raise ContractError("need at least two samples for a standard error")
     rng = generator(seed)
@@ -256,7 +243,7 @@ def lowdeg_norm_mc(params: LowDegParams, n_samples: int = 10 ** 6,
     return mean, math.sqrt(var / n_samples)
 
 
-def lowdeg_norm_upper_bound(params: LowDegParams, epsilon: float | None = None) -> float:
+def lowdeg_norm_upper_bound(params: ProblemParams, epsilon: float | None = None) -> float:
     """Closed-form bound (1 + k/(p-k)**(1 - 2 beta - epsilon))**k, log-space.
 
     alpha and beta are the exponents implied by the counts; epsilon defaults
@@ -268,11 +255,11 @@ def lowdeg_norm_upper_bound(params: LowDegParams, epsilon: float | None = None) 
         raise BoundInapplicableError("bound requires at least one labeled sample")
     if params.k >= params.p:
         raise BoundInapplicableError("bound requires k < p")
-    beta = implied_beta(params.p, params.k, params.L, params.lam)
+    beta = params.beta
     if not math.isfinite(beta) or beta <= 0:
         raise BoundInapplicableError(f"implied beta={beta!r} is not a positive real")
     if epsilon is None:
-        epsilon = 0.5 - implied_alpha(params.p, params.k) - beta
+        epsilon = 0.5 - params.alpha - beta
         if epsilon <= 0:
             raise BoundInapplicableError(
                 f"default epsilon = 1/2 - alpha - beta = {epsilon:.4g} is nonpositive")
@@ -286,19 +273,21 @@ def lowdeg_norm_upper_bound(params: LowDegParams, epsilon: float | None = None) 
     return math.exp(log_bound) if log_bound < 700 else math.inf
 
 
-def bound_dominates_exact(params: LowDegParams, epsilon: float | None = None) -> bool:
+def bound_dominates_exact(params: ProblemParams, D: int,
+                          epsilon: float | None = None) -> bool:
     """True when the closed form provably majorizes the exact truncated sum
     at these finite sizes: L >= 1, 0 < 2 beta + epsilon < 1, and
     lam L / k + lam n D / (2 L k) <= (2 beta + epsilon) log(p - k)."""
+    _check_degree(D)
     if params.L < 1 or params.k >= params.p or params.lam <= 0:
         return False
-    beta = implied_beta(params.p, params.k, params.L, params.lam)
+    beta = params.beta
     if epsilon is None:
-        epsilon = 0.5 - implied_alpha(params.p, params.k) - beta
+        epsilon = 0.5 - params.alpha - beta
     if epsilon <= 0 or not 0 < 2 * beta + epsilon < 1:
         return False
     lhs = params.lam * params.L / params.k \
-        + params.lam * params.n * params.D / (2.0 * params.L * params.k)
+        + params.lam * params.n * D / (2.0 * params.L * params.k)
     return lhs <= (2 * beta + epsilon) * math.log(params.p - params.k)
 
 

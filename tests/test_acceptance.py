@@ -36,7 +36,7 @@ from sslgauss.gmodel import ProblemParams, labeled_count, make_sparse_mean, \
 from sslgauss.harness import ExperimentConfig, run_sweep, trial_ground_truth
 from sslgauss.metrics import phi_c
 from sslgauss.spectral import top_k_indices
-from sslgauss.theory import (LowDegParams, RegionLabel, Verdict,
+from sslgauss.theory import (RegionLabel, Verdict,
                              bound_dominates_exact, fusion_verdict,
                              hypergeom_overlap_pmf, lowdeg_norm_exact,
                              lowdeg_norm_mc, lowdeg_norm_upper_bound,
@@ -110,21 +110,21 @@ def test_criterion_02_mle_equivalence():
 # ---------------------------------------------------------------------------
 
 def test_criterion_03_lowdeg_oracle():
-    instances = [  # (p, k, L, n, lambda, D)
-        LowDegParams(p=6, k=2, L=1, n=2, lam=1.0, D=3),
-        LowDegParams(p=8, k=3, L=2, n=3, lam=0.5, D=4),
-        LowDegParams(p=10, k=2, L=0, n=4, lam=2.0, D=5),
+    instances = [  # (sizes, D)
+        (ProblemParams(p=6, k=2, lam=1.0, L=1, n=2), 3),
+        (ProblemParams(p=8, k=3, lam=0.5, L=2, n=3), 4),
+        (ProblemParams(p=10, k=2, lam=2.0, L=0, n=4), 5),
     ]
     details = []
     ok = True
     bound_checked = 0
-    for i, params in enumerate(instances):
-        exact = lowdeg_norm_exact(params)
-        est, se = lowdeg_norm_mc(params, n_samples=10 ** 6, seed=MASTER_SEED + 30 + i)
+    for i, (params, D) in enumerate(instances):
+        exact = lowdeg_norm_exact(params, D)
+        est, se = lowdeg_norm_mc(params, D, n_samples=10 ** 6, seed=MASTER_SEED + 30 + i)
         within = abs(est - exact) <= 3.0 * se
         ok = ok and within
         details.append(f"exact={exact:.6f} mc={est:.6f}+-{se:.1e}")
-        if bound_dominates_exact(params):
+        if bound_dominates_exact(params, D):
             bound_checked += 1
             ok = ok and lowdeg_norm_upper_bound(params) >= exact - 1e-12
     suffix = (f"; bound clause vacuous (exponent condition fails on all 3)"

@@ -116,6 +116,11 @@ class TestLowdeg:
         assert code == 0
         assert kv(out)["bound"].startswith("inapplicable (epsilon must be positive")
 
+    def test_negative_degree_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "lowdeg", "--p", "6", "--k", "2", "--D", "-1")
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_hard_regime_flag(self, capsys):
         # alpha ~ .333, beta small, gamma < 2 -> inside the hard rectangle
         code, out, _ = run_cli(capsys, "lowdeg", "--p", "1000", "--k", "10",
@@ -244,6 +249,24 @@ class TestExperimentCommands:
         assert err.startswith("error:") and "Traceback" not in err
         assert ("c1" if "--c1" in prefactor else "c2") in err
         assert "overlap_mean" not in out
+
+    def test_zero_sparsity_is_an_error(self, capsys):
+        # floor(1e-9 * 200**0.4) = 0 used to run at k = 1
+        code, out, err = run_cli(capsys, "simulate", "--p", "200", "--alpha", "0.4",
+                                 "--c1", "1e-9", "--L", "20", "--n", "10", "--trials", "1")
+        assert code == 1, (out, err)
+        assert err.startswith("error:") and "alpha" in err and "c1" in err
+        assert out == ""
+
+    def test_empty_grid_point_is_an_error(self, capsys):
+        # the L-sweep's first point is (0, 0); it used to fail only once
+        # the trial ran, after the config echo
+        code, out, err = run_cli(capsys, "sweep", "--p", "200", "--k", "5", "--n", "0",
+                                 "--sweep-axis", "L", "--sweep-values", "0,10",
+                                 "--trials", "1")
+        assert code == 1, (out, err)
+        assert err.startswith("error:") and "(0, 0)" in err
+        assert out == ""
 
     def test_repeated_method_is_an_error(self, capsys):
         code, out, err = run_cli(capsys, "simulate", "--p", "30", "--k", "3",

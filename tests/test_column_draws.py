@@ -78,10 +78,10 @@ def test_column_is_its_keyed_stream(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_whole_block_independent_of_thread_count(monkeypatch, dtype):
     blocks = []
-    for threads in (1, 2):
+    for threads in (1, 2, 4):  # 4 threads for 3 tiles: one thread per tile
         monkeypatch.setattr(gmodel, "_draw_threads", lambda threads=threads: threads)
         blocks.append(draw(dtype)[1].unlabeled_x)
-    assert blocks[0].tobytes() == blocks[1].tobytes()
+    assert blocks[0].tobytes() == blocks[1].tobytes() == blocks[2].tobytes()
     assert not blocks[0].flags.writeable
 
 
@@ -103,6 +103,16 @@ def test_column_read_rejects_bad_requests():
         source.columns([10])
     with pytest.raises(gmodel.ConfigError):
         source.columns([0], n=5)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_empty_column_read(monkeypatch, threads):
+    monkeypatch.setattr(gmodel, "_draw_threads", lambda: threads)
+    mu = make_sparse_mean(ProblemParams(p=10, k=2, lam=1.0, L=0, n=4), seed=0)
+    source = UnlabeledSource(mu, 4, 1, 2, np.float32)
+    empty = source.columns([])
+    assert empty.shape == (4, 0) and empty.dtype == np.float32
+    assert source.columns([], n=0).shape == (0, 0)
 
 
 def spy_whole(monkeypatch) -> list[bool]:

@@ -84,6 +84,11 @@ class TestProblemParams:
         with pytest.raises(ConfigError, match="c1"):
             k_from_alpha(1000, 0.4, c1=c1)
 
+    def test_k_from_alpha_rejects_zero_sparsity(self):
+        # floor(1e-9 * 200**0.4) = 0 used to be clamped to k = 1 silently
+        with pytest.raises(ConfigError, match="alpha = 0.4, c1 = 1e-09"):
+            k_from_alpha(200, 0.4, c1=1e-9)
+
     @pytest.mark.parametrize("c2", [0.0, -1.0])
     def test_unlabeled_count_rejects_bad_prefactor(self, c2):
         # c2 = 0 used to give n = 0 silently
@@ -95,8 +100,6 @@ class TestProblemParams:
             ProblemParams(p=4, k=5, lam=1.0, L=1, n=1)
         with pytest.raises(ConfigError):
             ProblemParams(p=4, k=2, lam=-1.0, L=1, n=1)
-        with pytest.raises(ConfigError):
-            ProblemParams(p=4, k=2, lam=1.0, L=0, n=0)
 
     def test_exponent_roundtrip(self):
         pp = config_from_dict({"p": 2000, "alpha": 0.4, "beta": 0.45,

@@ -378,6 +378,16 @@ sweep_values = 10, 20, 40
             ExperimentConfig(params=ProblemParams(p=4, k=2, lam=1.0, L=2, n=2),
                              trials=0)
 
+    def test_every_grid_point_needs_a_sample(self):
+        empty = ProblemParams(p=4, k=2, lam=1.0, L=0, n=0)
+        with pytest.raises(ConfigError, match=r"\(0, 0\)"):
+            ExperimentConfig(params=empty)
+        with pytest.raises(ConfigError, match=r"\(0, 0\)"):
+            ExperimentConfig(params=empty, sweep_axis="L", sweep_values=(0, 10))
+        # the base counts are not a point of a sweep over their axis
+        cfg = ExperimentConfig(params=empty, sweep_axis="n", sweep_values=(5, 10))
+        assert cfg.points() == [(0, 5), (0, 10)]
+
     def test_repeated_methods_rejected(self):
         # a repeated method would write each record twice under one key
         with pytest.raises(ConfigError, match=r"repeated: \['lspca'\]"):

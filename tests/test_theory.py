@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import math
 from fractions import Fraction
@@ -6,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sslgauss.errors import BoundInapplicableError, ContractError, ExactInfeasibleError
-from sslgauss.theory import (LowDegParams, RegionLabel, Verdict, bound_dominates_exact,
+from sslgauss.errors import (BoundInapplicableError, ConfigError, ContractError,
+                             ExactInfeasibleError)
+from sslgauss.gmodel import ProblemParams
+from sslgauss.theory import (RegionLabel, Verdict, bound_dominates_exact,
                              fusion_verdict, hypergeom_overlap_moment,
                              hypergeom_overlap_pmf, lowdeg_norm_exact, lowdeg_norm_mc, lowdeg_norm_upper_bound,
                              rademacher_sum_moment, region_classify, sl_threshold,
@@ -210,42 +213,56 @@ class TestRademacherMoments:
 
 class TestLowDegNorm:
     def test_degree_zero_is_one(self):
-        assert lowdeg_norm_exact(LowDegParams(p=9, k=3, L=4, n=5, lam=2.0, D=0)) == 1.0
+        assert lowdeg_norm_exact(ProblemParams(p=9, k=3, lam=2.0, L=4, n=5), 0) == 1.0
 
     def test_zero_signal_is_one(self):
-        assert lowdeg_norm_exact(LowDegParams(p=9, k=3, L=4, n=5, lam=0.0, D=7)) == 1.0
+        assert lowdeg_norm_exact(ProblemParams(p=9, k=3, lam=0.0, L=4, n=5), 7) == 1.0
 
     @pytest.mark.parametrize("lam", [math.nan, math.inf, -1.0])
     def test_lambda_must_be_finite(self, lam):
-        with pytest.raises(ContractError):
-            LowDegParams(p=9, k=3, L=4, n=5, lam=lam, D=2)
+        with pytest.raises(ConfigError):
+            ProblemParams(p=9, k=3, lam=lam, L=4, n=5)
+
+    def test_no_samples_is_accepted(self):
+        # the calculators take L = n = 0 (the lowdeg CLI's defaults)
+        assert lowdeg_norm_exact(ProblemParams(p=6, k=2, lam=3.0, L=0, n=0), 3) == 1.0
+
+    @pytest.mark.parametrize("calculator", [lowdeg_norm_exact, lowdeg_norm_mc,
+                                            bound_dominates_exact])
+    def test_negative_degree_rejected(self, calculator):
+        with pytest.raises(ContractError, match="degree"):
+            calculator(ProblemParams(p=9, k=3, lam=1.0, L=4, n=5), -1)
+
+    def test_bound_takes_no_degree(self):
+        assert list(inspect.signature(lowdeg_norm_upper_bound).parameters) == \
+            ["params", "epsilon"]
 
     def test_small_case_hand_value(self):
         # p=6,k=2,L=1,n=2,lam=1,D=3 -> 1 + 1/3 + 3/10 + 7/45 = 161/90
-        got = lowdeg_norm_exact(LowDegParams(p=6, k=2, L=1, n=2, lam=1.0, D=3))
+        got = lowdeg_norm_exact(ProblemParams(p=6, k=2, lam=1.0, L=1, n=2), 3)
         assert abs(got - 161.0 / 90.0) < 1e-14
 
     def test_monotone_in_each_argument(self):
-        base = LowDegParams(p=12, k=3, L=2, n=4, lam=1.5, D=4)
-        val = lowdeg_norm_exact(base)
-        assert lowdeg_norm_exact(LowDegParams(12, 3, 2, 4, 1.5, 6)) >= val
-        assert lowdeg_norm_exact(LowDegParams(12, 3, 2, 4, 2.5, 4)) >= val
-        assert lowdeg_norm_exact(LowDegParams(12, 3, 5, 4, 1.5, 4)) >= val
-        assert lowdeg_norm_exact(LowDegParams(12, 3, 2, 9, 1.5, 4)) >= val
+        base = ProblemParams(p=12, k=3, lam=1.5, L=2, n=4)
+        val = lowdeg_norm_exact(base, 4)
+        assert lowdeg_norm_exact(base, 6) >= val
+        assert lowdeg_norm_exact(ProblemParams(12, 3, 2.5, 2, 4), 4) >= val
+        assert lowdeg_norm_exact(base.with_counts(L=5), 4) >= val
+        assert lowdeg_norm_exact(base.with_counts(n=9), 4) >= val
 
     def test_mc_agrees_with_exact(self):
-        params = LowDegParams(p=6, k=2, L=1, n=2, lam=1.0, D=3)
-        exact = lowdeg_norm_exact(params)
-        est, se = lowdeg_norm_mc(params, n_samples=200_000, seed=3)
+        params = ProblemParams(p=6, k=2, lam=1.0, L=1, n=2)
+        exact = lowdeg_norm_exact(params, 3)
+        est, se = lowdeg_norm_mc(params, 3, n_samples=200_000, seed=3)
         assert abs(est - exact) <= 3.0 * se
 
     def test_guard_raises(self):
         with pytest.raises(ExactInfeasibleError):
-            lowdeg_norm_exact(LowDegParams(p=200, k=100, L=1, n=2, lam=1.0, D=3))
+            lowdeg_norm_exact(ProblemParams(p=200, k=100, lam=1.0, L=1, n=2), 3)
         with pytest.raises(ExactInfeasibleError):
-            lowdeg_norm_exact(LowDegParams(p=9, k=3, L=1, n=100, lam=1.0, D=3))
+            lowdeg_norm_exact(ProblemParams(p=9, k=3, lam=1.0, L=1, n=100), 3)
         with pytest.raises(ExactInfeasibleError):
-            lowdeg_norm_exact(LowDegParams(p=9, k=3, L=1, n=2, lam=1.0, D=40))
+            lowdeg_norm_exact(ProblemParams(p=9, k=3, lam=1.0, L=1, n=2), 40)
 
     def test_bound_dominates_exact_where_applicable(self):
         # search small instances whose finite-size domination condition holds
@@ -256,10 +273,10 @@ class TestLowDegNorm:
                     for n in (0, 10, 40):
                         for lam in (0.25, 0.5):
                             for D in (2, 4, 6):
-                                params = LowDegParams(p=p, k=k, L=L, n=n, lam=lam, D=D)
-                                if not bound_dominates_exact(params):
+                                params = ProblemParams(p=p, k=k, lam=lam, L=L, n=n)
+                                if not bound_dominates_exact(params, D):
                                     continue
-                                exact = lowdeg_norm_exact(params)
+                                exact = lowdeg_norm_exact(params, D)
                                 bound = lowdeg_norm_upper_bound(params)
                                 assert bound >= exact - 1e-12
                                 checked += 1
@@ -267,27 +284,27 @@ class TestLowDegNorm:
 
     def test_bound_tends_to_one(self):
         # implied beta ~ 2e-5
-        params = LowDegParams(p=10 ** 6, k=2, L=1, n=0, lam=0.001, D=2)
+        params = ProblemParams(p=10 ** 6, k=2, lam=0.001, L=1, n=0)
         val = lowdeg_norm_upper_bound(params, epsilon=0.1)
         assert 1.0 <= val < 1.0 + 1e-3
 
     def test_bound_log_space_smoke(self):
         # implied alpha = 1/3, beta = 0.054, epsilon = 1/2 - alpha - beta
-        params = LowDegParams(p=10 ** 6, k=100, L=50, n=10, lam=3.0, D=10)
+        params = ProblemParams(p=10 ** 6, k=100, lam=3.0, L=50, n=10)
         val = lowdeg_norm_upper_bound(params)
         assert math.isfinite(val) and val >= 1.0
 
     def test_bound_inapplicable_cases(self):
         with pytest.raises(BoundInapplicableError):
-            lowdeg_norm_upper_bound(LowDegParams(p=10, k=2, L=0, n=4, lam=2.0, D=5))
+            lowdeg_norm_upper_bound(ProblemParams(p=10, k=2, lam=2.0, L=0, n=4))
         with pytest.raises(BoundInapplicableError):  # implied beta = 0.72: 2*beta >= 1
-            lowdeg_norm_upper_bound(LowDegParams(p=10, k=2, L=3, n=4, lam=2.0, D=5),
+            lowdeg_norm_upper_bound(ProblemParams(p=10, k=2, lam=2.0, L=3, n=4),
                                     epsilon=0.1)
 
     @pytest.mark.parametrize("epsilon", [math.nan, 0.0, -0.1])
     def test_bound_rejects_a_nonpositive_or_nan_epsilon(self, epsilon):
         # implied beta = 0.016, so 2*beta + epsilon < 1 holds for any epsilon below 0.96
-        params = LowDegParams(p=10 ** 4, k=10, L=1, n=0, lam=3.0, D=3)
+        params = ProblemParams(p=10 ** 4, k=10, lam=3.0, L=1, n=0)
         assert math.isfinite(lowdeg_norm_upper_bound(params, epsilon=0.1))
         with pytest.raises(BoundInapplicableError, match="epsilon must be positive"):
             lowdeg_norm_upper_bound(params, epsilon=epsilon)
