@@ -368,6 +368,8 @@ class Dataset:
     def prefix(self, L: int, n: int) -> "Dataset":
         """The first L labeled pairs and n unlabeled vectors, sharing this
         dataset's arrays and source."""
+        if not 0 <= L <= self.L:
+            raise ConfigError(f"L = {L} exceeds the {self.L} labeled rows held")
         return Dataset(self.labeled_x[:L], self.labeled_y[:L], self._unlabeled, n)
 
     # No package code calls this; kept because perfbench's tracer patches it by name.

@@ -129,15 +129,15 @@ def trial_seed(config: ExperimentConfig, trial_index: int) -> int:
     return mix64(config.params.seed, STREAM_TRIAL, trial_index)
 
 
-def trial_ground_truth(config: ExperimentConfig, trial_index: int,
-                       point: tuple[int, int] | None = None
+def trial_ground_truth(config: ExperimentConfig, trial_index: int
                        ) -> tuple[SparseMean, Dataset]:
-    """Mean and dataset of one trial. The mean and the sample streams depend
-    only on (master seed, trial index); the point sets how many rows the
-    draw holds, and smaller draws are prefixes of larger ones. The labeled
-    rows are drawn here, the unlabeled ones as estimators read them."""
-    L, n = point if point is not None else (config.params.L, config.params.n)
-    pp = config.params.with_counts(L=L, n=n)
+    """Mean and dataset of one trial, drawn at the config's largest (L, n):
+    the draw the sweep makes, whose prefixes are its grid points. Both
+    depend only on (master seed, trial index) and the config's problem. The
+    labeled rows are drawn here, the unlabeled ones as estimators read them."""
+    points = config.points()
+    pp = config.params.with_counts(L=max(L for L, _ in points),
+                                   n=max(n for _, n in points))
     seed = trial_seed(config, trial_index)
     mu = make_sparse_mean(pp, seed=mix64(seed, STREAM_MEAN))
     dtype = np.float32 if config.f32 else np.float64
@@ -146,36 +146,28 @@ def trial_ground_truth(config: ExperimentConfig, trial_index: int,
 
 
 @functools.lru_cache(maxsize=1)
-def _draw(config: ExperimentConfig, trial_index: int,
-          draw_point: tuple[int, int]) -> tuple[SparseMean, Dataset]:
+def _draw(config: ExperimentConfig, trial_index: int) -> tuple[SparseMean, Dataset]:
     """One trial's draw, memoized so that every point of the trial slices it.
     lru_cache calls this only on a miss and would evict the old entry after
     the new draw is made, so the old one is dropped first: one draw is held
     at a time. _run_trial_task clears the cache after each trial."""
     _draw.cache_clear()
-    return trial_ground_truth(config, trial_index, draw_point)
-
-
-def _trial_data(config: ExperimentConfig, trial_index: int,
-                point: tuple[int, int]) -> tuple[SparseMean, Dataset]:
-    """The trial's data at point: a prefix view of its draw at the larger of
-    the config's largest point and the requested point."""
-    points = config.points() + [point]
-    draw_point = (max(L for L, _ in points), max(n for _, n in points))
-    mu, ds = _draw(config, trial_index, draw_point)
-    return mu, ds.prefix(*point)
+    return trial_ground_truth(config, trial_index)
 
 
 def run_trial(config: ExperimentConfig, method: str, point: tuple[int, int],
               trial_index: int) -> TrialRecord:
-    """One estimator on the trial's realization, sliced to the point; any
+    """One estimator on the trial's draw, sliced to the grid point; any
     exception the estimator or the scoring raises is recorded in the row,
     not raised."""
     if method not in METHODS:
         raise ConfigError(f"unknown method {method!r}")
+    if point not in config.points():
+        raise ConfigError(f"point {point} is not on the config's grid {config.points()}")
     L, n = point
     pp = config.params.with_counts(L=L, n=n)
-    mu, ds = _trial_data(config, trial_index, point)
+    mu, ds = _draw(config, trial_index)
+    ds = ds.prefix(L, n)
     error = ""
     start = time.perf_counter()
     try:

@@ -75,7 +75,8 @@ def ul_threshold(k: int, lam: float, p: int, delta: float) -> float:
     _check_threshold_args(k, lam, p, delta)
     if lam == 0.0:
         return math.inf
-    return 2.0 * (1.0 - delta) * k * math.log(p - k + 1) * max(1.0, lam) / lam ** 2
+    # lambda^2 leaves the float range below 1e-162 (the value is then inf) and above 1e154
+    return 2.0 * (1.0 - delta) * k * math.log(p - k + 1) / lam / min(1.0, lam)
 
 
 def fusion_verdict(L: int, n: int, k: int, lam: float, p: int, delta: float) -> ThresholdReport:
@@ -207,7 +208,7 @@ def lowdeg_norm_exact(params: ProblemParams, D: int) -> float:
         eg = _overlap_moment_fraction(p, k, d)
         et = _shifted_sign_sum_moment(L, n, d)
         total += (lam_frac / k) ** d * eg * et / math.factorial(d)
-    return float(total)
+    return float(total) if total <= np.finfo(np.float64).max else math.inf
 
 
 def lowdeg_norm_mc(params: ProblemParams, D: int, n_samples: int = 10 ** 6,
@@ -221,6 +222,8 @@ def lowdeg_norm_mc(params: ProblemParams, D: int, n_samples: int = 10 ** 6,
     p, k, L, n, lam = params.p, params.k, params.L, params.n, params.lam
     if n_samples < 2:
         raise ContractError("need at least two samples for a standard error")
+    if max(k, p - k) >= 10 ** 9:  # numpy's hypergeometric sampler refuses larger pools
+        raise ContractError(f"Monte Carlo path needs k and p - k below 1e9, got k={k}, p={p}")
     rng = generator(seed)
     total = 0.0
     total_sq = 0.0

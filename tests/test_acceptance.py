@@ -229,7 +229,7 @@ def _measured_retention() -> float:
     config = _blue_config(("lspca",))
     shares = []
     for trial in range(BLUE_TRIALS):
-        mu, ds = trial_ground_truth(config, trial, point=(BLUE_L, 0))
+        mu, ds = trial_ground_truth(config, trial)
         w = labeled_direction(ds.labeled_x, ds.labeled_y)
         screen = top_k_indices(np.abs(w), BLUE_SCREEN)
         shares.append(np.isin(mu.support, screen).mean())

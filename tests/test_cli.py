@@ -82,6 +82,25 @@ class TestBounds:
         assert (values["sl_max_L"], values["ul_max_n"]) == ("0", "0")
         assert values["verdict"] == "above-bound"
 
+    def test_tiny_lambda_gives_infinite_thresholds(self, capsys):
+        # lambda^2 underflows to 0 here; the thresholds are inf, as at lambda = 0
+        code, out, err = run_cli(capsys, "bounds", "--p", "100", "--k", "5",
+                                 "--lambda", "1e-320", "--L", "10", "--n", "5")
+        assert code == 0, err
+        values = kv(out)
+        assert (values["sl_max_L"], values["ul_max_n"]) == ("inf", "inf")
+        assert values["verdict"] == "below-bound"
+
+    def test_huge_lambda_gives_finite_thresholds(self, capsys):
+        # lambda^2 overflows here; both thresholds are 2 k log(p-k+1) / lambda
+        code, out, err = run_cli(capsys, "bounds", "--p", "100", "--k", "5",
+                                 "--lambda", "1e200", "--L", "10", "--n", "5")
+        assert code == 0, err
+        values = kv(out)
+        want = 10.0 * math.log(96) / 1e200
+        assert float(values["sl_max_L"]) == pytest.approx(want, rel=1e-12)
+        assert float(values["ul_max_n"]) == pytest.approx(want, rel=1e-12)
+
 
 class TestLowdeg:
     def test_degree_zero(self, capsys):
@@ -120,6 +139,18 @@ class TestLowdeg:
         code, out, err = run_cli(capsys, "lowdeg", "--p", "6", "--k", "2", "--D", "-1")
         assert code == 1 and out == ""
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_exact_beyond_float_range_is_inf(self, capsys):
+        code, out, err = run_cli(capsys, "lowdeg", "--p", "6", "--k", "2", "--L", "1",
+                                 "--n", "2", "--lambda", "1e100", "--D", "30")
+        assert code == 0, err
+        assert kv(out)["exact"] == "inf"
+
+    def test_mc_beyond_hypergeometric_limit_is_an_error(self, capsys):
+        code, out, err = run_cli(capsys, "lowdeg", "--p", "2000000000", "--k", "70",
+                                 "--D", "3", "--mc-samples", "1000")
+        assert code == 1 and "mc_estimate" not in out
+        assert "error:" in err and "below 1e9" in err and "Traceback" not in err
 
     def test_hard_regime_flag(self, capsys):
         # alpha ~ .333, beta small, gamma < 2 -> inside the hard rectangle

@@ -128,6 +128,15 @@ class TestSampleDataset:
         assert np.array_equal(small.labeled_y, big.labeled_y[:5])
         assert np.array_equal(small.unlabeled_x, big.unlabeled_x[:7])
 
+    def test_prefix_rejects_rows_it_does_not_hold(self):
+        mu = make_sparse_mean(params(12, 2, 1.0), seed=3)
+        ds = sample_dataset(mu, 30, 20, seed=42)
+        assert (ds.prefix(30, 5).L, ds.prefix(10, 20).n) == (30, 20)
+        with pytest.raises(ConfigError, match="L = 1000 exceeds the 30 labeled rows held"):
+            ds.prefix(1000, 5)
+        with pytest.raises(ConfigError, match="n = 21 exceeds the 20 unlabeled rows held"):
+            ds.prefix(30, 21)
+
     def test_zero_signal_mean(self):
         p, n = 16, 10 ** 4
         mu = make_sparse_mean(params(p, 2, 0.0), seed=1)

@@ -17,6 +17,7 @@ from sslgauss.harness import (AGG_HEADER, CSV_HEADER, KEYS, ExperimentConfig,
                               TrialRecord, aggregate, config_from_dict, config_items,
                               parse_config_text, read_config, run_sweep, run_trial,
                               trial_ground_truth, write_aggregates, write_csv)
+from sslgauss.metrics import score
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "configs"
 
@@ -51,7 +52,8 @@ class TestRunTrial:
         assert a.failed is False
 
     def test_labeled_only_method_ignores_n(self):
-        cfg = small_config(methods=("top_k_labeled",))
+        cfg = small_config(methods=("top_k_labeled",), sweep_axis="n",
+                           sweep_values=(10, 80, 500))
         recs = [run_trial(cfg, "top_k_labeled", (30, n), 0) for n in (10, 80, 500)]
         metrics = {(r.overlap, r.gen_error, r.excess_risk, r.seed) for r in recs}
         assert len(metrics) == 1
@@ -154,10 +156,12 @@ class TestRunSweep:
         assert strip_runtime(buf_a.getvalue()) == strip_runtime(buf_b.getvalue())
 
 
-def fresh_draws(monkeypatch):
-    """Serve run_trial from a fresh trial_ground_truth draw at each point."""
-    monkeypatch.setattr(harness, "_trial_data",
-                        lambda config, t, point: trial_ground_truth(config, t, point))
+def per_point_reference(cfg, records):
+    """Each record rerun on a config whose one point is the record's own, so
+    run_trial serves it from a draw made at exactly that point."""
+    return [run_trial(replace(cfg, sweep_axis=None, sweep_values=(),
+                              params=cfg.params.with_counts(L=r.L, n=r.n)),
+                      r.method, (r.L, r.n), r.trial) for r in records]
 
 
 def results(records):
@@ -170,58 +174,88 @@ class TestOneDrawPerTrial:
         calls = []
         original = harness.trial_ground_truth
 
-        def counted(config, t, point=None):
-            calls.append((t, point))
-            return original(config, t, point)
+        def counted(config, t):
+            mu, ds = original(config, t)
+            calls.append((t, ds.L, ds.n))
+            return mu, ds
 
         monkeypatch.setattr(harness, "trial_ground_truth", counted)
         cfg = small_config(methods=("top_k_labeled", "lspca", "self_train"),
                            sweep_axis="n", sweep_values=(20, 60, 100), trials=2)
         records, _ = run_sweep(cfg, threads=1)
         assert len(records) == 3 * 3 * 2
-        assert calls == [(0, (30, 100)), (1, (30, 100))]
+        assert calls == [(0, 30, 100), (1, 30, 100)]
         assert harness._draw.cache_info().currsize == 0  # the draw is released
 
-    def test_l_sweep_matches_fresh_draws(self, monkeypatch):
-        cfg = small_config(methods=tuple(harness.METHODS), sweep_axis="L",
-                           sweep_values=(10, 20, 30), trials=2)
+    @pytest.mark.parametrize("axis, values", [("L", (10, 20, 30)), ("n", (20, 60, 100))],
+                             ids=["L", "n"])
+    def test_sweep_matches_fresh_draws(self, axis, values):
+        cfg = small_config(methods=tuple(harness.METHODS), sweep_axis=axis,
+                           sweep_values=values, trials=2)
         records, _ = run_sweep(cfg, threads=1)
-        fresh_draws(monkeypatch)
-        reference = [run_trial(cfg, r.method, (r.L, r.n), r.trial) for r in records]
+        reference = per_point_reference(cfg, records)
+        assert len(records) == 6 * 3 * 2
         assert not any(r.failed for r in records)
         assert results(records) == results(reference)
 
     def test_direct_calls_hold_one_draw(self, monkeypatch):
-        # each point needs a new draw: (30, 60), then (40, 200) beyond the
-        # sweep, then (30, 60) again; the held draw must be dropped before
-        # the next one is made
+        # trials 1, 2, 1 each need a new draw; the held draw must be dropped
+        # before the next one is made
         original = harness.trial_ground_truth
         draws, alive = [], []
 
-        def tracked(config, t, point=None):
+        def tracked(config, t):
             gc.collect()
             alive.append(sum(ref() is not None for ref in draws))
-            mu, ds = original(config, t, point)
+            mu, ds = original(config, t)
             draws.append(weakref.ref(ds.unlabeled_x))
             return mu, ds
 
         monkeypatch.setattr(harness, "trial_ground_truth", tracked)
         cfg = small_config(sweep_axis="n", sweep_values=(20, 60))
         try:
-            for point in [(30, 60), (40, 200), (30, 20)]:
-                run_trial(cfg, "lspca", point, 1)
+            for t, point in [(1, (30, 60)), (2, (30, 20)), (1, (30, 20))]:
+                run_trial(cfg, "lspca", point, t)
         finally:
             harness._draw.cache_clear()
         assert alive == [0, 0, 0]
 
-    def test_point_beyond_sweep_matches_fresh_draw(self, monkeypatch):
+    def test_off_grid_point_is_rejected(self):
         cfg = small_config(sweep_axis="n", sweep_values=(20, 60))
-        points = [(30, 60), (40, 200), (30, 20)]
-        records = [run_trial(cfg, "lspca", point, 1) for point in points]
-        fresh_draws(monkeypatch)
-        reference = [run_trial(cfg, "lspca", point, 1) for point in points]
+        for point in [(40, 200), (30, 40), (30, 80)]:
+            with pytest.raises(ConfigError, match="not on the config's grid"):
+                run_trial(cfg, "lspca", point, 1)
+
+
+class TestTrialGroundTruth:
+    """trial_ground_truth(config, t) is the draw the sweep slices."""
+
+    def test_draws_at_the_largest_grid_point(self):
+        # the base n (the default 1000) is not on the grid; the sweep draws n = 2000
+        cfg = config_from_dict({"p": 50, "k": 3, "L": 4, "sweep_axis": "n",
+                                "sweep_values": "5,2000"})
+        _, ds = trial_ground_truth(cfg, 0)
+        assert (ds.L, ds.n) == (4, 2000)
+
+    def test_empty_base_point_with_a_grid(self):
+        cfg = config_from_dict({"p": 50, "k": 3, "L": 0, "n": 0, "sweep_axis": "n",
+                                "sweep_values": "5,10"})
+        _, ds = trial_ground_truth(cfg, 0)
+        assert (ds.L, ds.n) == (0, 10)
+
+    def test_prefix_reproduces_the_sweep(self):
+        cfg = small_config(methods=("lspca", "vanilla_pca", "self_train"),
+                           sweep_axis="n", sweep_values=(20, 60, 100), trials=2)
+        records, _ = run_sweep(cfg, threads=1)
+        truths = {t: trial_ground_truth(cfg, t) for t in range(cfg.trials)}
         assert not any(r.failed for r in records)
-        assert results(records) == results(reference)
+        for r in records:
+            mu, ds = truths[r.trial]
+            pp = cfg.params.with_counts(L=r.L, n=r.n)
+            est = harness.METHODS[r.method](ds.prefix(r.L, r.n), pp, cfg.beta_tilde,
+                                            cfg.gamma_threshold)
+            assert score(mu, est.support, est.direction) \
+                == (r.overlap, r.gen_error, r.excess_risk)
 
 
 class TestAggregation:
