@@ -101,17 +101,17 @@ def lspca(dataset: Dataset, k: int, beta_tilde: float,
 
     Step I ranks coordinates by |class-mean difference| and keeps the top
     ceil(p**(1-beta_tilde)). Step II takes the leading eigenvector of the
-    unlabeled covariance restricted to the screened set by spectral's power
-    loop: power iteration, or the truncated power method at k nonzeros when
-    sparse_pca is set, with the stopping tolerance spectral derives from the
-    rows' storage dtype. It reads the support off that vector's k largest
-    magnitudes, then takes the exact principal direction of the unlabeled
-    rows on the support; the final sign follows the labeled direction. The
-    screened set is too large for a dense solver at paper scale, so only
-    that step iterates; its convergence flag, iteration count and eigenvalue
-    are recorded in aux. Both steps read their unlabeled columns through
-    Dataset.unlabeled_columns, so unless another reader has drawn the whole
-    unlabeled block, only the screened columns are drawn.
+    unlabeled covariance restricted to the screened set iteratively: by
+    Lanczos (spectral.power_iteration), or by the truncated power method at
+    k nonzeros when sparse_pca is set, with the stopping tolerance spectral
+    derives from the rows' storage dtype. It reads the support off that
+    vector's k largest magnitudes, then takes the exact principal direction
+    of the unlabeled rows on the support; the final sign follows the labeled
+    direction. The screened set is too large for a dense solver at paper
+    scale, so only that step iterates; its convergence flag, product count
+    and eigenvalue are recorded in aux. Both steps read their unlabeled
+    columns through Dataset.unlabeled_columns, so unless another reader has
+    drawn the whole unlabeled block, only the screened columns are drawn.
     """
     if k < 1:
         raise ContractError(f"k must be positive, got {k}")

@@ -131,7 +131,15 @@ class ProblemParams:
         """Unlabeled exponent read back from n = k**gamma / lam**2."""
         if self.lam <= 0 or self.k < 2 or self.n < 1:
             return math.nan
-        return math.log(self.n * self.lam ** 2) / math.log(self.k)
+        try:
+            product = self.n * self.lam ** 2
+        except OverflowError:  # lam**2 leaves the float range
+            product = math.inf
+        if product == 0.0 or math.isinf(product):
+            # a sum of logs can move the last bit, so it serves only where
+            # the product under- or overflows
+            return (math.log(self.n) + 2.0 * math.log(self.lam)) / math.log(self.k)
+        return math.log(product) / math.log(self.k)
 
     def with_counts(self, L: int | None = None, n: int | None = None) -> "ProblemParams":
         return replace(self, L=self.L if L is None else L, n=self.n if n is None else n)

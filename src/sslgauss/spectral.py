@@ -5,12 +5,14 @@ with a dense symmetric solver; every dense PCA step uses it. It reads its
 rows as one array or as a sequence of row blocks (a trial's labeled and
 unlabeled rows) taken as if stacked, COLUMN_BLOCK columns at a time, so on
 the Gram side (fewer rows than columns) they are never copied whole. The
-one step too large for a dense solver, PCA on lspca's screened set, runs
-one power loop: each step forms A v, keeps its k largest magnitudes (the
-truncated power method; k = m is plain power iteration) and renormalizes,
-until the iterate moves by at most 1e-6 for a RestrictedCovariance over
-float32 rows and 1e-9 otherwise. The loop takes a symmetric PSD operator,
-an implicit RestrictedCovariance or an ndarray, and uses only `a @ v` and
+one step too large for a dense solver, PCA on lspca's screened set, is
+iterative. `power_iteration` (lspca) runs Lanczos with full
+reorthogonalization and stops once the top Ritz pair's residual is at most
+tol times its value; `truncated_power` (ls2pca) forms A v, keeps its k
+largest magnitudes and renormalizes until the iterate moves by at most tol.
+tol is 1e-6 for a RestrictedCovariance over float32 rows and 1e-9
+otherwise. Both take a symmetric PSD operator, an implicit
+RestrictedCovariance or an ndarray, and use only `a @ v` and
 `a.diagonal()`.
 """
 
@@ -23,10 +25,14 @@ import numpy as np
 from .errors import ContractError, InsufficientSamplesError, InvalidSupportError
 
 DEFAULT_MAX_ITER = 1000
-# Step tolerances of the power loop. Products over float32 rows carry about
-# 1e-7 relative error, so their iterates stop moving near 1e-6.
+# Stopping tolerances of both solvers. Products over float32 rows carry about
+# 1e-7 relative error, so their solves settle near 1e-6.
 _TOL = 1e-9
 _F32_TOL = 1e-6
+# Most Lanczos vectors power_iteration holds at once. A full basis starts over
+# from its top Ritz vector, so neither the basis's memory nor the per-step
+# eigh of the tridiagonal matrix grows with max_iter.
+LANCZOS_BASIS = 64
 
 # Columns per slab of a column-blocked read (column_slabs): readers hold the
 # stacked rows COLUMN_BLOCK columns at a time.
@@ -198,12 +204,78 @@ class PowerResult:
     step: float
     iterations: int
     converged: bool
-    # Always False (the solvers run once); kept for perfbench's tracer, which reads it.
+    # Always False (a full Lanczos basis goes on from its Ritz vector, not from
+    # a new start); kept for perfbench's tracer, which reads it.
     restarted: bool = False
 
 
-def _power(a, v0: np.ndarray, k: int, max_iter: int) -> PowerResult:
-    """The power loop of both solvers, from the unit start v0.
+def _tolerance(a) -> float:
+    """Stopping tolerance for a solve on the operator a: float32 rows cap the
+    accuracy of A v."""
+    f32 = isinstance(a, RestrictedCovariance) and a._rows.dtype == np.float32
+    return _F32_TOL if f32 else _TOL
+
+
+def power_iteration(a, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
+    """Leading eigenpair of a PSD operator by Lanczos iteration (Lanczos, J.
+    Res. NBS 1950), started from the standard basis vector at the largest
+    diagonal entry (ties: lowest index).
+
+    Each step forms one product A q, orthogonalizes it against the whole
+    basis twice (full reorthogonalization; Parlett, The Symmetric Eigenvalue
+    Problem, 1980) and takes the top Ritz pair (theta, y) of the tridiagonal
+    matrix by a dense eigh. It stops once the Ritz residual
+    ||A y - theta y|| = beta_j |s_last| is at most tol * theta, with tol set
+    by the operator's storage as for truncated_power. A basis holds at most
+    LANCZOS_BASIS vectors; a full one starts over from y. max_iter counts
+    products: after that many, returns the last Ritz pair with
+    converged=False. `value` is theta and `step` the last residual over theta.
+    """
+    a = _psd_operator(a)
+    diag = a.diagonal()
+    if diag.size < 1:
+        raise ContractError("operator dimension must be >= 1")
+    tol = _tolerance(a)
+    y = np.zeros(diag.size)
+    y[int(np.argmax(diag))] = 1.0
+    result = PowerResult(vector=y, value=0.0, step=0.0, iterations=0, converged=False)
+    basis = np.empty((min(LANCZOS_BASIS, diag.size, max_iter), diag.size))
+    while result.iterations < max_iter and not result.converged:
+        basis[0] = y
+        alpha: list[float] = []
+        beta: list[float] = []
+        for j in range(len(basis)):
+            q = basis[:j + 1]
+            w = a @ basis[j]
+            result.iterations += 1
+            h = q @ w
+            w -= h @ q
+            h2 = q @ w
+            w -= h2 @ q
+            alpha.append(float(h[j] + h2[j]))
+            tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+            values, vectors = np.linalg.eigh(tri)
+            theta, s = float(values[-1]), vectors[:, -1]
+            norm = float(np.linalg.norm(w))
+            residual = norm * abs(float(s[-1]))
+            result.value = theta
+            result.step = residual / theta if theta > 0.0 else 0.0
+            # a zero residual (an invariant subspace, or A = 0) always stops
+            result.converged = residual <= tol * abs(theta)
+            if result.converged or result.iterations == max_iter or j + 1 == len(basis):
+                break
+            beta.append(norm)
+            basis[j + 1] = w / norm
+        y = s @ basis[:s.size]
+        y /= float(np.linalg.norm(y))
+    result.vector = canonical_sign(y)
+    return result
+
+
+def truncated_power(a, k: int, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
+    """Sparse leading eigenvector of a PSD operator by the truncated power
+    method (Yuan & Zhang, JMLR 2013), started from equal weights on the k
+    largest diagonal entries.
 
     Each step forms w = A v, keeps the k largest |w| when k < m (ties: lowest
     index), and renormalizes; it stops once ||v_new - v|| <= tol, with tol
@@ -212,10 +284,14 @@ def _power(a, v0: np.ndarray, k: int, max_iter: int) -> PowerResult:
     from. After max_iter steps without convergence, returns the last iterate
     with converged=False.
     """
-    f32 = isinstance(a, RestrictedCovariance) and a._rows.dtype == np.float32
-    tol = _F32_TOL if f32 else _TOL
-    result = PowerResult(vector=v0, value=0.0, step=0.0, iterations=0, converged=False)
-    v = v0
+    a = _psd_operator(a)
+    diag = a.diagonal()
+    if not 1 <= k <= diag.size:
+        raise ContractError(f"sparsity k must be in [1, {diag.size}], got {k}")
+    tol = _tolerance(a)
+    v = np.zeros(diag.size)
+    v[top_k_indices(diag, k)] = 1.0 / np.sqrt(k)
+    result = PowerResult(vector=v, value=0.0, step=0.0, iterations=0, converged=False)
     for _ in range(max_iter):
         w = a @ v
         theta = float(v @ w)
@@ -227,7 +303,7 @@ def _power(a, v0: np.ndarray, k: int, max_iter: int) -> PowerResult:
             # A v = 0: for a PSD operator v leads only if A = 0, where every
             # vector is an eigenvector; return e1 then
             result.value = theta
-            result.converged = not a.diagonal().any()
+            result.converged = not diag.any()
             if result.converged:
                 result.vector = np.zeros(v.size)
                 result.vector[0] = 1.0
@@ -241,29 +317,3 @@ def _power(a, v0: np.ndarray, k: int, max_iter: int) -> PowerResult:
         v = v_new
     result.vector = canonical_sign(result.vector)
     return result
-
-
-def power_iteration(a, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
-    """Leading eigenpair of a PSD operator by power iteration: the power loop
-    at k = m, so nothing is truncated, started from the standard basis
-    vector at the largest diagonal entry (ties: lowest index)."""
-    a = _psd_operator(a)
-    diag = a.diagonal()
-    if diag.size < 1:
-        raise ContractError("operator dimension must be >= 1")
-    v0 = np.zeros(diag.size)
-    v0[int(np.argmax(diag))] = 1.0
-    return _power(a, v0, diag.size, max_iter)
-
-
-def truncated_power(a, k: int, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
-    """Sparse leading eigenvector of a PSD operator by the truncated power
-    method (Yuan & Zhang, JMLR 2013): the power loop keeping the k largest
-    magnitudes, started from equal weights on the k largest diagonal entries."""
-    a = _psd_operator(a)
-    diag = a.diagonal()
-    if not 1 <= k <= diag.size:
-        raise ContractError(f"sparsity k must be in [1, {diag.size}], got {k}")
-    v0 = np.zeros(diag.size)
-    v0[top_k_indices(diag, k)] = 1.0 / np.sqrt(k)
-    return _power(a, v0, k, max_iter)

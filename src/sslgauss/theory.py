@@ -216,7 +216,8 @@ def lowdeg_norm_mc(params: ProblemParams, D: int, n_samples: int = 10 ** 6,
     """Monte Carlo estimate of the truncated norm with its standard error.
 
     Samples the two supports' overlap and the n sign products directly and
-    averages the inner exponential series truncated at degree D.
+    averages the inner exponential series truncated at degree D. Raises
+    ContractError when the series or its square leaves the float range.
     """
     _check_degree(D)
     p, k, L, n, lam = params.p, params.k, params.L, params.n, params.lam
@@ -232,14 +233,19 @@ def lowdeg_norm_mc(params: ProblemParams, D: int, n_samples: int = 10 ** 6,
         b = min(MC_BATCH, remaining)
         g = rng.hypergeometric(k, p - k, k, size=b) if p > k else np.full(b, k)
         r = 2.0 * rng.binomial(n, 0.5, size=b) - n if n > 0 else np.zeros(b)
-        x = (lam / k) * g * (L + r)
-        acc = np.ones(b)
-        term = np.ones(b)
-        for d in range(1, D + 1):
-            term = term * x / d
-            acc = acc + term
-        total += float(np.sum(acc))
-        total_sq += float(np.sum(acc * acc))
+        # a series beyond the float range is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = (lam / k) * g * (L + r)
+            acc = np.ones(b)
+            term = np.ones(b)
+            for d in range(1, D + 1):
+                term = term * x / d
+                acc = acc + term
+            total += float(np.sum(acc))
+            total_sq += float(np.sum(acc * acc))
+        if not (math.isfinite(total) and math.isfinite(total_sq)):
+            raise ContractError(f"Monte Carlo series leaves the float range at "
+                                f"lambda={lam:g}, D={D}")
         remaining -= b
     mean = total / n_samples
     var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import warnings
 
 import pytest
 
@@ -145,6 +146,26 @@ class TestLowdeg:
                                  "--n", "2", "--lambda", "1e100", "--D", "30")
         assert code == 0, err
         assert kv(out)["exact"] == "inf"
+
+    @pytest.mark.parametrize("lam, want_exact", [("1e-320", 1.0), ("1e300", math.inf)])
+    def test_gamma_where_lambda_squared_leaves_the_float_range(self, capsys, lam, want_exact):
+        # n * lambda**2 under- (1e-320) or overflows (1e300); gamma takes logs
+        code, out, err = run_cli(capsys, "lowdeg", "--p", "6", "--k", "2", "--L", "1",
+                                 "--n", "2", "--lambda", lam, "--D", "3")
+        assert code == 0 and "Traceback" not in err, err
+        values = kv(out)
+        assert float(values["exact"]) == want_exact
+        want = (math.log(2) + 2.0 * math.log(float(lam))) / math.log(2)
+        assert float(values["gamma_implied"]) == pytest.approx(want, rel=1e-11)
+
+    @pytest.mark.parametrize("mc", [[], ["--mc-samples", "1000"]])
+    def test_mc_series_beyond_float_range_is_an_error(self, capsys, mc):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "lowdeg", "--p", "2000", "--k", "80", "--L", "10",
+                                     "--n", "200", "--lambda", "1e300", "--D", "4", *mc)
+        assert code == 1 and "mc_estimate" not in out and "Traceback" not in err
+        assert "error:" in err and "lambda=1e+300" in err and "D=4" in err
 
     def test_mc_beyond_hypergeometric_limit_is_an_error(self, capsys):
         code, out, err = run_cli(capsys, "lowdeg", "--p", "2000000000", "--k", "70",

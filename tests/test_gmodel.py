@@ -109,6 +109,20 @@ class TestProblemParams:
         assert abs(pp.beta - 0.45) < 0.02
         assert abs(pp.gamma - 1.8) < 0.05
 
+    @settings(max_examples=500, deadline=None)
+    @given(n=st.integers(1, 10 ** 9), lam=st.floats(1e-100, 1e100), k=st.integers(2, 10 ** 4))
+    def test_gamma_keeps_its_bits_in_the_float_range(self, n, lam, k):
+        # gamma feeds resolve_beta_tilde("auto"): where n * lam**2 is a
+        # normal float it is the one-log formula, bit for bit
+        pp = ProblemParams(p=10 ** 5, k=k, lam=lam, L=0, n=n)
+        assert pp.gamma == math.log(n * lam ** 2) / math.log(k)
+
+    @pytest.mark.parametrize("lam", [1e-320, 1e-200, 1e200, 1e300])
+    def test_gamma_beyond_the_float_range_of_lam_squared(self, lam):
+        pp = ProblemParams(p=2000, k=80, lam=lam, L=10, n=200)
+        want = (math.log(200) + 2.0 * math.log(lam)) / math.log(80)
+        assert math.isfinite(pp.gamma) and pp.gamma == pytest.approx(want, rel=1e-15)
+
 
 class TestSampleDataset:
     def test_determinism(self):

@@ -6,8 +6,9 @@ import pytest
 
 from sslgauss.errors import (ContractError, InsufficientSamplesError,
                              InvalidSupportError)
-from sslgauss.spectral import (DEFAULT_MAX_ITER, power_iteration, principal_direction,
-                               restricted_covariance, top_k_indices, truncated_power)
+from sslgauss.spectral import (DEFAULT_MAX_ITER, LANCZOS_BASIS, power_iteration,
+                               principal_direction, restricted_covariance, top_k_indices,
+                               truncated_power)
 
 
 def jacobi_leading_eigenvector(a: np.ndarray, sweeps: int = 60) -> tuple[float, np.ndarray]:
@@ -173,19 +174,52 @@ class TestLeadingEigenvector:
         np.testing.assert_array_equal(res.vector, [1.0, 0.0, 0.0, 0.0])
         assert res.converged and res.value == 0.0
 
+    @staticmethod
+    def _rotated(values: np.ndarray) -> np.ndarray:
+        # a seeded rotation of a given spectrum: no start is an eigenvector
+        q = np.linalg.qr(np.random.default_rng(0).standard_normal((values.size,) * 2))[0]
+        return (q * values) @ q.T
+
     def test_nonconvergence_returns_last_iterate(self):
-        # eigenvalues 1 and 1 - 1e-4 mixed at 30 degrees: far too slow for
-        # 40 steps, and the deterministic start is not an eigenvector
-        c, s = math.cos(math.pi / 6), math.sin(math.pi / 6)
-        q = np.array([[c, -s], [s, c]])
-        a = q @ np.diag([1.0, 1.0 - 1e-4]) @ q.T
+        # 200 eigenvalues within 1e-4 of 1: 40 products are too few to reach
+        # the 1e-9 residual (the default cap takes 52)
+        a = self._rotated(1.0 - 1e-4 * np.linspace(0.0, 1.0, 200))
         res = power_iteration(a, max_iter=40)
         assert not res.converged
-        assert res.iterations == 40  # one run, no restart
+        assert res.iterations == 40  # max_iter counts products
         v = res.vector
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
         assert v[int(np.argmax(np.abs(v)))] >= 0.0
         assert res.step > 0
+
+    def test_converges_past_a_full_basis(self):
+        # 200 eigenvalues spread evenly over [0, 1] take 89 products, more
+        # than LANCZOS_BASIS: the solve goes on from the Ritz vector
+        a = self._rotated(np.linspace(0.0, 1.0, 200))
+        res = power_iteration(a)
+        assert res.converged and LANCZOS_BASIS < res.iterations < DEFAULT_MAX_ITER
+        values, vectors = np.linalg.eigh(a)
+        assert abs(res.value - values[-1]) <= 1e-12
+        assert abs(float(res.vector @ vectors[:, -1])) >= 1.0 - 1e-12
+
+    # products the plain power loop took on the fixture below before the
+    # solver became Lanczos (242 and 136), and Lanczos takes 36 and 24
+    @pytest.mark.parametrize("dtype, power_steps", [(np.float64, 242), (np.float32, 136)])
+    def test_spiked_covariance_top_k_set_matches_eigh(self, dtype, power_steps):
+        # a 10-sparse spike in 600 columns seen by 300 rows (n < m), where the
+        # top two eigenvalues are within 7%: the top-k set lspca reads off the
+        # vector is dense eigh's, in half the products or fewer
+        rng = np.random.default_rng(3)
+        m, n, k = 600, 300, 10
+        u = np.zeros(m)
+        u[:k] = 1.0 / np.sqrt(k)
+        rows = rng.standard_normal((n, m)) + np.sqrt(2.0) * np.outer(rng.standard_normal(n), u)
+        rows = rows.astype(dtype)
+        vectors = np.linalg.eigh(restricted_covariance(rows).matrix())[1]
+        res = power_iteration(restricted_covariance(rows))
+        assert res.converged and res.iterations < power_steps / 2
+        assert set(top_k_indices(np.abs(res.vector), k)) == set(
+            top_k_indices(np.abs(vectors[:, -1]), k))
 
     def test_float32_rows_converge_at_defaults(self):
         # products over float32 rows carry float32 rounding, so the iterate

@@ -1,6 +1,7 @@
 import inspect
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -255,6 +256,15 @@ class TestLowDegNorm:
         exact = lowdeg_norm_exact(params, 3)
         est, se = lowdeg_norm_mc(params, 3, n_samples=200_000, seed=3)
         assert abs(est - exact) <= 3.0 * se
+
+    def test_mc_refuses_a_series_beyond_the_float_range(self):
+        # the degree-4 terms reach 1e1200: the estimate would be nan with
+        # stderr 0, a precise-looking answer
+        params = ProblemParams(p=2000, k=80, lam=1e300, L=10, n=200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ContractError, match=r"lambda=1e\+300, D=4"):
+                lowdeg_norm_mc(params, 4, n_samples=1000)
 
     def test_guard_raises(self):
         with pytest.raises(ExactInfeasibleError):
