@@ -105,7 +105,7 @@ def lspca(dataset: Dataset, k: int, beta_tilde: float,
     Lanczos (spectral.power_iteration), or by the truncated power method at
     k nonzeros when sparse_pca is set, with the stopping tolerance spectral
     derives from the rows' storage dtype. It reads the support off that
-    vector's k largest magnitudes, then takes the exact principal direction
+    vector's k largest magnitudes, then takes the principal direction
     of the unlabeled rows on the support; the final sign follows the labeled
     direction. The screened set is too large for a dense solver at paper
     scale, so only that step iterates; its convergence flag, product count
@@ -176,14 +176,23 @@ def self_train(dataset: Dataset, k: int, gamma_threshold: float) -> EstimatorOut
                      aux={"n_eff": n_eff})
 
 
+def _gram_solve_aux(solve) -> dict:
+    """principal_direction's Gram-side solve (None on the covariance side),
+    recorded as lspca records its own."""
+    if solve is None:
+        return {}
+    return {"pca_converged": solve.converged, "pca_iterations": solve.iterations}
+
+
 def ul_diag_threshold_pca(rows, k: int) -> EstimatorOutput:
     """Unlabeled-only baseline: keep the ceil(k log p) largest-variance
-    coordinates, take the exact leading eigenvector of the covariance there
+    coordinates, take the leading eigenvector of the covariance there
     (spectral.principal_direction), and keep its k largest magnitudes.
 
     `rows` is one array or a sequence of row blocks read as if stacked. The
     variances are taken a column slab at a time; only the kept columns are
-    copied out of the rows.
+    copied out of the rows. When fewer rows than kept columns send the solve
+    to the Gram side, its convergence flag and product count go in aux.
     """
     blocks = row_blocks(rows)
     n = sum(b.shape[0] for b in blocks)
@@ -197,23 +206,26 @@ def ul_diag_threshold_pca(rows, k: int) -> EstimatorOutput:
     for cols, x in column_slabs(blocks):
         variances[cols] = np.var(x, axis=0, dtype=np.float64)
     keep = top_k_indices(variances, m)
-    v, value, _ = principal_direction([b[:, keep] for b in blocks])
+    v, value, solve = principal_direction([b[:, keep] for b in blocks])
     local = top_k_indices(np.abs(v), k)
     return _finalize("ul_diag_threshold_pca", p, keep[local], v[local],
-                     aux={"screening_size": int(m), "pca_eigenvalue": value})
+                     aux={"screening_size": int(m), "pca_eigenvalue": value,
+                          **_gram_solve_aux(solve)})
 
 
 def vanilla_pca(rows, k: int) -> EstimatorOutput:
-    """Unlabeled-only baseline: the exact leading eigenvector of the full
-    sample covariance (spectral.principal_direction), then its k largest
+    """Unlabeled-only baseline: the leading eigenvector of the full sample
+    covariance (spectral.principal_direction), then its k largest
     magnitudes. `rows` is one array or a sequence of row blocks read as if
-    stacked, a column slab at a time."""
-    v, value, dual_gram = principal_direction(rows)
+    stacked, in place. With fewer rows than columns the pair comes from the
+    Gram side, and its convergence flag and product count go in aux."""
+    v, value, solve = principal_direction(rows)
     if not 1 <= k <= v.size:
         raise ContractError(f"k={k} out of range for dimension {v.size}")
     local = top_k_indices(np.abs(v), k)
     return _finalize("vanilla_pca", v.size, local, v[local],
-                     aux={"dual_gram": dual_gram, "pca_eigenvalue": value})
+                     aux={"dual_gram": solve is not None, "pca_eigenvalue": value,
+                          **_gram_solve_aux(solve)})
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,16 @@
 """Minimal dense linear algebra for spiked covariances.
 
-`principal_direction` takes the exact top eigenpair of a sample covariance
-with a dense symmetric solver; every dense PCA step uses it. It reads its
-rows as one array or as a sequence of row blocks (a trial's labeled and
-unlabeled rows) taken as if stacked, COLUMN_BLOCK columns at a time, so on
-the Gram side (fewer rows than columns) they are never copied whole. The
-one step too large for a dense solver, PCA on lspca's screened set, is
-iterative. `power_iteration` (lspca) runs Lanczos with full
-reorthogonalization and stops once the top Ritz pair's residual is at most
-tol times its value; `truncated_power` (ls2pca) forms A v, keeps its k
+`principal_direction` takes the top eigenpair of a sample covariance for
+every dense PCA step. It reads its rows as one array or as a sequence of row
+blocks (a trial's labeled and unlabeled rows) taken as if stacked, and never
+copies them whole. With at least as many rows as columns it solves the
+covariance exactly by a dense symmetric solver. With fewer rows it forms the
+n x n Gram matrix from the blocks' products in place, centers it by a
+rank-two correction and takes its top pair by `power_iteration`: a Ritz pair
+with residual at most 1e-9 times its value, and a flag when the solve falls
+short. `power_iteration` (also lspca's screened-set PCA) runs Lanczos with
+full reorthogonalization and stops once the top Ritz pair's residual is at
+most tol times its value; `truncated_power` (ls2pca) forms A v, keeps its k
 largest magnitudes and renormalizes until the iterate moves by at most tol.
 tol is 1e-6 for a RestrictedCovariance over float32 rows and 1e-9
 otherwise. Both take a symmetric PSD operator, an implicit
@@ -127,59 +129,87 @@ def column_slabs(blocks: list[np.ndarray]):
         yield cols, np.concatenate([b[:, cols] for b in filled], dtype=dtype)
 
 
-def principal_direction(rows) -> tuple[np.ndarray, float, bool]:
-    """Exact leading eigenpair of the centered 1/n sample covariance of rows.
+def _float64_slabs(blocks: list[np.ndarray]):
+    """Yield (cols, xs): xs[i] holds columns cols of blocks[i] in float64.
+    When every block is float64 there is one slab, the blocks themselves;
+    otherwise each slab is COLUMN_BLOCK columns wide and only the blocks
+    that need a cast are copied, one slab at a time."""
+    p = blocks[0].shape[1]
+    width = p if all(b.dtype == np.float64 for b in blocks) else COLUMN_BLOCK
+    for lo in range(0, p, width):
+        cols = slice(lo, lo + width)
+        yield cols, [b[:, cols].astype(np.float64, copy=False) for b in blocks]
+
+
+def principal_direction(rows) -> tuple[np.ndarray, float, PowerResult | None]:
+    """Leading eigenpair of the centered 1/n sample covariance of rows.
 
     `rows` is one array or a sequence of row blocks read as if stacked
-    (row_blocks), in column slabs (column_slabs). A dense symmetric solver
-    runs on the smaller side of the centered rows: the p x p covariance when
-    n >= p, otherwise the n x n Gram matrix (same nonzero spectrum, identical
-    eigenvector after mapping back). Returns the unit eigenvector in
-    canonical sign (e1 for a zero covariance), its eigenvalue, and whether
-    the Gram side was taken. The eigengap of a weak spike can be too small
-    for power iteration to resolve.
+    (row_blocks). When n >= p, a dense eigh of the p x p covariance gives the
+    exact pair. When n < p, the pair comes from the n x n Gram matrix (same
+    nonzero spectrum; u maps back to Y' u): its uncentered form is summed
+    from the block products blocks[i] @ blocks[j].T in float64, mirrored
+    across the diagonal, and centered by the rank-two correction
+    G - r 1' - 1 r' + ||m||^2 1 1', with m the column mean, r = X m = G 1 / n
+    and ||m||^2 = 1' G 1 / n^2, which leaves it exactly symmetric. Its top
+    pair is taken by power_iteration, so it is a Ritz pair whose residual is
+    at most 1e-9 times its value when the solve converges.
 
-    Memory: the Gram side holds two slabs (n x COLUMN_BLOCK) and the n x n
-    Gram matrix at most; the covariance side (p <= n) centers all rows at
-    once, in an n x p float64 array.
+    Returns the unit eigenvector in canonical sign (e1 for a zero
+    covariance), its eigenvalue, and the Gram side's PowerResult (None on the
+    covariance side), whose `converged` flag says whether the pair met that
+    residual within the solver's product cap.
+
+    Memory: the Gram side holds the n x n Gram matrix and a temporary of at
+    most its size, plus one float64 slab (n x COLUMN_BLOCK) when the rows
+    need a cast; the covariance side
+    (p <= n) centers all rows at once, in an n x p float64 array.
     """
     blocks = row_blocks(rows)
     n = sum(b.shape[0] for b in blocks)
     if n < 2:
         raise InsufficientSamplesError("covariance needs n >= 2 rows")
     p = blocks[0].shape[1]
-    mean = np.empty(p)
-    dual_gram = n < p
-    if dual_gram:
-        # the centered rows y = rows - mean are formed in float64, one slab
-        # at a time; y.T @ u = rows.T @ u - sum(u) * mean maps u back
+    solve = None
+    if n < p:
+        ends = np.cumsum([b.shape[0] for b in blocks])
+        spans = [slice(end - b.shape[0], end) for b, end in zip(blocks, ends)]
+        pairs = [(i, j) for i in range(len(blocks)) for j in range(i, len(blocks))]
         gram = np.zeros((n, n))
-        for cols, x in column_slabs(blocks):
-            mean[cols] = x.mean(axis=0, dtype=np.float64)
-            yb = x - mean[cols]
-            gram += yb @ yb.T
+        for _, xs in _float64_slabs(blocks):
+            for i, j in pairs:
+                gram[spans[i], spans[j]] += xs[i] @ xs[j].T
+        for i, j in pairs:
+            if i < j:
+                gram[spans[j], spans[i]] = gram[spans[i], spans[j]].T
+        r = gram.sum(axis=1) / n
+        gram -= r[:, None] + r  # r_i + r_j is r_j + r_i: symmetry holds
+        gram += r.mean()
         gram /= n
-        values, vectors = np.linalg.eigh(gram)
-        u = vectors[:, -1]
-        v = np.empty(p)
-        for cols, x in column_slabs(blocks):
-            v[cols] = x.T @ u.astype(x.dtype, copy=False)
-        v -= u.sum() * mean
+        solve = power_iteration(gram)
+        value = solve.value
+        # Y' u = X' (u - mean(u) 1)
+        u = solve.vector - solve.vector.mean()
+        v = np.zeros(p)
+        for cols, xs in _float64_slabs(blocks):
+            for x, span in zip(xs, spans):
+                v[cols] += x.T @ u[span]
     else:
         # p <= n: the centered rows are formed whole, in float64
+        mean = np.empty(p)
         y = np.empty((n, p))
         for cols, x in column_slabs(blocks):
             mean[cols] = x.mean(axis=0, dtype=np.float64)
             np.subtract(x, mean[cols], out=y[:, cols])
         values, vectors = np.linalg.eigh((y.T @ y) / n)
-        v = vectors[:, -1]
-    if values[-1] <= 0.0:
+        v, value = vectors[:, -1], float(values[-1])
+    if value <= 0.0:
         # a zero covariance: every vector is an eigenvector; return e1
         v = np.zeros(p)
         v[0] = 1.0
     else:
         v = canonical_sign(v / float(np.linalg.norm(v)))
-    return v, float(values[-1]), dual_gram
+    return v, value, solve
 
 
 def _psd_operator(a):

@@ -1,18 +1,22 @@
+import functools
 import itertools
 import math
 
 import numpy as np
 import pytest
 
+from sslgauss import spectral
 from sslgauss.errors import (ContractError, InsufficientSamplesError,
                              MissingClassError, ScreeningTooSmallError)
 from sslgauss.estimators import (METHODS, labeled_direction, lspca, resolve_beta_tilde,
                                  screened_count, self_train, signed_mean_direction,
                                  top_k_labeled, ul_diag_threshold_pca, vanilla_pca)
 from sslgauss.gmodel import Dataset, ProblemParams, make_sparse_mean, sample_dataset
-from sslgauss.harness import config_from_dict
+from sslgauss.harness import config_from_dict, trial_ground_truth
 from sslgauss.metrics import support_overlap
 from sslgauss.spectral import canonical_sign, top_k_indices
+from test_acceptance import BLUE_L, BLUE_N, _blue_config
+from test_golden import CONFIGS
 
 
 def make_instance(p, k, lam, L, n, seed=0, mean_seed=None):
@@ -338,6 +342,66 @@ class TestUnsupervisedBaselines:
         assert abs(float(v @ cov @ v) - top) <= 1e-10 * top
         assert out.aux["dual_gram"] == (n < 300)
         assert abs(out.aux["pca_eigenvalue"] - top) <= 1e-10 * top
+
+    @pytest.mark.parametrize("case, trial", [("golden", 0), ("golden", 1),
+                                             ("blue", 0), ("blue", 1), ("blue", 2)])
+    def test_vanilla_gram_side_matches_centered_gram_eigh(self, case, trial):
+        # the golden file's Gram-side vanilla_pca trials (L + n = 240 < p =
+        # 400) and the blue fixture's (1602 < 20000): the Lanczos pair of the
+        # rank-two-centered Gram matrix against eigh of the explicitly
+        # centered one, formed a column slab at a time
+        if case == "golden":
+            config, (L, n) = CONFIGS["all_methods"], (40, 200)
+        else:
+            config, (L, n) = _blue_config(("vanilla_pca",)), (BLUE_L, BLUE_N)
+        ds = trial_ground_truth(config, trial)[1].prefix(L, n)
+        blocks = (ds.labeled_x, ds.unlabeled_x)
+        k = config.params.k
+        out = vanilla_pca(blocks, k)
+
+        rows, p = L + n, blocks[0].shape[1]
+        mean = sum(b.sum(axis=0) for b in blocks) / rows
+        slabs = [slice(lo, lo + 2048) for lo in range(0, p, 2048)]
+        gram = np.zeros((rows, rows))
+        for cols in slabs:
+            y = np.vstack([b[:, cols] for b in blocks]) - mean[cols]
+            gram += y @ y.T
+        values, vectors = np.linalg.eigh(gram / rows)
+        v = np.empty(p)
+        for cols in slabs:
+            y = np.vstack([b[:, cols] for b in blocks]) - mean[cols]
+            v[cols] = y.T @ vectors[:, -1]
+
+        assert out.aux["dual_gram"] and out.aux["pca_converged"]
+        assert abs(out.aux["pca_eigenvalue"] - values[-1]) <= 1e-9 * values[-1]
+        assert set(out.support) == set(top_k_indices(np.abs(v), k))
+
+    def test_gram_side_solve_recorded_in_aux(self):
+        # vanilla_pca takes the Gram side with fewer rows than columns, and
+        # ul_diag with fewer rows than kept columns: 8 < ceil(2 log 200) = 11,
+        # but 8 >= ceil(2 log 5) = 4 on five columns
+        rows = np.random.default_rng(6).standard_normal((8, 200))
+        for out in (vanilla_pca(rows, 2), ul_diag_threshold_pca(rows, 2)):
+            assert out.aux["pca_converged"] is True
+            assert 0 < out.aux["pca_iterations"] <= 8
+        covariance_side = ul_diag_threshold_pca(rows[:, :5], 2)
+        assert "pca_converged" not in covariance_side.aux
+
+    def test_vanilla_records_nonconvergence(self, monkeypatch):
+        # 200 Gram eigenvalues within 1e-4 of 1: 40 Lanczos products cannot
+        # reach the 1e-9 residual, and the output must say so
+        n, p = 201, 250
+        rng = np.random.default_rng(0)
+        ones = np.full((n, 1), 1.0 / np.sqrt(n))
+        u = np.linalg.qr(np.column_stack([ones, rng.standard_normal((n, n - 1))]))[0][:, 1:]
+        w = np.linalg.qr(rng.standard_normal((p, n - 1)))[0]
+        values = 1.0 - 1e-4 * np.linspace(0.0, 1.0, n - 1)
+        rows = np.sqrt(n) * (u * np.sqrt(values)) @ w.T
+        monkeypatch.setattr(spectral, "power_iteration",
+                            functools.partial(spectral.power_iteration, max_iter=40))
+        out = vanilla_pca(rows, 5)
+        assert out.aux["pca_converged"] is False
+        assert out.aux["pca_iterations"] == 40
 
     def test_vanilla_underdetermined_is_uninformative(self):
         overlaps = []

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sslgauss import spectral
 from sslgauss.errors import (ContractError, InsufficientSamplesError,
                              InvalidSupportError)
 from sslgauss.spectral import (DEFAULT_MAX_ITER, LANCZOS_BASIS, power_iteration,
@@ -98,8 +99,8 @@ class TestPrincipalDirection:
         rows = rng.standard_normal((n, 20)) + 1.5 * np.outer(
             rng.choice([-1.0, 1.0], n), np.eye(20)[3])
         values, vectors = np.linalg.eigh(np.cov(rows.T, bias=True))
-        v, value, dual_gram = principal_direction(rows)
-        assert dual_gram == (n < 20)
+        v, value, solve = principal_direction(rows)
+        assert (solve is not None) == (n < 20)
         assert abs(value - values[-1]) <= 1e-12 * values[-1]
         assert abs(float(v @ vectors[:, -1])) >= 1.0 - 1e-12
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
@@ -127,6 +128,80 @@ class TestPrincipalDirection:
             principal_direction(np.ones((1, 4)))
         with pytest.raises(InsufficientSamplesError):
             principal_direction(np.ones(4))
+
+    @staticmethod
+    def _covariance_top(rows):
+        """Oracle: eigh of the explicitly centered 1/n covariance, in float64."""
+        y = rows.astype(np.float64)
+        y -= y.mean(axis=0)
+        values, vectors = np.linalg.eigh((y.T @ y) / len(y))
+        return values[-1], vectors[:, -1]
+
+    def test_gram_side_offset_rows(self, monkeypatch):
+        # every column shifted by +3: the uncentered Gram matrix would lead
+        # with the offset's eigenvalue, near 9 p; the rank-two correction must
+        # remove it and leave the matrix Lanczos sees exactly symmetric
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((30, 80)) + 2.0 * np.outer(
+            rng.choice([-1.0, 1.0], 30), np.eye(80)[5]) + 3.0
+        seen = []
+
+        def spy(a, **kwargs):
+            seen.append(a.copy())
+            return power_iteration(a, **kwargs)
+
+        monkeypatch.setattr(spectral, "power_iteration", spy)
+        v, value, solve = principal_direction((rows[:9], rows[9:]))
+        want_value, want_v = self._covariance_top(rows)
+        assert solve.converged
+        assert abs(value - want_value) <= 1e-10 * want_value
+        assert 1.0 - abs(float(v @ want_v)) <= 1e-10
+        (gram,) = seen
+        assert np.array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize("column_block", [16, spectral.COLUMN_BLOCK])
+    def test_gram_side_float32_rows_in_float64(self, column_block, monkeypatch):
+        # float32 blocks are cast a slab at a time and every product runs in
+        # float64, so they give what their float64 cast gives; float32
+        # products would be about 1e-7 off
+        monkeypatch.setattr(spectral, "COLUMN_BLOCK", column_block)
+        rng = np.random.default_rng(5)
+        rows = (rng.standard_normal((40, 70)) + 2.0 * np.outer(
+            rng.choice([-1.0, 1.0], 40), np.eye(70)[2])).astype(np.float32)
+        v, value, solve = principal_direction((rows[:10], rows[10:]))
+        want_v, want_value, want_solve = principal_direction(rows.astype(np.float64))
+        assert solve.converged and want_solve.converged
+        assert abs(value - want_value) <= 1e-12 * want_value
+        assert np.max(np.abs(v - want_v)) <= 1e-12
+
+    def test_gram_side_start_nearly_orthogonal_to_top(self):
+        # Lanczos starts from the basis vector at the Gram matrix's largest
+        # diagonal entry, row 17, which here lies mostly along the second
+        # eigenvector (1.9) and only 1e-6 along the top one (2.0). A start
+        # within tol * theta / gap (2e-8) of orthogonal would stop on the
+        # second pair; 1e-6 must still reach the top one.
+        n, p, j0, eps = 60, 100, 17, 1e-6
+        rng = np.random.default_rng(0)
+        ones = np.full(n, 1.0 / np.sqrt(n))
+        e = np.eye(n)[j0]
+        c = np.linalg.qr(np.column_stack([ones, e]))[0]
+        top = rng.standard_normal(n)
+        top -= c @ (c.T @ top)
+        top = top / np.linalg.norm(top) + eps * e
+        top -= ones * (ones @ top)
+        # eigenvectors orthogonal to the ones vector: the rows are centered
+        u = np.linalg.qr(np.column_stack([ones, top, e + 0.3 * rng.standard_normal(n),
+                                          rng.standard_normal((n, 50))]))[0][:, 1:]
+        values = np.concatenate([[2.0, 1.9], np.linspace(1.0, 0.1, 50)])
+        w = np.linalg.qr(rng.standard_normal((p, values.size)))[0]
+        rows = np.sqrt(n) * (u * np.sqrt(values)) @ w.T
+        y = rows - rows.mean(axis=0)
+        assert int(np.argmax(np.einsum("ij,ij->i", y, y))) == j0
+        assert abs(u[j0, 0]) < 2 * eps
+        v, value, solve = principal_direction(rows)
+        assert solve.converged
+        assert abs(value - 2.0) <= 1e-9 * 2.0
+        assert 1.0 - abs(float(v @ w[:, 0])) <= 1e-12
 
 
 class TestLeadingEigenvector:
