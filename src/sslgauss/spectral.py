@@ -41,6 +41,7 @@ LANCZOS_BASIS = 64
 COLUMN_BLOCK = 2048
 
 _SYMMETRY_TOL = 1e-10
+_SYMMETRY_ROWS = 256  # rows per slab of the symmetry check
 
 
 def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
@@ -195,12 +196,10 @@ def principal_direction(rows) -> tuple[np.ndarray, float, PowerResult | None]:
             for x, span in zip(xs, spans):
                 v[cols] += x.T @ u[span]
     else:
-        # p <= n: the centered rows are formed whole, in float64
-        mean = np.empty(p)
-        y = np.empty((n, p))
-        for cols, x in column_slabs(blocks):
-            mean[cols] = x.mean(axis=0, dtype=np.float64)
-            np.subtract(x, mean[cols], out=y[:, cols])
+        # p <= n: the centered rows are formed whole, in float64; empty
+        # blocks stay out, as they would change the stacked array's layout
+        y = np.concatenate([b for b in blocks if b.shape[0]], dtype=np.float64)
+        y -= y.mean(axis=0)
         values, vectors = np.linalg.eigh((y.T @ y) / n)
         v, value = vectors[:, -1], float(values[-1])
     if value <= 0.0:
@@ -221,9 +220,14 @@ def _psd_operator(a):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractError(f"expected a square matrix, got shape {a.shape}")
-    scale = float(np.max(np.abs(a))) if a.size else 0.0
-    if scale and float(np.max(np.abs(a - a.T))) > _SYMMETRY_TOL * scale:
-        raise ContractError("matrix is not symmetric to tolerance")
+    scale = max(float(a.max()), -float(a.min())) if a.size else 0.0
+    if scale:
+        # a row slab at a time, so the check holds no n x n temporary
+        for lo in range(0, a.shape[0], _SYMMETRY_ROWS):
+            rows = slice(lo, lo + _SYMMETRY_ROWS)
+            gap = a[rows] - a[:, rows].T
+            if float(np.max(np.abs(gap, out=gap))) > _SYMMETRY_TOL * scale:
+                raise ContractError("matrix is not symmetric to tolerance")
     return a
 
 

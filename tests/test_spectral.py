@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,21 @@ class TestLeadingEigenvector:
     def test_asymmetric_rejected(self):
         with pytest.raises(ContractError):
             power_iteration(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_symmetry_check_holds_no_full_size_temporary(self):
+        # a - a.T in one piece would take the matrix's size twice over
+        x = np.random.default_rng(3).standard_normal((2000, 2000))
+        a = x + x.T
+        tracemalloc.start()
+        try:
+            assert spectral._psd_operator(a) is a
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 2
+        a[1999, 3] += 1.0  # an asymmetry in the last row slab
+        with pytest.raises(ContractError, match="not symmetric"):
+            spectral._psd_operator(a)
 
 
 class TestTruncatedPower:

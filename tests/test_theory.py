@@ -146,12 +146,8 @@ class TestHypergeomOverlap:
         for k in range(1, p + 1):
             oracle = enumerate_overlap_pmf(p, k)
             for m in range(k + 1):
-                want = float(oracle.get(m, Fraction(0)))
-                got = hypergeom_overlap_pmf(p, k, m)
-                if want == 0.0:
-                    assert got == 0.0
-                else:
-                    assert abs(got - want) <= 1e-12 * want
+                # exact: the correctly rounded value of the enumerated fraction
+                assert hypergeom_overlap_pmf(p, k, m) == float(oracle.get(m, Fraction(0)))
 
     @pytest.mark.parametrize("p", [12, 25, 40])
     def test_mean_identity_sweep(self, p):
@@ -171,6 +167,10 @@ class TestHypergeomOverlap:
             want = float(sum(Fraction(m) ** d * pr for m, pr in oracle.items()))
             assert abs(hypergeom_overlap_moment(6, 2, d) - want) <= 1e-12 * max(1.0, want)
 
+    def test_moment_beyond_the_float_range_is_inf(self):
+        # E[G^120] for k = 1000 is about 2e325
+        assert hypergeom_overlap_moment(2000, 1000, 120) == math.inf
+
 
 class TestRademacherMoments:
     def test_odd_is_exactly_zero(self):
@@ -179,7 +179,7 @@ class TestRademacherMoments:
                 assert rademacher_sum_moment(n, d) == 0.0
 
     def test_second_moment_is_n(self):
-        for n in (1, 4, 17, 64):
+        for n in (1, 4, 17, 64, 65, 80, 100):
             assert rademacher_sum_moment(n, 2) == float(n)
 
     def test_n4_d4_enumeration(self):
@@ -204,12 +204,16 @@ class TestRademacherMoments:
                 assert rademacher_sum_moment(n, 2 * ell) <= n ** ell * dd * (1 + 1e-12)
 
     def test_large_n_log_space_path(self):
-        # n = 80 exceeds the exact-path guard; compare to direct Fraction sum
+        # n = 80 exceeds the exact norm's guard; the moment is still the
+        # correctly rounded Fraction sum
         n, d = 80, 6
         want = float(Fraction(sum(math.comb(n, t) * (2 * t - n) ** d
                                   for t in range(n + 1)), 2 ** n))
-        got = rademacher_sum_moment(n, d)
-        assert abs(got - want) <= 1e-10 * want
+        assert rademacher_sum_moment(n, d) == want
+
+    def test_beyond_the_float_range_is_inf(self):
+        # E[S^400] at n = 100 is about 2e770
+        assert rademacher_sum_moment(100, 400) == math.inf
 
 
 class TestLowDegNorm:
@@ -310,6 +314,21 @@ class TestLowDegNorm:
         with pytest.raises(BoundInapplicableError):  # implied beta = 0.72: 2*beta >= 1
             lowdeg_norm_upper_bound(ProblemParams(p=10, k=2, lam=2.0, L=3, n=4),
                                     epsilon=0.1)
+
+    def test_bound_dominates_exact_only_where_the_bound_applies(self):
+        # the grid takes in k = p, L = 0, lambda = 0, a NaN or nonpositive
+        # epsilon, and lambda = 5e-324, where the implied beta underflows to 0
+        raised = 0
+        for p, k, lam, L, n, epsilon in itertools.product(
+                (10, 10 ** 4), (2, 10), (0.0, 5e-324, 0.01, 3.0), (0, 1, 50), (0, 10),
+                (None, math.nan, 0.0, -0.1, 0.1, 0.9)):
+            params = ProblemParams(p=p, k=k, lam=lam, L=L, n=n)
+            try:
+                lowdeg_norm_upper_bound(params, epsilon=epsilon)
+            except BoundInapplicableError:
+                raised += 1
+                assert not bound_dominates_exact(params, 2, epsilon), params
+        assert raised >= 300
 
     @pytest.mark.parametrize("epsilon", [math.nan, 0.0, -0.1])
     def test_bound_rejects_a_nonpositive_or_nan_epsilon(self, epsilon):
