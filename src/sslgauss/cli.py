@@ -4,7 +4,7 @@ Subcommands:
   simulate  run M trials at a single (L, n) point and write per-trial CSV
   sweep     run the full Monte Carlo grid over n or L
   region    classify an (alpha, beta, gamma) scaling point
-  lowdeg    degree-D likelihood-ratio norm: exact value, bound, MC fallback
+  lowdeg    degree-D likelihood-ratio norm: exact value and closed-form bound
   bounds    labeled/unlabeled recovery thresholds and their fusion verdict
 
 simulate and sweep echo every key the resolved config holds, in
@@ -84,9 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     low.add_argument("--D", type=int, required=True, help="max polynomial degree")
     low.add_argument("--epsilon", type=float, default=None,
                      help="slack in the bound exponent (default 1/2 - alpha - beta)")
-    low.add_argument("--mc-samples", dest="mc_samples", type=int, default=200000,
-                     help="Monte Carlo fallback sample count (default 200000)")
-    low.add_argument("--seed", type=int, default=1729, help="MC seed (default 1729)")
 
     bnd = subs.add_parser("bounds", help="recovery thresholds and fusion verdict")
     bnd.add_argument("--p", type=int, required=True, help="ambient dimension")
@@ -165,10 +162,8 @@ def _run_region(args: argparse.Namespace) -> int:
 
 def _run_lowdeg(args: argparse.Namespace) -> int:
     params = ProblemParams(p=args.p, k=args.k, lam=args.lam, L=args.L, n=args.n)
-    exact = None
     try:
-        exact = theory.lowdeg_norm_exact(params, args.D)
-        print(_kv("exact", exact, width=14))
+        print(_kv("exact", theory.lowdeg_norm_exact(params, args.D), width=14))
     except ExactInfeasibleError as err:
         print(_kv("exact", f"infeasible ({err})", width=14))
     try:
@@ -176,13 +171,6 @@ def _run_lowdeg(args: argparse.Namespace) -> int:
         print(_kv("bound", bound, width=14))
     except BoundInapplicableError as err:
         print(_kv("bound", f"inapplicable ({err})", width=14))
-    if exact is None:
-        print("warning: exact value infeasible; falling back to Monte Carlo",
-              file=sys.stderr)
-        est, se = theory.lowdeg_norm_mc(params, args.D, n_samples=args.mc_samples,
-                                        seed=args.seed)
-        print(_kv("mc_estimate", est, width=14))
-        print(_kv("mc_stderr", se, width=14))
     alpha, beta, gamma = params.alpha, params.beta, params.gamma
     print(_kv("alpha_implied", alpha, width=14))
     print(_kv("beta_implied", beta, width=14))

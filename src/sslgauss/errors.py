@@ -36,7 +36,7 @@ class ContractError(SslgaussError):
 
 
 class ExactInfeasibleError(SslgaussError):
-    """Exact combinatorial evaluation is out of range; use the bound or MC paths."""
+    """The degree is past the exact norm's guard; use the closed-form bound."""
 
 
 class BoundInapplicableError(SslgaussError):

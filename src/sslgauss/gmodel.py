@@ -121,8 +121,9 @@ class ProblemParams:
 
     @property
     def beta(self) -> float:
-        """Labeled exponent read back from L = 2 beta k log(p-k) / lam."""
-        if self.lam <= 0 or self.k >= self.p:
+        """Labeled exponent read back from L = 2 beta k log(p-k) / lam; nan
+        where lam = 0 or p - k < 2, which leaves log(p-k) no positive value."""
+        if self.lam <= 0 or self.p - self.k < 2:
             return math.nan
         return self.L * self.lam / (2.0 * self.k * math.log(self.p - self.k))
 

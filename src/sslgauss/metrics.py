@@ -74,16 +74,3 @@ def score(mu: SparseMean, support_hat,
     return (support_overlap(mu.support, support_hat, mu.k), gen_error,
             _over_bayes(mu, gen_error))
 
-
-def empirical_error(direction_hat: np.ndarray, xs: np.ndarray, ys: np.ndarray) -> float:
-    """Fraction of test pairs with sign<v, x> != y (cross-check of the closed form).
-
-    A zero projection counts as predicting +1.
-    """
-    v = _check_unit(direction_hat)
-    xs = np.asarray(xs, dtype=np.float64)
-    ys = np.asarray(ys)
-    if xs.shape[0] != ys.shape[0] or xs.shape[0] == 0:
-        raise ContractError("test set must be nonempty with matching labels")
-    pred = np.where(xs @ v >= 0.0, 1, -1)
-    return float(np.mean(pred != ys))

@@ -6,12 +6,13 @@ Covers four groups:
     and their fusion for mixed samples;
   * exact combinatorial moments (support-overlap hypergeometric, Rademacher
     sums) used by the degree-D likelihood-ratio norm;
-  * the truncated likelihood-ratio norm itself: exact, Monte Carlo, and a
-    closed-form upper bound;
+  * the truncated likelihood-ratio norm itself: exact, and a closed-form
+    upper bound;
   * the (alpha, beta, gamma) phase-region classifier.
 
-The moments are exact: integer/Fraction sums, rounded once to a float (inf
-beyond the float range); the exact norm runs under explicit size guards.
+The moments are exact: integer recurrences of O(D^2) steps whatever the
+sizes, rounded once to a float (inf beyond the float range); the exact norm
+is guarded on the degree D only.
 """
 
 from __future__ import annotations
@@ -22,16 +23,10 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import BoundInapplicableError, ContractError, ExactInfeasibleError
 from .gmodel import ProblemParams
-from .rng import generator
 
-EXACT_MAX_K = 64
-EXACT_MAX_N = 64
-EXACT_MAX_D = 30
-MC_BATCH = 200_000  # Monte Carlo draws held in memory at once
+EXACT_MAX_D = 100  # where one lowdeg_norm_exact call takes up to about 0.1 s (2-core x86)
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +96,7 @@ def fusion_verdict(L: int, n: int, k: int, lam: float, p: int, delta: float) -> 
 # combinatorial moments
 # ---------------------------------------------------------------------------
 
-def _to_float(x: Fraction) -> float:
+def _to_float(x: Fraction | int) -> float:
     """x rounded to the nearest float, or inf beyond the float range."""
     try:
         return float(x)
@@ -126,44 +121,64 @@ def hypergeom_overlap_pmf(p: int, k: int, m: int) -> float:
     return math.comb(k, m) * math.comb(p - k, k - m) / math.comb(p, k)  # int / int rounds once
 
 
-def _overlap_moment_fraction(p: int, k: int, d: int) -> Fraction:
-    """E[G^d] with G the overlap of two uniform k-subsets, exact."""
-    total = 0
-    for m in range(max(0, 2 * k - p), k + 1):
-        total += m ** d * math.comb(k, m) * math.comb(p - k, k - m)
-    return Fraction(total, math.comb(p, k))
+def _overlap_moments(p: int, k: int, D: int) -> tuple[list[int], int]:
+    """E[G^d] for d = 0..D over one common denominator, G the overlap of two
+    uniform k-subsets of [p]: (numerators, denominator).
+
+    E[G^d] = sum_j S(d, j) (k)_j^2 / (p)_j: Stirling numbers of the second
+    kind times the hypergeometric factorial moments, zero for j > k.
+    """
+    top = min(D, k)
+    falling = [1]  # (k)_j
+    for j in range(top):
+        falling.append(falling[-1] * (k - j))
+    tail = [1] * (top + 1)  # (p)_top / (p)_j
+    for j in range(top - 1, -1, -1):
+        tail[j] = tail[j + 1] * (p - j)
+    factorial_moments = [f * f * t for f, t in zip(falling, tail)]  # times (p)_top
+    numerators = []
+    stirling = [1]  # S(d, j) for j = 0..d
+    for d in range(D + 1):
+        if d:
+            stirling = [j * a + b for j, (a, b) in enumerate(zip(stirling + [0], [0] + stirling))]
+        numerators.append(sum(s * f for s, f in zip(stirling, factorial_moments)))
+    return numerators, tail[0]
 
 
 def hypergeom_overlap_moment(p: int, k: int, d: int) -> float:
-    """E[G^d], exact, correctly rounded, inf beyond the float range."""
+    """E[G^d], exact, correctly rounded, inf beyond the float range; O(d^2)
+    integer steps whatever p and k."""
     if not 1 <= k <= p:
         raise ContractError(f"need 1 <= k <= p, got k={k}, p={p}")
     if d < 0:
         raise ContractError(f"moment order must be nonnegative, got {d}")
-    return _to_float(_overlap_moment_fraction(p, k, d))
+    numerators, denominator = _overlap_moments(p, k, d)
+    return _to_float(Fraction(numerators[d], denominator))
 
 
-def _sign_sum_moment(L: int, n: int, d: int) -> Fraction:
-    """E[(L + R_1 + ... + R_n)^d] for i.i.d. signs, exact: the sum over the
-    count t of plus signs of C(n, t) (L + 2t - n)^d / 2^n."""
-    total = 0
-    c = 1  # C(n, t), built from C(n, t - 1)
-    for t in range(n + 1):
-        total += c * (L + 2 * t - n) ** d
-        c = c * (n - t) // (t + 1)
-    return Fraction(total, 2 ** n)
+def _rademacher_moments(n: int, D: int) -> list[int]:
+    """E[R^m] for m = 0..D, R = R_1 + ... + R_n a sum of i.i.d. signs.
+
+    E[e^{sR}] = cosh(s)^n, and J. C. P. Miller's power-series recurrence
+    g_m = (1/m) sum_j ((n+1) j - m) f_j g_{m-j} for g = f^n, taken on
+    E[R^m] = m! g_m with f_j = 1/j! for even j (else 0), stays in integers.
+    """
+    moments = [1]
+    for m in range(1, D + 1):
+        moments.append(sum(((n + 1) * j - m) * math.comb(m, j) * moments[m - j]
+                           for j in range(2, m + 1, 2)) // m)
+    return moments
 
 
 def rademacher_sum_moment(n: int, d: int) -> float:
     """E[(R_1 + ... + R_n)^d] for i.i.d. signs; zero exactly for odd d.
 
-    Exact, correctly rounded, inf beyond the float range. It sums n + 1
-    integers of about d log2(n) bits, so huge arguments cost (about 0.2 s
-    at n = 20000, d = 6).
+    Exact, correctly rounded, inf beyond the float range; O(d^2) integer
+    steps whatever n.
     """
     if n < 0 or d < 0:
         raise ContractError(f"need n >= 0 and d >= 0, got n={n}, d={d}")
-    return _to_float(_sign_sum_moment(0, n, d))
+    return _to_float(_rademacher_moments(n, d)[d])
 
 
 # ---------------------------------------------------------------------------
@@ -180,63 +195,27 @@ def lowdeg_norm_exact(params: ProblemParams, D: int) -> float:
     (1/d!) * E[<mu_S, mu_S'>^d] * E[(L + sum of n signs)^d],
     the first factor reducing to (lam/k)^d times an overlap moment.
 
-    Exact combinatorics only; guarded to k <= 64, n <= 64, D <= 30.
+    Exact integer arithmetic in O(D^2) steps at any (p, k, L, n); guarded to
+    D <= EXACT_MAX_D.
     """
     _check_degree(D)
-    p, k, L, n, lam = params.p, params.k, params.L, params.n, params.lam
-    if k > EXACT_MAX_K or n > EXACT_MAX_N or D > EXACT_MAX_D:
+    if D > EXACT_MAX_D:
         raise ExactInfeasibleError(
-            f"exact path requires k <= {EXACT_MAX_K}, n <= {EXACT_MAX_N}, "
-            f"D <= {EXACT_MAX_D}; got k={k}, n={n}, D={D} "
-            "(use lowdeg_norm_upper_bound or lowdeg_norm_mc)")
-    lam_frac = Fraction(lam)  # exact binary value of the float
-    total = Fraction(1)       # d = 0 term
-    for d in range(1, D + 1):
-        eg = _overlap_moment_fraction(p, k, d)
-        et = _sign_sum_moment(L, n, d)
-        total += (lam_frac / k) ** d * eg * et / math.factorial(d)
-    return _to_float(total)
-
-
-def lowdeg_norm_mc(params: ProblemParams, D: int, n_samples: int = 10 ** 6,
-                   seed: int = 0) -> tuple[float, float]:
-    """Monte Carlo estimate of the truncated norm with its standard error.
-
-    Samples the two supports' overlap and the n sign products directly and
-    averages the inner exponential series truncated at degree D. Raises
-    ContractError when the series or its square leaves the float range.
-    """
-    _check_degree(D)
-    p, k, L, n, lam = params.p, params.k, params.L, params.n, params.lam
-    if n_samples < 2:
-        raise ContractError("need at least two samples for a standard error")
-    if max(k, p - k) >= 10 ** 9:  # numpy's hypergeometric sampler refuses larger pools
-        raise ContractError(f"Monte Carlo path needs k and p - k below 1e9, got k={k}, p={p}")
-    rng = generator(seed)
-    total = 0.0
-    total_sq = 0.0
-    remaining = n_samples
-    while remaining > 0:
-        b = min(MC_BATCH, remaining)
-        g = rng.hypergeometric(k, p - k, k, size=b) if p > k else np.full(b, k)
-        r = 2.0 * rng.binomial(n, 0.5, size=b) - n if n > 0 else np.zeros(b)
-        # a series beyond the float range is refused below, not warned about
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = (lam / k) * g * (L + r)
-            acc = np.ones(b)
-            term = np.ones(b)
-            for d in range(1, D + 1):
-                term = term * x / d
-                acc = acc + term
-            total += float(np.sum(acc))
-            total_sq += float(np.sum(acc * acc))
-        if not (math.isfinite(total) and math.isfinite(total_sq)):
-            raise ContractError(f"Monte Carlo series leaves the float range at "
-                                f"lambda={lam:g}, D={D}")
-        remaining -= b
-    mean = total / n_samples
-    var = max(0.0, (total_sq - n_samples * mean * mean) / (n_samples - 1))
-    return mean, math.sqrt(var / n_samples)
+            f"exact path requires D <= {EXACT_MAX_D}; got D={D} "
+            "(use lowdeg_norm_upper_bound)")
+    p, k, L, n = params.p, params.k, params.L, params.n
+    overlap, denominator = _overlap_moments(p, k, D)
+    signs = _rademacher_moments(n, D)
+    a, b = params.lam.as_integer_ratio()  # lam/k = a/b, exactly
+    b *= k
+    total = 0
+    for d in range(D + 1):
+        # E[(L + R)^d] by the binomial theorem
+        shifted = sum(math.comb(d, i) * L ** (d - i) * signs[i] for i in range(d + 1))
+        # the d-th term over one common denominator: the overlap's, times b^D D!
+        total += (a ** d * b ** (D - d) * overlap[d] * shifted
+                  * (math.factorial(D) // math.factorial(d)))
+    return _to_float(Fraction(total, denominator * b ** D * math.factorial(D)))
 
 
 def _bound_exponent(params: ProblemParams, epsilon: float | None) -> float:

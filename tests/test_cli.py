@@ -117,14 +117,32 @@ class TestLowdeg:
         assert float(kv(out)["exact"]) == pytest.approx(161.0 / 90.0, rel=1e-9)
 
     def test_infeasible_falls_back_to_mc(self, capsys):
+        # k = 80, n = 200 were past the exact path's old k, n <= 64 guard and
+        # went to Monte Carlo; the exact sum now covers every size
         code, out, err = run_cli(capsys, "lowdeg", "--p", "2000", "--k", "80",
                                "--L", "10", "--n", "200", "--lambda", "0.5",
-                               "--D", "4", "--mc-samples", "20000")
-        assert code == 0
+                               "--D", "4")
+        assert code == 0 and err == ""
+        assert "exact:          1.30089255569\n" in out
+        assert "mc_" not in out
+
+    def test_degree_past_the_guard_prints_the_bound(self, capsys):
+        code, out, err = run_cli(capsys, "lowdeg", "--p", "10000", "--k", "2",
+                                 "--L", "4", "--n", "3", "--D", "101")
+        assert code == 0 and err == ""
         values = kv(out)
-        assert values["exact"].startswith("infeasible")
-        assert "mc_estimate" in values and "mc_stderr" in values
-        assert "Monte Carlo" in err
+        assert values["exact"].startswith("infeasible (exact path requires D <= 100")
+        assert float(values["bound"]) == pytest.approx(1.44210912753, rel=1e-11)
+
+    def test_p_one_above_k_gives_nan_beta(self, capsys):
+        # log(p - k) is 0 at p = k + 1: the implied beta is nan, not a crash
+        code, out, err = run_cli(capsys, "lowdeg", "--p", "3", "--k", "2", "--L", "1",
+                                 "--n", "1", "--D", "2")
+        assert code == 0 and "Traceback" not in err, err
+        values = kv(out)
+        assert values["exact"] == "7.5" and values["beta_implied"] == "nan"
+        assert values["bound"].startswith("inapplicable")
+        assert values["hard_regime"] == "false"
 
     @pytest.mark.parametrize("size", [("--p", "10", "--L", "2"), ("--p", "10000", "--L", "1")])
     def test_nan_epsilon_bound_inapplicable(self, capsys, size):
@@ -160,18 +178,24 @@ class TestLowdeg:
 
     @pytest.mark.parametrize("mc", [[], ["--mc-samples", "1000"]])
     def test_mc_series_beyond_float_range_is_an_error(self, capsys, mc):
+        # the Monte Carlo series refused this size; the exact sum is inf, and
+        # the removed --mc-samples flag is a usage error
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, "lowdeg", "--p", "2000", "--k", "80", "--L", "10",
                                      "--n", "200", "--lambda", "1e300", "--D", "4", *mc)
-        assert code == 1 and "mc_estimate" not in out and "Traceback" not in err
-        assert "error:" in err and "lambda=1e+300" in err and "D=4" in err
+        if mc:
+            assert code == 2 and out == "" and "unrecognized arguments: --mc-samples" in err
+        else:
+            assert code == 0 and err == "" and kv(out)["exact"] == "inf"
 
     def test_mc_beyond_hypergeometric_limit_is_an_error(self, capsys):
+        # p - k above 1e9 was past numpy's hypergeometric sampler; the exact
+        # sum needs no sampler (and with L = n = 0 it is 1)
         code, out, err = run_cli(capsys, "lowdeg", "--p", "2000000000", "--k", "70",
-                                 "--D", "3", "--mc-samples", "1000")
-        assert code == 1 and "mc_estimate" not in out
-        assert "error:" in err and "below 1e9" in err and "Traceback" not in err
+                                 "--D", "3")
+        assert code == 0 and err == ""
+        assert kv(out)["exact"] == "1"
 
     def test_hard_regime_flag(self, capsys):
         # alpha ~ .333, beta small, gamma < 2 -> inside the hard rectangle
@@ -395,7 +419,7 @@ class TestHelp:
                       "--config", "--out", "--threads", "--f32"]),
         ("sweep", ["--sweep-axis", "--sweep-values", "--p", "--threads"]),
         ("region", ["--alpha", "--beta", "--gamma"]),
-        ("lowdeg", ["--p", "--k", "--L", "--n", "--lambda", "--D", "--mc-samples"]),
+        ("lowdeg", ["--p", "--k", "--L", "--n", "--lambda", "--D", "--epsilon"]),
         ("bounds", ["--p", "--k", "--lambda", "--delta", "--L", "--n", "--out"]),
     ])
     def test_help_lists_flags_and_defaults(self, capsys, sub, flags):
@@ -405,6 +429,10 @@ class TestHelp:
             assert flag in out
         if sub != "region":  # region's flags are all required, no defaults
             assert "default" in out
+
+    def test_lowdeg_has_no_monte_carlo_flags(self, capsys):
+        code, out, _ = run_cli(capsys, "lowdeg", "--help")
+        assert code == 0 and "--mc-samples" not in out and "--seed" not in out
 
     def test_unknown_flag_usage_exit(self, capsys):
         code, _, err = run_cli(capsys, "region", "--alpha", "0.3",

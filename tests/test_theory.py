@@ -1,7 +1,7 @@
+import functools
 import inspect
 import itertools
 import math
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -13,7 +13,7 @@ from sslgauss.errors import (BoundInapplicableError, ConfigError, ContractError,
 from sslgauss.gmodel import ProblemParams
 from sslgauss.theory import (RegionLabel, Verdict, bound_dominates_exact,
                              fusion_verdict, hypergeom_overlap_moment,
-                             hypergeom_overlap_pmf, lowdeg_norm_exact, lowdeg_norm_mc, lowdeg_norm_upper_bound,
+                             hypergeom_overlap_pmf, lowdeg_norm_exact, lowdeg_norm_upper_bound,
                              rademacher_sum_moment, region_classify, sl_threshold,
                              ul_threshold)
 
@@ -37,6 +37,42 @@ def enumerate_sign_sum_moment(n: int, d: int) -> Fraction:
     for signs in itertools.product((-1, 1), repeat=n):
         total += sum(signs) ** d
     return Fraction(total, 2 ** n)
+
+
+# Reference term sums: the k + 1 overlaps and the n + 1 sign counts, the
+# formulas the closed-form recurrences replaced; exact, but linear in k and n.
+
+@functools.lru_cache(maxsize=None)
+def term_sum_overlap_moment(p: int, k: int, d: int) -> Fraction:
+    """E[G^d] as the sum over overlaps m of m^d C(k, m) C(p-k, k-m) / C(p, k)."""
+    total = sum(m ** d * math.comb(k, m) * math.comb(p - k, k - m)
+                for m in range(max(0, 2 * k - p), k + 1))
+    return Fraction(total, math.comb(p, k))
+
+
+@functools.lru_cache(maxsize=None)
+def term_sum_sign_moment(L: int, n: int, d: int) -> Fraction:
+    """E[(L + R_1 + ... + R_n)^d] as the sum over the count t of plus signs
+    of C(n, t) (L + 2t - n)^d / 2^n."""
+    total = 0
+    c = 1  # C(n, t), built from C(n, t - 1)
+    for t in range(n + 1):
+        total += c * (L + 2 * t - n) ** d
+        c = c * (n - t) // (t + 1)
+    return Fraction(total, 2 ** n)
+
+
+def term_sum_lowdeg_norm(params: ProblemParams, D: int) -> float:
+    """The truncated norm from the term sums, correctly rounded (inf beyond
+    the float range)."""
+    ratio = Fraction(params.lam) / params.k
+    total = sum(ratio ** d * term_sum_overlap_moment(params.p, params.k, d)
+                * term_sum_sign_moment(params.L, params.n, d) / math.factorial(d)
+                for d in range(D + 1))
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf
 
 
 class TestThresholds:
@@ -204,8 +240,7 @@ class TestRademacherMoments:
                 assert rademacher_sum_moment(n, 2 * ell) <= n ** ell * dd * (1 + 1e-12)
 
     def test_large_n_log_space_path(self):
-        # n = 80 exceeds the exact norm's guard; the moment is still the
-        # correctly rounded Fraction sum
+        # the moment is the correctly rounded term sum at n = 80 too
         n, d = 80, 6
         want = float(Fraction(sum(math.comb(n, t) * (2 * t - n) ** d
                                   for t in range(n + 1)), 2 ** n))
@@ -232,8 +267,7 @@ class TestLowDegNorm:
         # the calculators take L = n = 0 (the lowdeg CLI's defaults)
         assert lowdeg_norm_exact(ProblemParams(p=6, k=2, lam=3.0, L=0, n=0), 3) == 1.0
 
-    @pytest.mark.parametrize("calculator", [lowdeg_norm_exact, lowdeg_norm_mc,
-                                            bound_dominates_exact])
+    @pytest.mark.parametrize("calculator", [lowdeg_norm_exact, bound_dominates_exact])
     def test_negative_degree_rejected(self, calculator):
         with pytest.raises(ContractError, match="degree"):
             calculator(ProblemParams(p=9, k=3, lam=1.0, L=4, n=5), -1)
@@ -255,28 +289,43 @@ class TestLowDegNorm:
         assert lowdeg_norm_exact(base.with_counts(L=5), 4) >= val
         assert lowdeg_norm_exact(base.with_counts(n=9), 4) >= val
 
-    def test_mc_agrees_with_exact(self):
-        params = ProblemParams(p=6, k=2, lam=1.0, L=1, n=2)
-        exact = lowdeg_norm_exact(params, 3)
-        est, se = lowdeg_norm_mc(params, 3, n_samples=200_000, seed=3)
-        assert abs(est - exact) <= 3.0 * se
-
-    def test_mc_refuses_a_series_beyond_the_float_range(self):
-        # the degree-4 terms reach 1e1200: the estimate would be nan with
-        # stderr 0, a precise-looking answer
-        params = ProblemParams(p=2000, k=80, lam=1e300, L=10, n=200)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ContractError, match=r"lambda=1e\+300, D=4"):
-                lowdeg_norm_mc(params, 4, n_samples=1000)
-
     def test_guard_raises(self):
-        with pytest.raises(ExactInfeasibleError):
-            lowdeg_norm_exact(ProblemParams(p=200, k=100, lam=1.0, L=1, n=2), 3)
-        with pytest.raises(ExactInfeasibleError):
-            lowdeg_norm_exact(ProblemParams(p=9, k=3, lam=1.0, L=1, n=100), 3)
-        with pytest.raises(ExactInfeasibleError):
-            lowdeg_norm_exact(ProblemParams(p=9, k=3, lam=1.0, L=1, n=2), 40)
+        # the guard is on D alone: any k and n compute
+        for params in (ProblemParams(p=200, k=100, lam=1.0, L=1, n=2),
+                       ProblemParams(p=9, k=3, lam=1.0, L=1, n=100)):
+            assert lowdeg_norm_exact(params, 3) == term_sum_lowdeg_norm(params, 3)
+        params = ProblemParams(p=9, k=3, lam=1.0, L=1, n=2)
+        assert lowdeg_norm_exact(params, 100) == term_sum_lowdeg_norm(params, 100)
+        with pytest.raises(ExactInfeasibleError, match="D <= 100"):
+            lowdeg_norm_exact(params, 101)
+
+    def test_closed_forms_equal_the_term_sums(self):
+        # k = p, L = 0, n = 0, lambda = 0 and a series beyond the float range
+        # included; every float must be the term sums' correctly rounded value
+        cases = 0
+        for p in (2, 5, 9, 40, 300):
+            for k in range(1, min(p, 12) + 1):
+                for d in range(10):
+                    want = float(term_sum_overlap_moment(p, k, d))
+                    assert hypergeom_overlap_moment(p, k, d) == want, (p, k, d)
+                for L, n, lam in itertools.product((0, 1, 3, 7), (0, 1, 5, 13, 40),
+                                                   (0.0, 0.3, 3.0, 1e100)):
+                    params = ProblemParams(p=p, k=k, lam=lam, L=L, n=n)
+                    for D in (0, 1, 4, 9):
+                        assert lowdeg_norm_exact(params, D) == \
+                            term_sum_lowdeg_norm(params, D), (params, D)
+                        cases += 1
+        for n in range(41):
+            for d in range(10):
+                assert rademacher_sum_moment(n, d) == float(term_sum_sign_moment(0, n, d))
+        assert cases == 12800
+
+    def test_paper_scale_value(self):
+        # p = 1e5, k = 100, L = 200, n = 4000, lambda = 3, D = 30
+        params = ProblemParams(p=10 ** 5, k=100, lam=3.0, L=200, n=4000)
+        got = lowdeg_norm_exact(params, 30)
+        assert "%.12g" % got == "1.12715862408e+13"
+        assert got == term_sum_lowdeg_norm(params, 30)
 
     def test_bound_dominates_exact_where_applicable(self):
         # search small instances whose finite-size domination condition holds
