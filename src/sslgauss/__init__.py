@@ -13,7 +13,7 @@ from .estimators import (EstimatorOutput, METHODS, labeled_direction, lspca,
 from .gmodel import (Dataset, ProblemParams, SparseMean, k_from_alpha, labeled_count,
                      make_sparse_mean, sample_dataset, unlabeled_count)
 from .harness import (AggregateRow, ExperimentConfig, TrialRecord, aggregate,
-                      read_config, run_sweep, run_trial, write_csv)
+                      run_sweep, run_trial, write_csv)
 from .metrics import excess_risk, generalization_error, phi_c, support_overlap
 from .spectral import power_iteration, restricted_covariance, truncated_power
 from .theory import (RegionLabel, ThresholdReport, Verdict, fusion_verdict,

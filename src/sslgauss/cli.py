@@ -128,6 +128,9 @@ def _run_experiment(args: argparse.Namespace, sweep: bool) -> int:
         print("error: simulate runs one point; use sweep for a config that sets sweep_axis",
               file=sys.stderr)
         return 2
+    # an unwritable output path fails here, before any trial runs; "a" truncates nothing
+    for path in (config.out_path, config.out_path + ".agg.csv") if config.out_path else ():
+        open(path, "a").close()
     _echo_config(config)
     records, aggs = harness.run_sweep(config)
     if config.out_path:

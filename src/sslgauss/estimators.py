@@ -105,11 +105,11 @@ def lspca(dataset: Dataset, k: int, beta_tilde: float,
     Lanczos (spectral.power_iteration), or by the truncated power method at
     k nonzeros when sparse_pca is set, with the stopping tolerance spectral
     derives from the rows' storage dtype. It reads the support off that
-    vector's k largest magnitudes, then takes the principal direction
-    of the unlabeled rows on the support; the final sign follows the labeled
-    direction. The screened set is too large for a dense solver at paper
-    scale, so only that step iterates; its convergence flag, product count
-    and eigenvalue are recorded in aux. Both steps read their unlabeled
+    vector's k largest magnitudes, then refits the principal direction of
+    the unlabeled rows on the support (spectral.principal_direction); the
+    final sign follows the labeled direction. Each solve's convergence flag,
+    product count and eigenvalue go in aux, as pca_* for the screened-set
+    solve and refit_* for the refit. Both steps read their unlabeled
     columns through Dataset.unlabeled_columns, so unless another reader has
     drawn the whole unlabeled block, only the screened columns are drawn.
     """
@@ -131,10 +131,12 @@ def lspca(dataset: Dataset, k: int, beta_tilde: float,
     local = top_k_indices(np.abs(res.vector), k)
     support = screen[local]
 
-    v_support, value, _ = principal_direction(dataset.unlabeled_columns(support))
+    refit = principal_direction(dataset.unlabeled_columns(support))
+    v_support = refit.vector
     aux = {"screening_size": int(retained), "sparse_pca": sparse_pca,
            "pca_converged": res.converged, "pca_iterations": res.iterations,
-           "pca_eigenvalue": res.value, "refit_eigenvalue": value}
+           "pca_eigenvalue": res.value, "refit_converged": refit.converged,
+           "refit_iterations": refit.iterations, "refit_eigenvalue": refit.value}
     side = float(v_support @ w[support])
     if side < 0.0:
         v_support = -v_support
@@ -176,14 +178,6 @@ def self_train(dataset: Dataset, k: int, gamma_threshold: float) -> EstimatorOut
                      aux={"n_eff": n_eff})
 
 
-def _gram_solve_aux(solve) -> dict:
-    """principal_direction's Gram-side solve (None on the covariance side),
-    recorded as lspca records its own."""
-    if solve is None:
-        return {}
-    return {"pca_converged": solve.converged, "pca_iterations": solve.iterations}
-
-
 def ul_diag_threshold_pca(rows, k: int) -> EstimatorOutput:
     """Unlabeled-only baseline: keep the ceil(k log p) largest-variance
     coordinates, take the leading eigenvector of the covariance there
@@ -191,8 +185,8 @@ def ul_diag_threshold_pca(rows, k: int) -> EstimatorOutput:
 
     `rows` is one array or a sequence of row blocks read as if stacked. The
     variances are taken a column slab at a time; only the kept columns are
-    copied out of the rows. When fewer rows than kept columns send the solve
-    to the Gram side, its convergence flag and product count go in aux.
+    copied out of the rows. The solve's convergence flag, product count and
+    eigenvalue go in aux, on either side.
     """
     blocks = row_blocks(rows)
     n = sum(b.shape[0] for b in blocks)
@@ -206,26 +200,30 @@ def ul_diag_threshold_pca(rows, k: int) -> EstimatorOutput:
     for cols, x in column_slabs(blocks):
         variances[cols] = np.var(x, axis=0, dtype=np.float64)
     keep = top_k_indices(variances, m)
-    v, value, solve = principal_direction([b[:, keep] for b in blocks])
-    local = top_k_indices(np.abs(v), k)
-    return _finalize("ul_diag_threshold_pca", p, keep[local], v[local],
-                     aux={"screening_size": int(m), "pca_eigenvalue": value,
-                          **_gram_solve_aux(solve)})
+    res = principal_direction([b[:, keep] for b in blocks])
+    local = top_k_indices(np.abs(res.vector), k)
+    return _finalize("ul_diag_threshold_pca", p, keep[local], res.vector[local],
+                     aux={"screening_size": int(m), "pca_converged": res.converged,
+                          "pca_iterations": res.iterations, "pca_eigenvalue": res.value})
 
 
 def vanilla_pca(rows, k: int) -> EstimatorOutput:
     """Unlabeled-only baseline: the leading eigenvector of the full sample
     covariance (spectral.principal_direction), then its k largest
     magnitudes. `rows` is one array or a sequence of row blocks read as if
-    stacked, in place. With fewer rows than columns the pair comes from the
-    Gram side, and its convergence flag and product count go in aux."""
-    v, value, solve = principal_direction(rows)
+    stacked, in place. The solve's convergence flag, product count and
+    eigenvalue go in aux, with dual_gram set when fewer rows than columns
+    send it to the Gram side."""
+    blocks = row_blocks(rows)
+    res = principal_direction(blocks)
+    v = res.vector
     if not 1 <= k <= v.size:
         raise ContractError(f"k={k} out of range for dimension {v.size}")
     local = top_k_indices(np.abs(v), k)
     return _finalize("vanilla_pca", v.size, local, v[local],
-                     aux={"dual_gram": solve is not None, "pca_eigenvalue": value,
-                          **_gram_solve_aux(solve)})
+                     aux={"dual_gram": sum(b.shape[0] for b in blocks) < v.size,
+                          "pca_converged": res.converged, "pca_iterations": res.iterations,
+                          "pca_eigenvalue": res.value})
 
 
 # ---------------------------------------------------------------------------

@@ -401,12 +401,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         threads=v["threads"])
 
 
-def read_config(path) -> ExperimentConfig:
-    with open(path) as fh:
-        text = fh.read()
-    return config_from_dict(parse_config_text(text, source=str(path)))
-
-
 # ExperimentConfig and ProblemParams spell three keys differently; the
 # exponent forms and their prefactors are resolved to counts and not kept.
 _ATTRIBUTES = {"lambda": "lam", "Gamma": "gamma_threshold", "out": "out_path"}

@@ -1,25 +1,24 @@
 """Minimal dense linear algebra for spiked covariances.
 
-`principal_direction` takes the top eigenpair of a sample covariance for
-every dense PCA step. It reads its rows as one array or as a sequence of row
-blocks (a trial's labeled and unlabeled rows) taken as if stacked, and never
-copies them whole. With at least as many rows as columns it solves the
-covariance exactly by a dense symmetric solver. With fewer rows it forms the
-n x n Gram matrix from the blocks' products in place, centers it by a
-rank-two correction and takes its top pair by `power_iteration`: a Ritz pair
-with residual at most 1e-9 times its value, and a flag when the solve falls
-short. `power_iteration` (also lspca's screened-set PCA) runs Lanczos with
-full reorthogonalization and stops once the top Ritz pair's residual is at
-most tol times its value; `truncated_power` (ls2pca) forms A v, keeps its k
-largest magnitudes and renormalizes until the iterate moves by at most tol.
-tol is 1e-6 for a RestrictedCovariance over float32 rows and 1e-9
-otherwise. Both take a symmetric PSD operator, an implicit
-RestrictedCovariance or an ndarray, and use only `a @ v` and
+Every PCA step but ls2pca's sparse one takes its top pair by one solver,
+`power_iteration`: Lanczos with full reorthogonalization, stopped once the
+top Ritz pair's residual is at most tol times its value, with a flag when
+it falls short. `principal_direction` serves every dense PCA step: it reads
+one array or a sequence of row blocks (a trial's labeled and unlabeled
+rows) as if stacked, and solves the explicit float64 covariance when there
+are at least as many rows as columns, else the n x n Gram matrix formed
+from the blocks' products in place. lspca's screened-set PCA solves an
+implicit RestrictedCovariance; ls2pca's runs `truncated_power`, which forms
+A v, keeps its k largest magnitudes and renormalizes until the iterate
+moves by at most tol. tol is 1e-6 for a RestrictedCovariance over float32
+rows and 1e-9 otherwise. Both solvers take a symmetric PSD operator, an
+implicit RestrictedCovariance or an ndarray, and use only `a @ v` and
 `a.diagonal()`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -142,36 +141,42 @@ def _float64_slabs(blocks: list[np.ndarray]):
         yield cols, [b[:, cols].astype(np.float64, copy=False) for b in blocks]
 
 
-def principal_direction(rows) -> tuple[np.ndarray, float, PowerResult | None]:
-    """Leading eigenpair of the centered 1/n sample covariance of rows.
+def _norm(w: np.ndarray) -> float:
+    """||w|| as s ||w / s||, with s = 4^j near max |w|: w . w overflows past
+    about 1e154, and the exact scaling leaves np.linalg.norm's value there."""
+    top = float(np.max(np.abs(w)))
+    if not 0.0 < top < np.inf:
+        return float(np.linalg.norm(w))
+    s = math.ldexp(1.0, 2 * ((math.frexp(top)[1] - 1) // 2))  # max |w / s| in [1, 4)
+    return s * float(np.linalg.norm(w / s))
+
+
+def principal_direction(rows) -> PowerResult:
+    """Leading eigenpair of the centered 1/n sample covariance of rows, as
+    power_iteration's PowerResult: a Ritz pair with residual at most 1e-9
+    times its value when `converged`, the vector in p-space (canonical sign;
+    e1 for a zero covariance).
 
     `rows` is one array or a sequence of row blocks read as if stacked
-    (row_blocks). When n >= p, a dense eigh of the p x p covariance gives the
-    exact pair. When n < p, the pair comes from the n x n Gram matrix (same
-    nonzero spectrum; u maps back to Y' u): its uncentered form is summed
-    from the block products blocks[i] @ blocks[j].T in float64, mirrored
-    across the diagonal, and centered by the rank-two correction
-    G - r 1' - 1 r' + ||m||^2 1 1', with m the column mean, r = X m = G 1 / n
-    and ||m||^2 = 1' G 1 / n^2, which leaves it exactly symmetric. Its top
-    pair is taken by power_iteration, so it is a Ritz pair whose residual is
-    at most 1e-9 times its value when the solve converges.
-
-    Returns the unit eigenvector in canonical sign (e1 for a zero
-    covariance), its eigenvalue, and the Gram side's PowerResult (None on the
-    covariance side), whose `converged` flag says whether the pair met that
-    residual within the solver's product cap.
+    (row_blocks). When n >= p, the solve runs on the explicit p x p
+    covariance. When n < p, it runs on the n x n Gram matrix (same nonzero
+    spectrum; its top vector u maps back to Y' u): the uncentered Gram
+    matrix is summed from the block products blocks[i] @ blocks[j].T in
+    float64, mirrored across the diagonal, and centered by the rank-two
+    correction G - r 1' - 1 r' + ||m||^2 1 1', with m the column mean,
+    r = X m = G 1 / n and ||m||^2 = 1' G 1 / n^2, which leaves it exactly
+    symmetric.
 
     Memory: the Gram side holds the n x n Gram matrix and a temporary of at
     most its size, plus one float64 slab (n x COLUMN_BLOCK) when the rows
-    need a cast; the covariance side
-    (p <= n) centers all rows at once, in an n x p float64 array.
+    need a cast; the covariance side (p <= n) centers all rows at once, in
+    an n x p float64 array, and holds the p x p covariance.
     """
     blocks = row_blocks(rows)
     n = sum(b.shape[0] for b in blocks)
     if n < 2:
         raise InsufficientSamplesError("covariance needs n >= 2 rows")
     p = blocks[0].shape[1]
-    solve = None
     if n < p:
         ends = np.cumsum([b.shape[0] for b in blocks])
         spans = [slice(end - b.shape[0], end) for b, end in zip(blocks, ends)]
@@ -187,28 +192,26 @@ def principal_direction(rows) -> tuple[np.ndarray, float, PowerResult | None]:
         gram -= r[:, None] + r  # r_i + r_j is r_j + r_i: symmetry holds
         gram += r.mean()
         gram /= n
-        solve = power_iteration(gram)
-        value = solve.value
-        # Y' u = X' (u - mean(u) 1)
-        u = solve.vector - solve.vector.mean()
-        v = np.zeros(p)
-        for cols, xs in _float64_slabs(blocks):
-            for x, span in zip(xs, spans):
-                v[cols] += x.T @ u[span]
+        result = power_iteration(gram)
     else:
         # p <= n: the centered rows are formed whole, in float64; empty
         # blocks stay out, as they would change the stacked array's layout
         y = np.concatenate([b for b in blocks if b.shape[0]], dtype=np.float64)
         y -= y.mean(axis=0)
-        values, vectors = np.linalg.eigh((y.T @ y) / n)
-        v, value = vectors[:, -1], float(values[-1])
-    if value <= 0.0:
+        result = power_iteration((y.T @ y) / n)
+    if result.value <= 0.0:
         # a zero covariance: every vector is an eigenvector; return e1
+        result.vector = np.zeros(p)
+        result.vector[0] = 1.0
+    elif n < p:
+        # Y' u = X' (u - mean(u) 1)
+        u = result.vector - result.vector.mean()
         v = np.zeros(p)
-        v[0] = 1.0
-    else:
-        v = canonical_sign(v / float(np.linalg.norm(v)))
-    return v, value, solve
+        for cols, xs in _float64_slabs(blocks):
+            for x, span in zip(xs, spans):
+                v[cols] += x.T @ u[span]
+        result.vector = canonical_sign(v / _norm(v))
+    return result
 
 
 def _psd_operator(a):
@@ -290,7 +293,7 @@ def power_iteration(a, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
             tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
             values, vectors = np.linalg.eigh(tri)
             theta, s = float(values[-1]), vectors[:, -1]
-            norm = float(np.linalg.norm(w))
+            norm = _norm(w)
             residual = norm * abs(float(s[-1]))
             result.value = theta
             result.step = residual / theta if theta > 0.0 else 0.0
@@ -332,7 +335,7 @@ def truncated_power(a, k: int, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
         result.iterations += 1
         if k < v.size:
             w[np.argsort(-np.abs(w), kind="stable")[k:]] = 0.0
-        norm = float(np.linalg.norm(w))
+        norm = _norm(w)
         if norm == 0.0:
             # A v = 0: for a PSD operator v leads only if A = 0, where every
             # vector is an eigenvector; return e1 then

@@ -41,15 +41,14 @@ def _blocks(split, dtype, p=50, seed=0):
 def _assert_matches_eigh(result, stacked):
     """The Gram side's pair against eigh of the explicitly centered Gram
     matrix, mapped back: eigenvalue to 1e-12 relative, 1 - |cos| <= 1e-12."""
-    v, value, solve = result
     y = stacked.astype(np.float64)
     y -= y.mean(axis=0)
     values, vectors = np.linalg.eigh((y @ y.T) / len(y))
     want = y.T @ vectors[:, -1]
     want /= np.linalg.norm(want)
-    assert solve is not None and solve.converged
-    assert abs(value - values[-1]) <= 1e-12 * values[-1]
-    assert 1.0 - abs(float(v @ want)) <= 1e-12
+    assert result.converged
+    assert abs(result.value - values[-1]) <= 1e-12 * values[-1]
+    assert 1.0 - abs(float(result.vector @ want)) <= 1e-12
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
@@ -67,9 +66,9 @@ def test_row_blocks_equal_stacked_rows(split, dtype, monkeypatch):
         _assert_matches_eigh(got, stacked)
         _assert_matches_eigh(want, stacked)
     else:
-        assert np.array_equal(got[0], want[0])
-        assert got[1] == want[1]
-        assert got[2] is want[2] is None
+        assert np.array_equal(got.vector, want.vector)
+        assert got.value == want.value
+        assert got.converged and got.iterations == want.iterations
 
     for estimator in (vanilla_pca, ul_diag_threshold_pca):
         got = estimator((labeled, unlabeled), 3)
@@ -92,7 +91,8 @@ def test_row_blocks_equal_stacked_rows_at_default_width():
         want = principal_direction(stacked)
         _assert_matches_eigh(got, stacked)
         _assert_matches_eigh(want, stacked)
-        assert set(top_k_indices(np.abs(got[0]), 3)) == set(top_k_indices(np.abs(want[0]), 3))
+        assert set(top_k_indices(np.abs(got.vector), 3)) \
+            == set(top_k_indices(np.abs(want.vector), 3))
 
 
 def test_self_train_column_blocks_match_whole_rows():

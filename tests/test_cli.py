@@ -352,6 +352,26 @@ class TestExperimentCommands:
         assert err.startswith("error:") and "lspca" in err and "Traceback" not in err
         assert "overlap_mean" not in out
 
+    def test_unwritable_out_fails_before_any_trial(self, capsys, tmp_path, monkeypatch):
+        def spy(*args, **kwargs):
+            raise AssertionError("run_sweep called")
+
+        monkeypatch.setattr(harness, "run_sweep", spy)
+        code, out, err = run_cli(
+            capsys, "simulate", "--p", "40", "--k", "4", "--L", "30", "--n", "60",
+            "--trials", "1", "--out", str(tmp_path / "missing" / "x.csv"))
+        assert code == 1
+        assert err.startswith("error:") and "x.csv" in err and "Traceback" not in err
+        assert "overlap_mean" not in out
+
+    def test_lanczos_norm_past_the_dot_product_range(self, capsys):
+        # lambda = 1e160 puts covariance entries near 1e159, past the 1e154
+        # at which a Lanczos vector's w . w overflows; a failed row exits 1
+        code, _, err = run_cli(
+            capsys, "simulate", "--p", "200", "--k", "5", "--L", "10", "--n", "50",
+            "--trials", "1", "--lambda", "1e160")
+        assert code == 0, err
+
     def test_failed_trials_nonzero_exit(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--p", "30", "--k", "3", "--lambda", "2",
@@ -399,7 +419,8 @@ class TestKeyTable:
         for key in keys:
             argv += [flag(key)] if key == "f32" else [flag(key), KEY_VALUES[key]]
         from_flags = _collect_experiment(build_parser().parse_args(argv))
-        assert from_flags == harness.read_config(path)
+        assert from_flags == harness.config_from_dict(
+            harness.parse_config_text(path.read_text(), source=str(path)))
 
     def test_bad_int_flag_usage_exit(self, capsys):
         code, _, err = run_cli(capsys, "simulate", "--trials", "abc")

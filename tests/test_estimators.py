@@ -376,17 +376,6 @@ class TestUnsupervisedBaselines:
         assert abs(out.aux["pca_eigenvalue"] - values[-1]) <= 1e-9 * values[-1]
         assert set(out.support) == set(top_k_indices(np.abs(v), k))
 
-    def test_gram_side_solve_recorded_in_aux(self):
-        # vanilla_pca takes the Gram side with fewer rows than columns, and
-        # ul_diag with fewer rows than kept columns: 8 < ceil(2 log 200) = 11,
-        # but 8 >= ceil(2 log 5) = 4 on five columns
-        rows = np.random.default_rng(6).standard_normal((8, 200))
-        for out in (vanilla_pca(rows, 2), ul_diag_threshold_pca(rows, 2)):
-            assert out.aux["pca_converged"] is True
-            assert 0 < out.aux["pca_iterations"] <= 8
-        covariance_side = ul_diag_threshold_pca(rows[:, :5], 2)
-        assert "pca_converged" not in covariance_side.aux
-
     def test_vanilla_records_nonconvergence(self, monkeypatch):
         # 200 Gram eigenvalues within 1e-4 of 1: 40 Lanczos products cannot
         # reach the 1e-9 residual, and the output must say so
@@ -413,6 +402,29 @@ class TestUnsupervisedBaselines:
 
 
 class TestOutputContract:
+    # at p = 200, k = 5; dim is the side of the matrix the last dense PCA
+    # step solves, and Lanczos needs at most that many products. The
+    # lspca/ls2pca refit solves 5 columns on the covariance side; ul_diag
+    # keeps ceil(5 log 200) = 27 columns, on the Gram side at 20 rows;
+    # vanilla_pca is on the Gram side below 200 rows
+    @pytest.mark.parametrize("tag, L, n, dim", [
+        ("lspca", 40, 400, 5), ("ls2pca", 40, 400, 5),
+        ("ul_diag_threshold_pca", 10, 10, 20), ("ul_diag_threshold_pca", 40, 400, 27),
+        ("vanilla_pca", 10, 100, 110), ("vanilla_pca", 40, 400, 200),
+    ], ids=["lspca", "ls2pca", "ul_diag-gram", "ul_diag-covariance",
+            "vanilla-gram", "vanilla-covariance"])
+    def test_every_pca_step_records_its_solve(self, tag, L, n, dim):
+        pp, mu, ds = make_instance(200, 5, 3.0, L, n, seed=8)
+        out = METHODS[tag](ds, pp, 0.4, 0.8)
+        assert out.aux["pca_converged"] is True and out.aux["pca_iterations"] > 0
+        last = "pca"
+        if tag in ("lspca", "ls2pca"):
+            last = "refit"
+            assert out.aux["refit_converged"] is True
+        assert 0 < out.aux[f"{last}_iterations"] <= dim
+        if tag == "vanilla_pca":
+            assert out.aux["dual_gram"] == (dim < 200)
+
     @pytest.mark.parametrize("tag", sorted(METHODS))
     def test_every_method_contract(self, tag):
         pp, mu, ds = make_instance(80, 5, 3.0, 60, 200, seed=21)

@@ -15,7 +15,7 @@ from sslgauss.estimators import EstimatorOutput
 from sslgauss.gmodel import ProblemParams
 from sslgauss.harness import (AGG_HEADER, CSV_HEADER, KEYS, ExperimentConfig,
                               TrialRecord, aggregate, config_from_dict, config_items,
-                              parse_config_text, read_config, run_sweep, run_trial,
+                              parse_config_text, run_sweep, run_trial,
                               trial_ground_truth, write_aggregates, write_csv)
 from sslgauss.metrics import score
 
@@ -338,7 +338,8 @@ class TestConfigFiles:
           "vanilla_pca")),
     ])
     def test_checked_in_sweep_configs(self, name, point, axis, values, methods):
-        cfg = read_config(CONFIGS / f"{name}.cfg")
+        path = CONFIGS / f"{name}.cfg"
+        cfg = config_from_dict(parse_config_text(path.read_text(), source=str(path)))
         pp = cfg.params
         assert (pp.p, pp.k, pp.lam, (pp.L, pp.n)) == (20000, 52, 3.0, point)
         assert (cfg.sweep_axis, cfg.sweep_values, cfg.methods) == (axis, values, methods)
@@ -373,7 +374,7 @@ sweep_values = 10, 20, 40
         path = tmp_path / "bad.cfg"
         path.write_text("p = 10\ntrials = abc\n")
         with pytest.raises(ConfigError, match="'trials'"):
-            read_config(path)
+            config_from_dict(parse_config_text(path.read_text(), source=str(path)))
 
     def test_duplicate_key(self):
         with pytest.raises(ConfigError, match="duplicate"):

@@ -100,8 +100,9 @@ class TestPrincipalDirection:
         rows = rng.standard_normal((n, 20)) + 1.5 * np.outer(
             rng.choice([-1.0, 1.0], n), np.eye(20)[3])
         values, vectors = np.linalg.eigh(np.cov(rows.T, bias=True))
-        v, value, solve = principal_direction(rows)
-        assert (solve is not None) == (n < 20)
+        res = principal_direction(rows)
+        v, value = res.vector, res.value
+        assert res.converged
         assert abs(value - values[-1]) <= 1e-12 * values[-1]
         assert abs(float(v @ vectors[:, -1])) >= 1.0 - 1e-12
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
@@ -111,18 +112,18 @@ class TestPrincipalDirection:
         # on the Gram side u maps back through the rows; it must not be cast
         # to the rows' integer dtype
         rows = np.array([[3, 0, 1, 2], [-3, 1, 0, 1], [2, 0, 0, 5]])
-        v, value, dual_gram = principal_direction(rows)
-        want, want_value, _ = principal_direction(rows.astype(np.float64))
-        assert dual_gram
-        np.testing.assert_array_equal(v, want)
-        assert value == want_value
+        got = principal_direction(rows)
+        want = principal_direction(rows.astype(np.float64))
+        assert got.converged
+        np.testing.assert_array_equal(got.vector, want.vector)
+        assert got.value == want.value
 
     @pytest.mark.parametrize("n", [3, 8], ids=["gram", "covariance"])
     def test_zero_covariance_returns_e1(self, n):
         rows = np.tile([2.0, -1.0, 0.5, 0.0, 3.0], (n, 1))
-        v, value, _ = principal_direction(rows)
-        np.testing.assert_array_equal(v, [1.0, 0.0, 0.0, 0.0, 0.0])
-        assert value <= 1e-12
+        res = principal_direction(rows)
+        np.testing.assert_array_equal(res.vector, [1.0, 0.0, 0.0, 0.0, 0.0])
+        assert res.value <= 1e-12
 
     def test_needs_two_rows(self):
         with pytest.raises(InsufficientSamplesError):
@@ -152,11 +153,11 @@ class TestPrincipalDirection:
             return power_iteration(a, **kwargs)
 
         monkeypatch.setattr(spectral, "power_iteration", spy)
-        v, value, solve = principal_direction((rows[:9], rows[9:]))
+        res = principal_direction((rows[:9], rows[9:]))
         want_value, want_v = self._covariance_top(rows)
-        assert solve.converged
-        assert abs(value - want_value) <= 1e-10 * want_value
-        assert 1.0 - abs(float(v @ want_v)) <= 1e-10
+        assert res.converged
+        assert abs(res.value - want_value) <= 1e-10 * want_value
+        assert 1.0 - abs(float(res.vector @ want_v)) <= 1e-10
         (gram,) = seen
         assert np.array_equal(gram, gram.T)
 
@@ -169,11 +170,11 @@ class TestPrincipalDirection:
         rng = np.random.default_rng(5)
         rows = (rng.standard_normal((40, 70)) + 2.0 * np.outer(
             rng.choice([-1.0, 1.0], 40), np.eye(70)[2])).astype(np.float32)
-        v, value, solve = principal_direction((rows[:10], rows[10:]))
-        want_v, want_value, want_solve = principal_direction(rows.astype(np.float64))
-        assert solve.converged and want_solve.converged
-        assert abs(value - want_value) <= 1e-12 * want_value
-        assert np.max(np.abs(v - want_v)) <= 1e-12
+        got = principal_direction((rows[:10], rows[10:]))
+        want = principal_direction(rows.astype(np.float64))
+        assert got.converged and want.converged
+        assert abs(got.value - want.value) <= 1e-12 * want.value
+        assert np.max(np.abs(got.vector - want.vector)) <= 1e-12
 
     def test_gram_side_start_nearly_orthogonal_to_top(self):
         # Lanczos starts from the basis vector at the Gram matrix's largest
@@ -199,10 +200,10 @@ class TestPrincipalDirection:
         y = rows - rows.mean(axis=0)
         assert int(np.argmax(np.einsum("ij,ij->i", y, y))) == j0
         assert abs(u[j0, 0]) < 2 * eps
-        v, value, solve = principal_direction(rows)
-        assert solve.converged
-        assert abs(value - 2.0) <= 1e-9 * 2.0
-        assert 1.0 - abs(float(v @ w[:, 0])) <= 1e-12
+        res = principal_direction(rows)
+        assert res.converged
+        assert abs(res.value - 2.0) <= 1e-9 * 2.0
+        assert 1.0 - abs(float(res.vector @ w[:, 0])) <= 1e-12
 
 
 class TestLeadingEigenvector:
