@@ -5,6 +5,12 @@ direction supported on it. Two labeled summaries coexist on purpose: the
 class-mean difference (used for screening) and the label-signed mean (the
 likelihood-maximizing statistic for the symmetric model); with balanced
 classes one is exactly twice the other.
+
+Statistics that several estimators read are computed once per draw and
+shared by its prefixes (shared_value): per labeled prefix, the class-mean
+difference and the label-signed sum, each with its descending-|.| order;
+per grid point, the screened RestrictedCovariance that lspca and ls2pca
+both only read, one held at a time. self_train reads the rows in place.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 from .errors import (ContractError, InsufficientSamplesError, MissingClassError,
                      ScreeningTooSmallError)
 from .gmodel import Dataset, ProblemParams
-from .spectral import (COLUMN_BLOCK, column_slabs, power_iteration, principal_direction,
+from .spectral import (column_slabs, float64_slabs, power_iteration, principal_direction,
                        restricted_covariance, row_blocks, top_k_indices, truncated_power)
 
 _DEFAULT_BETA_TILDE = 0.5
@@ -68,6 +74,32 @@ def signed_mean_direction(xs, ys) -> np.ndarray:
     return (ys.astype(np.float64) @ xs) / xs.shape[0]
 
 
+def shared_value(dataset: Dataset, kind: str, key: tuple, make: Callable):
+    """make(), once per draw and key (Dataset.shared); a new key drops its kind's old value first."""
+    if dataset.shared.get(kind, (None,))[0] != key:
+        dataset.shared.pop(kind, None)
+        dataset.shared[kind] = (key, make())
+    return dataset.shared[kind][1]
+
+
+def _mean_difference(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Class-mean difference w and its stable descending-|w| order."""
+    def make():
+        w = labeled_direction(dataset.labeled_x, dataset.labeled_y)
+        return w, top_k_indices(np.abs(w), w.size)
+    return shared_value(dataset, "mean_difference", (dataset.L,), make)
+
+
+def _signed_sum(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Label-signed sum, its mean w and w's stable descending-|w| order."""
+    def make():
+        xs, ys = _as_labeled(dataset.labeled_x, dataset.labeled_y)
+        total = ys.astype(np.float64) @ xs
+        w = total / xs.shape[0]
+        return total, w, top_k_indices(np.abs(w), w.size)
+    return shared_value(dataset, "signed_sum", (dataset.L,), make)
+
+
 def _finalize(method: str, p: int, support: np.ndarray, values: np.ndarray,
               aux: dict) -> EstimatorOutput:
     """Assemble the output contract: sorted support, embedded unit direction."""
@@ -84,14 +116,14 @@ def _finalize(method: str, p: int, support: np.ndarray, values: np.ndarray,
     return EstimatorOutput(method=method, support=support, direction=direction, aux=aux)
 
 
-def top_k_labeled(xs, ys, k: int) -> EstimatorOutput:
-    """Support = k largest magnitudes of the signed mean; the direction keeps
-    the signed mean's entries there. Maximizes <w, mu'> over all candidate
-    sparse means, i.e. the labeled-data likelihood."""
-    w = signed_mean_direction(xs, ys)
+def top_k_labeled(dataset: Dataset, k: int) -> EstimatorOutput:
+    """Support = k largest magnitudes of the labeled rows' signed mean; the
+    direction keeps the signed mean's entries there. Maximizes <w, mu'> over
+    all candidate sparse means, i.e. the labeled-data likelihood."""
+    _, w, order = _signed_sum(dataset)
     if k > w.size:
         raise ContractError(f"k={k} exceeds dimension {w.size}")
-    support = top_k_indices(np.abs(w), k)
+    support = order[:k]
     return _finalize("top_k_labeled", w.size, support, w[support], aux={})
 
 
@@ -115,15 +147,16 @@ def lspca(dataset: Dataset, k: int, beta_tilde: float,
     """
     if k < 1:
         raise ContractError(f"k must be positive, got {k}")
-    w = labeled_direction(dataset.labeled_x, dataset.labeled_y)
+    w, order = _mean_difference(dataset)
     p = dataset.p
     retained = screened_count(p, beta_tilde)
     if retained < k:
         raise ScreeningTooSmallError(
             f"screening keeps {retained} < k = {k} coordinates (beta_tilde = {beta_tilde})")
-    screen = top_k_indices(np.abs(w), retained)
+    screen = order[:retained]
 
-    cov_screen = restricted_covariance(dataset.unlabeled_columns(screen))
+    cov_screen = shared_value(dataset, "screened_covariance", (dataset.L, dataset.n, retained),
+                              lambda: restricted_covariance(dataset.unlabeled_columns(screen)))
     if sparse_pca:
         res = truncated_power(cov_screen, k)
     else:
@@ -148,31 +181,24 @@ def self_train(dataset: Dataset, k: int, gamma_threshold: float) -> EstimatorOut
     """Pseudo-label the unlabeled data with the thresholded signed mean, keep
     confident points (|score| > threshold), refit the signed mean on the
     union, and read the support off its k largest magnitudes. The scores read
-    only the pilot's k columns, and the confident rows' sum is formed
-    COLUMN_BLOCK columns at a time: the rows are never copied whole."""
+    only the pilot's k columns; the confident rows' sum is one product of
+    the rows, in place, with weights sign(score) on them and 0 elsewhere
+    (float32 rows are cast COLUMN_BLOCK columns at a time)."""
     if not gamma_threshold >= 0:
         raise ContractError(f"threshold must be nonnegative, got {gamma_threshold}")
-    xs, ys = _as_labeled(dataset.labeled_x, dataset.labeled_y)
-    labeled_sum = ys.astype(np.float64) @ xs
-    w = labeled_sum / xs.shape[0]  # signed_mean_direction(xs, ys)
+    labeled_sum, w, order = _signed_sum(dataset)
     if k > w.size:
         raise ContractError(f"k={k} exceeds dimension {w.size}")
-    pilot_support = top_k_indices(np.abs(w), k)
+    pilot_support = order[:k]
 
-    n_eff = 0
-    pseudo_sum = 0.0
+    n_eff, pseudo_sum = 0, 0.0
     if dataset.n:
         ux = dataset.unlabeled_x
         scores = ux[:, pilot_support] @ w[pilot_support]
-        confident = np.abs(scores) > gamma_threshold
-        n_eff = int(confident.sum())
-        if n_eff:
-            signs = np.sign(scores[confident])
-            pseudo_sum = np.empty(w.size)
-            for lo in range(0, w.size, COLUMN_BLOCK):
-                cols = slice(lo, lo + COLUMN_BLOCK)
-                pseudo_sum[cols] = signs @ ux[confident, cols].astype(np.float64, copy=False)
-    w_self = (labeled_sum + pseudo_sum) / (xs.shape[0] + n_eff)
+        weights = np.where(np.abs(scores) > gamma_threshold, np.sign(scores), 0.0)
+        n_eff = int(np.count_nonzero(weights))
+        pseudo_sum = np.concatenate([weights @ x for _, (x,) in float64_slabs([ux])])
+    w_self = (labeled_sum + pseudo_sum) / (dataset.L + n_eff)
     support = top_k_indices(np.abs(w_self), k)
     return _finalize("self_train", w.size, support, w_self[support],
                      aux={"n_eff": n_eff})
@@ -267,7 +293,7 @@ def _run_ls2pca(ds: Dataset, pp: ProblemParams, beta_tilde, gamma_threshold) -> 
 
 
 def _run_top_k(ds: Dataset, pp: ProblemParams, beta_tilde, gamma_threshold) -> EstimatorOutput:
-    return top_k_labeled(ds.labeled_x, ds.labeled_y, pp.k)
+    return top_k_labeled(ds, pp.k)
 
 
 def _run_self_train(ds: Dataset, pp: ProblemParams, beta_tilde,

@@ -211,6 +211,15 @@ def make_sparse_mean(params: ProblemParams, support=None, signs=None,
                       signs=tuple(s for _, s in pairs), magnitude=magnitude)
 
 
+def check_magnitude(magnitude: float, dtype) -> None:
+    """Refuse a mean whose entries +-magnitude a draw in dtype would store as inf."""
+    with np.errstate(over="ignore"):
+        if np.isfinite(np.dtype(dtype).type(magnitude)):
+            return
+    raise ConfigError(f"the mean's entries sqrt(lambda/k) = {magnitude:.4g} overflow "
+                      f"{np.dtype(dtype).name} (largest finite value {np.finfo(dtype).max:.4g})")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -325,10 +334,12 @@ class Dataset:
     """
 
     def __init__(self, labeled_x: np.ndarray, labeled_y: np.ndarray,
-                 unlabeled_x, n: int | None = None):
+                 unlabeled_x, n: int | None = None, shared: dict | None = None):
         self.labeled_x = labeled_x
         self.labeled_y = labeled_y
         self._unlabeled = unlabeled_x
+        # statistics computed once per draw (estimators.shared_value)
+        self.shared = {} if shared is None else shared
         if labeled_x.ndim != 2 or len(unlabeled_x.shape) != 2:
             raise ConfigError("data matrices must be 2-d (rows are samples)")
         rows, cols = unlabeled_x.shape
@@ -376,10 +387,10 @@ class Dataset:
 
     def prefix(self, L: int, n: int) -> "Dataset":
         """The first L labeled pairs and n unlabeled vectors, sharing this
-        dataset's arrays and source."""
+        dataset's arrays, source and shared statistics."""
         if not 0 <= L <= self.L:
             raise ConfigError(f"L = {L} exceeds the {self.L} labeled rows held")
-        return Dataset(self.labeled_x[:L], self.labeled_y[:L], self._unlabeled, n)
+        return Dataset(self.labeled_x[:L], self.labeled_y[:L], self._unlabeled, n, self.shared)
 
     # No package code calls this; kept because perfbench's tracer patches it by name.
     def all_vectors(self) -> np.ndarray:
@@ -405,6 +416,7 @@ def sample_dataset(mu: SparseMean, L: int, n: int, seed: int,
         raise ConfigError(f"sample counts must be nonnegative, got L={L}, n={n}")
     if L + n == 0:
         raise EmptyDatasetError("refusing to build a dataset with L = n = 0")
+    check_magnitude(mu.magnitude, dtype)
     ly = _labels(mix64(seed, STREAM_LABELED_Y), L)
     lx = generator(mix64(seed, STREAM_LABELED_NOISE)).standard_normal((L, mu.p), dtype=dtype)
     if mu.magnitude != 0.0 and L:

@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimators import METHODS
-from .gmodel import (Dataset, ProblemParams, SparseMean, k_from_alpha, labeled_count,
-                     make_sparse_mean, sample_dataset, share_cores, unlabeled_count)
+from .gmodel import (Dataset, ProblemParams, SparseMean, check_magnitude, k_from_alpha,
+                     labeled_count, make_sparse_mean, sample_dataset, share_cores, unlabeled_count)
 from .metrics import score
 from .rng import mix64
 
@@ -89,6 +89,8 @@ class ExperimentConfig:
             raise ConfigError(f"Gamma must be finite and nonnegative, got {self.gamma_threshold}")
         if self.threads < 1:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
+        if self.f32:  # before any draw, which would store inf
+            check_magnitude(math.sqrt(self.params.lam / self.params.k), np.float32)
 
     def points(self) -> list[tuple[int, int]]:
         """(L, n) pairs covered by the sweep (a single pair when no sweep)."""

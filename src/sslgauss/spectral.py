@@ -129,7 +129,7 @@ def column_slabs(blocks: list[np.ndarray]):
         yield cols, np.concatenate([b[:, cols] for b in filled], dtype=dtype)
 
 
-def _float64_slabs(blocks: list[np.ndarray]):
+def float64_slabs(blocks: list[np.ndarray]):
     """Yield (cols, xs): xs[i] holds columns cols of blocks[i] in float64.
     When every block is float64 there is one slab, the blocks themselves;
     otherwise each slab is COLUMN_BLOCK columns wide and only the blocks
@@ -182,7 +182,7 @@ def principal_direction(rows) -> PowerResult:
         spans = [slice(end - b.shape[0], end) for b, end in zip(blocks, ends)]
         pairs = [(i, j) for i in range(len(blocks)) for j in range(i, len(blocks))]
         gram = np.zeros((n, n))
-        for _, xs in _float64_slabs(blocks):
+        for _, xs in float64_slabs(blocks):
             for i, j in pairs:
                 gram[spans[i], spans[j]] += xs[i] @ xs[j].T
         for i, j in pairs:
@@ -207,7 +207,7 @@ def principal_direction(rows) -> PowerResult:
         # Y' u = X' (u - mean(u) 1)
         u = result.vector - result.vector.mean()
         v = np.zeros(p)
-        for cols, xs in _float64_slabs(blocks):
+        for cols, xs in float64_slabs(blocks):
             for x, span in zip(xs, spans):
                 v[cols] += x.T @ u[span]
         result.vector = canonical_sign(v / _norm(v))

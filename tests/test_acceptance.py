@@ -99,7 +99,7 @@ def test_criterion_02_mle_equivalence():
         if k < p and mags[k - 1] - mags[k] < 1e-9:
             continue  # near-tie at the cut: excluded, fresh draw instead
         total += 1
-        got = set(top_k_labeled(ds.labeled_x, ds.labeled_y, k).support.tolist())
+        got = set(top_k_labeled(ds, k).support.tolist())
         matches += got == _brute_force_support(w, k, lam)
     ok = matches == total
     _report(2, "labeled-only maximizer", ok, f"{matches}/{total} exhaustive matches")

@@ -372,6 +372,29 @@ class TestExperimentCommands:
             "--trials", "1", "--lambda", "1e160")
         assert code == 0, err
 
+    def test_float32_overflowing_separation_refused_before_any_draw(self, capsys,
+                                                                    monkeypatch):
+        # sqrt(1e160 / 5) ~ 4.5e79 is past float32's 3.4e38: the draw would
+        # store inf, and ul_diag_threshold_pca reported a wrong answer as a success
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a refused config must not draw")
+
+        monkeypatch.setattr(harness, "trial_ground_truth", no_draw)
+        code, out, err = run_cli(
+            capsys, "simulate", "--p", "200", "--k", "5", "--L", "10", "--n", "50",
+            "--trials", "1", "--lambda", "1e160", "--f32")
+        assert code == 1
+        assert err.startswith("error:") and "float32" in err and "3.403e+38" in err
+        assert out == ""
+
+    def test_float32_separation_in_range_runs(self, capsys):
+        # lambda = 1e50 stores finite entries (~4.5e24); the estimators fail
+        # or succeed on their own, no refusal
+        code, _, err = run_cli(
+            capsys, "simulate", "--p", "200", "--k", "5", "--L", "10", "--n", "50",
+            "--trials", "1", "--lambda", "1e50", "--f32", "--methods", "top_k_labeled")
+        assert code == 0, err
+
     def test_failed_trials_nonzero_exit(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--p", "30", "--k", "3", "--lambda", "2",

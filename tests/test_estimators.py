@@ -94,14 +94,14 @@ class TestTopKLabeled:
     def test_direct_sort(self):
         xs = np.array([[0.1, -0.5, 0.3]])
         ys = np.array([1])
-        out = top_k_labeled(xs, ys, 2)
+        out = top_k_labeled(Dataset(xs, ys, np.zeros((0, 3))), 2)
         assert list(out.support) == [1, 2]
         np.testing.assert_allclose(np.linalg.norm(out.direction), 1.0)
         # direction keeps the signed-mean signs
         assert out.direction[1] < 0 < out.direction[2]
 
     def test_all_zero_tie_rule(self):
-        out = top_k_labeled(np.zeros((2, 5)), np.array([1, -1]), 3)
+        out = top_k_labeled(Dataset(np.zeros((2, 5)), np.array([1, -1]), np.zeros((0, 5))), 3)
         assert list(out.support) == [0, 1, 2]
         np.testing.assert_allclose(np.linalg.norm(out.direction), 1.0)
 
@@ -113,13 +113,13 @@ class TestTopKLabeled:
         mu = make_sparse_mean(pp, seed=seed)
         ds = sample_dataset(mu, L, 0, seed=seed + 100)
         w = signed_mean_direction(ds.labeled_x, ds.labeled_y)
-        out = top_k_labeled(ds.labeled_x, ds.labeled_y, k)
+        out = top_k_labeled(ds, k)
         assert set(out.support.tolist()) == brute_force_mle_support(w, k, lam)
 
     def test_label_flip_invariance(self):
         _, mu, ds = make_instance(20, 3, 2.0, 30, 0, seed=9)
-        out = top_k_labeled(ds.labeled_x, ds.labeled_y, 3)
-        flipped = top_k_labeled(ds.labeled_x, -ds.labeled_y, 3)
+        out = top_k_labeled(ds, 3)
+        flipped = top_k_labeled(Dataset(ds.labeled_x, -ds.labeled_y, np.zeros((0, 20))), 3)
         assert np.array_equal(out.support, flipped.support)
         np.testing.assert_allclose(flipped.direction, -out.direction, rtol=1e-12)
 
@@ -171,7 +171,7 @@ class TestLspca:
             pp, mu, ds = make_instance(p, k, lam, L, n, seed=1000 + trial)
             out = lspca(ds, k, bt)
             overlaps.append(support_overlap(mu.support, out.support, k))
-            topk = top_k_labeled(ds.labeled_x, ds.labeled_y, k)
+            topk = top_k_labeled(ds, k)
             topk_overlaps.append(support_overlap(mu.support, topk.support, k))
         assert np.mean(overlaps) >= 0.6
         assert np.mean(overlaps) >= np.mean(topk_overlaps) + 0.15
@@ -222,7 +222,7 @@ class TestSelfTrain:
     def test_huge_threshold_reduces_to_top_k(self):
         pp, mu, ds = make_instance(50, 4, 2.0, 30, 100, seed=7)
         out = self_train(ds, 4, gamma_threshold=1e9)
-        topk = top_k_labeled(ds.labeled_x, ds.labeled_y, 4)
+        topk = top_k_labeled(ds, 4)
         assert np.array_equal(out.support, topk.support)
         assert out.aux["n_eff"] == 0
 
@@ -234,7 +234,7 @@ class TestSelfTrain:
     def test_no_unlabeled_degrades_gracefully(self):
         pp, mu, ds = make_instance(50, 4, 2.0, 30, 0, seed=9)
         out = self_train(ds, 4, gamma_threshold=0.8)
-        topk = top_k_labeled(ds.labeled_x, ds.labeled_y, 4)
+        topk = top_k_labeled(ds, 4)
         assert np.array_equal(out.support, topk.support)
 
     def test_improves_over_labeled_only(self):
@@ -243,7 +243,7 @@ class TestSelfTrain:
         gains = []
         for trial in range(10):
             pp, mu, ds = make_instance(500, 10, 3.0, 40, 2000, seed=200 + trial)
-            pilot = top_k_labeled(ds.labeled_x, ds.labeled_y, 10)
+            pilot = top_k_labeled(ds, 10)
             out = self_train(ds, 10, gamma_threshold=0.8)
             gains.append(support_overlap(mu.support, out.support, 10)
                          - support_overlap(mu.support, pilot.support, 10))

@@ -198,6 +198,20 @@ class TestSampleDataset:
         assert ds.labeled_x.dtype == np.float32
         assert ds.unlabeled_x.dtype == np.float32
 
+    def test_float32_overflowing_mean_is_refused(self):
+        # entries sqrt(1e160 / 5) ~ 4.5e79 would be stored as inf in float32
+        mu = make_sparse_mean(params(200, 5, 1e160), seed=0)
+        with pytest.raises(ConfigError, match=r"float32 \(largest finite value 3\.403e\+38\)"):
+            sample_dataset(mu, 10, 50, seed=1, dtype=np.float32)
+        assert np.isfinite(sample_dataset(mu, 10, 50, seed=1).labeled_x).all()
+
+    def test_float32_mean_at_the_largest_float32(self):
+        top = float(np.finfo(np.float32).max)
+        mu = make_sparse_mean(params(20, 1, top ** 2), seed=0)
+        assert mu.magnitude == top
+        ds = sample_dataset(mu, 2, 0, seed=1, dtype=np.float32)
+        assert np.abs(ds.labeled_x[:, mu.support[0]]).max() == np.float32(top)
+
     def test_arrays_read_only(self):
         mu = make_sparse_mean(params(6, 2, 1.0), seed=0)
         ds = sample_dataset(mu, 3, 3, seed=5)

@@ -9,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sslgauss import harness
+from sslgauss import estimators, harness
 from sslgauss.errors import ConfigError
 from sslgauss.estimators import EstimatorOutput
 from sslgauss.gmodel import ProblemParams
@@ -225,6 +225,91 @@ class TestOneDrawPerTrial:
         for point in [(40, 200), (30, 40), (30, 80)]:
             with pytest.raises(ConfigError, match="not on the config's grid"):
                 run_trial(cfg, "lspca", point, 1)
+
+
+def csv_text(records) -> str:
+    return strip_runtime("\n".join(rec.csv_row() for rec in records))
+
+
+SHARING_METHODS = ("lspca", "ls2pca", "top_k_labeled", "self_train")
+
+
+SHARING_SWEEPS = pytest.mark.parametrize(
+    "axis, values", [("n", (30, 60, 120)), ("L", (10, 20, 40))], ids=["n", "L"])
+
+
+def sharing_config(axis, values):
+    """A sweep whose methods share labeled summaries and screened covariances."""
+    return small_config(params=ProblemParams(p=300, k=5, lam=3.0, L=40, n=120, seed=23),
+                        methods=SHARING_METHODS, sweep_axis=axis, sweep_values=values,
+                        trials=2, beta_tilde=0.45)
+
+
+class TestSharedStatistics:
+    """Statistics computed once per trial must not change a record, whatever
+    order the trial's (point, method) tasks run in."""
+
+    @SHARING_SWEEPS
+    def test_reversed_methods_give_identical_records(self, axis, values):
+        cfg = sharing_config(axis, values)
+        forward, _ = run_sweep(cfg, threads=1)
+        backward, _ = run_sweep(replace(cfg, methods=SHARING_METHODS[::-1]), threads=1)
+        assert not any(r.failed for r in forward)
+        assert csv_text(forward) == csv_text(backward)
+
+    @SHARING_SWEEPS
+    def test_points_visited_in_reverse_give_identical_records(self, axis, values):
+        cfg = sharing_config(axis, values)
+        forward, _ = run_sweep(cfg, threads=1)
+        backward = []
+        try:
+            for trial in range(cfg.trials):
+                for point in reversed(cfg.points()):
+                    for method in SHARING_METHODS[::-1]:
+                        backward.append(run_trial(cfg, method, point, trial))
+        finally:
+            harness._draw.cache_clear()
+        backward.sort(key=lambda r: (r.method, r.L, r.n, r.trial))
+        assert csv_text(forward) == csv_text(backward)
+
+    @pytest.mark.parametrize("axis, values, per_trial",
+                             [("n", (30, 60, 120), 1), ("L", (10, 20, 40), 3)], ids=["n", "L"])
+    def test_labeled_direction_once_per_labeled_prefix(self, monkeypatch, axis, values,
+                                                        per_trial):
+        calls = []
+        original = estimators.labeled_direction
+
+        def counted(xs, ys):
+            calls.append(xs.shape[0])
+            return original(xs, ys)
+
+        monkeypatch.setattr(estimators, "labeled_direction", counted)
+        cfg = sharing_config(axis, values)
+        run_sweep(cfg, threads=1)
+        assert len(calls) == cfg.trials * per_trial
+        assert len(set(calls)) == per_trial
+
+    def test_screened_covariance_once_per_point_and_held_alone(self, monkeypatch):
+        # lspca and ls2pca share one covariance per point; the previous
+        # point's covariance is gone before the next is built, and the last
+        # one goes with the draw when the trial's task returns
+        original = estimators.restricted_covariance
+        made, alive_at_build = [], []
+
+        def tracked(rows):
+            alive_at_build.append(sum(ref() is not None for ref in made))
+            cov = original(rows)
+            made.append(weakref.ref(cov))
+            return cov
+
+        monkeypatch.setattr(estimators, "restricted_covariance", tracked)
+        cfg = sharing_config("n", (30, 60, 120))
+        for trial in range(cfg.trials):
+            records = harness._run_trial_task((cfg, trial))
+            assert not any(r.failed for r in records)
+            assert len(made) == 3 * (trial + 1)
+            assert not any(ref() is not None for ref in made)
+        assert alive_at_build == [0] * 6
 
 
 class TestTrialGroundTruth:
