@@ -25,10 +25,10 @@ class ScreeningTooSmallError(SslgaussError):
     """The screening step would retain fewer coordinates than the target sparsity."""
 
 
-# Nothing in the package raises this; the solvers flag non-convergence in
-# their result. Kept because perfbench's tracer imports it.
+# The solvers flag non-convergence in their result; lspca raises this when a
+# solve ends on a non-finite eigenpair. perfbench's tracer imports it too.
 class ConvergenceError(SslgaussError):
-    """An iterative solver did not reach its tolerance within the iteration cap."""
+    """An iterative solve failed: it ended on a non-finite eigenpair."""
 
 
 class ContractError(SslgaussError):

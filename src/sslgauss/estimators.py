@@ -10,7 +10,8 @@ Statistics that several estimators read are computed once per draw and
 shared by its prefixes (shared_value): per labeled prefix, the class-mean
 difference and the label-signed sum, each with its descending-|.| order;
 per grid point, the screened RestrictedCovariance that lspca and ls2pca
-both only read, one held at a time. self_train reads the rows in place.
+both only read, one held at a time. Every estimator reads the draw's row
+blocks in place, gathering or casting at most a slab of columns at once.
 """
 
 from __future__ import annotations
@@ -21,11 +22,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import (ContractError, InsufficientSamplesError, MissingClassError,
-                     ScreeningTooSmallError)
+from .errors import (ContractError, ConvergenceError, InsufficientSamplesError,
+                     MissingClassError, ScreeningTooSmallError)
 from .gmodel import Dataset, ProblemParams
-from .spectral import (column_slabs, float64_slabs, power_iteration, principal_direction,
-                       restricted_covariance, row_blocks, top_k_indices, truncated_power)
+from .spectral import (COLUMN_BLOCK, NARROW_SLAB, float64_slabs, power_iteration,
+                       principal_direction, restricted_covariance, row_blocks, top_k_indices,
+                       truncated_power)
 
 _DEFAULT_BETA_TILDE = 0.5
 
@@ -59,13 +61,19 @@ def _as_labeled(xs, ys, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
 
 def labeled_direction(xs, ys) -> np.ndarray:
     """Class-mean difference: mean of the +1 class minus mean of the -1 class,
-    accumulated in float64 whatever the rows' dtype."""
+    accumulated in float64 whatever the rows' dtype. Each class's rows are
+    gathered COLUMN_BLOCK columns at a time."""
     xs, ys = _as_labeled(xs, ys, dtype=None)
     pos = ys == 1
     neg = ys == -1
     if not pos.any() or not neg.any():
         raise MissingClassError("class-mean difference needs samples of both labels")
-    return xs[pos].mean(axis=0, dtype=np.float64) - xs[neg].mean(axis=0, dtype=np.float64)
+    w = np.empty(xs.shape[1])
+    for lo in range(0, w.size, COLUMN_BLOCK):
+        cols = slice(lo, lo + COLUMN_BLOCK)
+        w[cols] = (xs[pos, cols].mean(axis=0, dtype=np.float64)
+                   - xs[neg, cols].mean(axis=0, dtype=np.float64))
+    return w
 
 
 def signed_mean_direction(xs, ys) -> np.ndarray:
@@ -93,8 +101,8 @@ def _mean_difference(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
 def _signed_sum(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Label-signed sum, its mean w and w's stable descending-|w| order."""
     def make():
-        xs, ys = _as_labeled(dataset.labeled_x, dataset.labeled_y)
-        total = ys.astype(np.float64) @ xs
+        xs, ys = _as_labeled(dataset.labeled_x, dataset.labeled_y, dtype=None)
+        total = np.concatenate([ys.astype(np.float64) @ x for _, (x,) in float64_slabs([xs])])
         w = total / xs.shape[0]
         return total, w, top_k_indices(np.abs(w), w.size)
     return shared_value(dataset, "signed_sum", (dataset.L,), make)
@@ -141,7 +149,8 @@ def lspca(dataset: Dataset, k: int, beta_tilde: float,
     the unlabeled rows on the support (spectral.principal_direction); the
     final sign follows the labeled direction. Each solve's convergence flag,
     product count and eigenvalue go in aux, as pca_* for the screened-set
-    solve and refit_* for the refit. Both steps read their unlabeled
+    solve and refit_* for the refit; either solve ending on a non-finite
+    eigenpair raises ConvergenceError. Both steps read their unlabeled
     columns through Dataset.unlabeled_columns, so unless another reader has
     drawn the whole unlabeled block, only the screened columns are drawn.
     """
@@ -165,6 +174,9 @@ def lspca(dataset: Dataset, k: int, beta_tilde: float,
     support = screen[local]
 
     refit = principal_direction(dataset.unlabeled_columns(support))
+    for step, solve in (("screened-set", res), ("refit", refit)):
+        if not (math.isfinite(solve.value) and np.isfinite(solve.vector).all()):
+            raise ConvergenceError(f"the {step} solve is not finite (eigenvalue {solve.value})")
     v_support = refit.vector
     aux = {"screening_size": int(retained), "sparse_pca": sparse_pca,
            "pca_converged": res.converged, "pca_iterations": res.iterations,
@@ -209,10 +221,12 @@ def ul_diag_threshold_pca(rows, k: int) -> EstimatorOutput:
     coordinates, take the leading eigenvector of the covariance there
     (spectral.principal_direction), and keep its k largest magnitudes.
 
-    `rows` is one array or a sequence of row blocks read as if stacked. The
-    variances are taken a column slab at a time; only the kept columns are
-    copied out of the rows. The solve's convergence flag, product count and
-    eigenvalue go in aux, on either side.
+    `rows` is one array or a sequence of row blocks read as if stacked, in
+    place. The variances take two passes, the column means from the blocks'
+    float64 sums, then the squared deviations NARROW_SLAB columns of a block
+    at a time (E[x^2] - mean^2 would cancel when |mean| >> spread). Only the
+    kept columns are copied out of the rows. The solve's convergence flag,
+    product count and eigenvalue go in aux, on either side.
     """
     blocks = row_blocks(rows)
     n = sum(b.shape[0] for b in blocks)
@@ -222,10 +236,14 @@ def ul_diag_threshold_pca(rows, k: int) -> EstimatorOutput:
     if not 1 <= k <= p:
         raise ContractError(f"k={k} out of range for dimension {p}")
     m = min(p, max(k, int(math.ceil(k * math.log(p)))))
-    variances = np.empty(p)
-    for cols, x in column_slabs(blocks):
-        variances[cols] = np.var(x, axis=0, dtype=np.float64)
-    keep = top_k_indices(variances, m)
+    mean = sum(b.sum(axis=0, dtype=np.float64) for b in blocks) / n
+    squares = np.zeros(p)
+    for b in blocks:
+        for lo in range(0, p, NARROW_SLAB):
+            cols = slice(lo, lo + NARROW_SLAB)
+            d = b[:, cols] - mean[cols]
+            squares[cols] += np.square(d, out=d).sum(axis=0)
+    keep = top_k_indices(squares / n, m)
     res = principal_direction([b[:, keep] for b in blocks])
     local = top_k_indices(np.abs(res.vector), k)
     return _finalize("ul_diag_threshold_pca", p, keep[local], res.vector[local],

@@ -6,14 +6,14 @@ top Ritz pair's residual is at most tol times its value, with a flag when
 it falls short. `principal_direction` serves every dense PCA step: it reads
 one array or a sequence of row blocks (a trial's labeled and unlabeled
 rows) as if stacked, and solves the explicit float64 covariance when there
-are at least as many rows as columns, else the n x n Gram matrix formed
-from the blocks' products in place. lspca's screened-set PCA solves an
-implicit RestrictedCovariance; ls2pca's runs `truncated_power`, which forms
-A v, keeps its k largest magnitudes and renormalizes until the iterate
-moves by at most tol. tol is 1e-6 for a RestrictedCovariance over float32
-rows and 1e-9 otherwise. Both solvers take a symmetric PSD operator, an
-implicit RestrictedCovariance or an ndarray, and use only `a @ v` and
-`a.diagonal()`.
+are at least as many rows as columns, else the n x n Gram matrix, into
+which the blocks' products are written in place. lspca's screened-set PCA
+solves an implicit RestrictedCovariance; ls2pca's runs `truncated_power`,
+which forms A v, keeps its k largest magnitudes and renormalizes until the
+iterate moves by at most tol (or a product is not finite). tol is 1e-6 for
+a RestrictedCovariance over float32 rows and 1e-9 otherwise. Both solvers
+take a symmetric PSD operator, an implicit RestrictedCovariance or an
+ndarray, and use only `a @ v` and `a.diagonal()`.
 """
 
 from __future__ import annotations
@@ -35,12 +35,11 @@ _F32_TOL = 1e-6
 # eigh of the tridiagonal matrix grows with max_iter.
 LANCZOS_BASIS = 64
 
-# Columns per slab of a column-blocked read (column_slabs): readers hold the
-# stacked rows COLUMN_BLOCK columns at a time.
+# Columns per slab of a cast to float64 (float64_slabs) or a class's rows.
 COLUMN_BLOCK = 2048
-
+# Rows (columns) per slab of a float64 temporary as wide (tall) as its input.
+NARROW_SLAB = 256
 _SYMMETRY_TOL = 1e-10
-_SYMMETRY_ROWS = 256  # rows per slab of the symmetry check
 
 
 def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
@@ -115,20 +114,6 @@ def row_blocks(rows) -> list[np.ndarray]:
     return blocks
 
 
-def column_slabs(blocks: list[np.ndarray]):
-    """Yield (cols, x): x holds columns cols of the stacked blocks, at most
-    COLUMN_BLOCK of them, in one array, float32 when every block is float32
-    and float64 otherwise. Empty blocks are skipped, and np.concatenate lays
-    x out as the blocks are laid out: row-major blocks give a row-major x,
-    column-major ones (as column indexing returns) a column-major x, so each
-    column is summed in the order the stacked rows would give."""
-    dtype = np.float32 if all(b.dtype == np.float32 for b in blocks) else np.float64
-    filled = [b for b in blocks if b.shape[0]]
-    for lo in range(0, blocks[0].shape[1], COLUMN_BLOCK):
-        cols = slice(lo, lo + COLUMN_BLOCK)
-        yield cols, np.concatenate([b[:, cols] for b in filled], dtype=dtype)
-
-
 def float64_slabs(blocks: list[np.ndarray]):
     """Yield (cols, xs): xs[i] holds columns cols of blocks[i] in float64.
     When every block is float64 there is one slab, the blocks themselves;
@@ -167,10 +152,10 @@ def principal_direction(rows) -> PowerResult:
     r = X m = G 1 / n and ||m||^2 = 1' G 1 / n^2, which leaves it exactly
     symmetric.
 
-    Memory: the Gram side holds the n x n Gram matrix and a temporary of at
-    most its size, plus one float64 slab (n x COLUMN_BLOCK) when the rows
-    need a cast; the covariance side (p <= n) centers all rows at once, in
-    an n x p float64 array, and holds the p x p covariance.
+    Memory: the Gram side holds the n x n Gram matrix and a NARROW_SLAB x n
+    centering temporary; rows that need a cast add a float64 slab (n x
+    COLUMN_BLOCK) and a block product. The covariance side (p <= n) centers
+    all rows at once, in an n x p float64 array, and holds the p x p matrix.
     """
     blocks = row_blocks(rows)
     n = sum(b.shape[0] for b in blocks)
@@ -181,17 +166,23 @@ def principal_direction(rows) -> PowerResult:
         ends = np.cumsum([b.shape[0] for b in blocks])
         spans = [slice(end - b.shape[0], end) for b, end in zip(blocks, ends)]
         pairs = [(i, j) for i in range(len(blocks)) for j in range(i, len(blocks))]
-        gram = np.zeros((n, n))
-        for _, xs in float64_slabs(blocks):
+        gram = np.empty((n, n))
+        for cols, xs in float64_slabs(blocks):
             for i, j in pairs:
-                gram[spans[i], spans[j]] += xs[i] @ xs[j].T
+                if cols.start == 0:  # the first slab writes its products in place
+                    np.matmul(xs[i], xs[j].T, out=gram[spans[i], spans[j]])
+                else:
+                    gram[spans[i], spans[j]] += xs[i] @ xs[j].T
         for i, j in pairs:
             if i < j:
                 gram[spans[j], spans[i]] = gram[spans[i], spans[j]].T
         r = gram.sum(axis=1) / n
-        gram -= r[:, None] + r  # r_i + r_j is r_j + r_i: symmetry holds
-        gram += r.mean()
-        gram /= n
+        r_mean = r.mean()
+        for lo in range(0, n, NARROW_SLAB):
+            g = gram[lo:lo + NARROW_SLAB]
+            g -= r[lo:lo + NARROW_SLAB, None] + r  # r_i + r_j is r_j + r_i: symmetry holds
+            g += r_mean
+            g /= n
         result = power_iteration(gram)
     else:
         # p <= n: the centered rows are formed whole, in float64; empty
@@ -226,8 +217,8 @@ def _psd_operator(a):
     scale = max(float(a.max()), -float(a.min())) if a.size else 0.0
     if scale:
         # a row slab at a time, so the check holds no n x n temporary
-        for lo in range(0, a.shape[0], _SYMMETRY_ROWS):
-            rows = slice(lo, lo + _SYMMETRY_ROWS)
+        for lo in range(0, a.shape[0], NARROW_SLAB):
+            rows = slice(lo, lo + NARROW_SLAB)
             gap = a[rows] - a[:, rows].T
             if float(np.max(np.abs(gap, out=gap))) > _SYMMETRY_TOL * scale:
                 raise ContractError("matrix is not symmetric to tolerance")
@@ -319,7 +310,7 @@ def truncated_power(a, k: int, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
     set by the operator's storage (float32 rows cap the accuracy of A v).
     `value` is the Rayleigh quotient of the iterate the last step started
     from. After max_iter steps without convergence, returns the last iterate
-    with converged=False.
+    with converged=False, as does a step whose product or norm is not finite.
     """
     a = _psd_operator(a)
     diag = a.diagonal()
@@ -331,22 +322,23 @@ def truncated_power(a, k: int, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
     result = PowerResult(vector=v, value=0.0, step=0.0, iterations=0, converged=False)
     for _ in range(max_iter):
         w = a @ v
-        theta = float(v @ w)
+        result.value = theta = float(v @ w)
         result.iterations += 1
         if k < v.size:
             w[np.argsort(-np.abs(w), kind="stable")[k:]] = 0.0
         norm = _norm(w)
+        if not (math.isfinite(theta) and math.isfinite(norm)):
+            break
         if norm == 0.0:
             # A v = 0: for a PSD operator v leads only if A = 0, where every
             # vector is an eigenvector; return e1 then
-            result.value = theta
             result.converged = not diag.any()
             if result.converged:
                 result.vector = np.zeros(v.size)
                 result.vector[0] = 1.0
             break
         v_new = w / norm
-        result.vector, result.value = v_new, theta
+        result.vector = v_new
         result.step = float(np.linalg.norm(v_new - v))
         if result.step <= tol:
             result.converged = True

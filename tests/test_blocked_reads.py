@@ -5,7 +5,10 @@ row blocks read as if stacked. On the covariance side the answers must be
 bit-identical to the same call on the stacked rows; on the Gram side the
 blocked and stacked calls form the Gram matrix from different products, so
 each must match the eigh oracle and both must give the same supports. No
-method may allocate anything near the size of the draw.
+method may allocate anything near the size of the draw: a trial's peak is
+its draw plus one solver's working set. The labeled statistics gather and
+cast their rows a column slab at a time and must give the bits of the
+whole-row formulas.
 """
 
 import tracemalloc
@@ -13,8 +16,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sslgauss import spectral
-from sslgauss.estimators import METHODS, self_train, ul_diag_threshold_pca, vanilla_pca
+from sslgauss import estimators, spectral
+from sslgauss.estimators import (METHODS, labeled_direction, self_train, ul_diag_threshold_pca,
+                                 vanilla_pca)
 from sslgauss.gmodel import ProblemParams, k_from_alpha, make_sparse_mean, sample_dataset
 from sslgauss.spectral import COLUMN_BLOCK, principal_direction, top_k_indices
 
@@ -119,9 +123,9 @@ def test_self_train_column_blocks_match_whole_rows():
                                rtol=1e-12)
 
 
-def _draw(dtype):
-    """A p = 16000, L = 100, n = 500 draw, its unlabeled rows not yet drawn."""
-    p, L, n = 16000, 100, 500
+def _draw(dtype, p=16000, L=100, n=500):
+    """A draw (by default p = 16000, L = 100, n = 500), its unlabeled rows
+    not yet drawn."""
     pp = ProblemParams(p=p, k=k_from_alpha(p, 0.4), lam=3.0, L=L, n=n, seed=5)
     return sample_dataset(make_sparse_mean(pp, seed=5), L, n, seed=6, dtype=dtype), pp
 
@@ -137,10 +141,10 @@ def _peak(method, ds, pp):
     return peak, out
 
 
-def _peak_share(method, dtype) -> float:
+def _peak_share(method, dtype, **sizes) -> float:
     """The peak over one METHODS call on a draw whose unlabeled block is
     already drawn, as a share of the draw's bytes."""
-    ds, pp = _draw(dtype)
+    ds, pp = _draw(dtype, **sizes)
     ds.unlabeled_x  # the unlabeled rows are drawn on first read: draw them here
     peak, _ = _peak(method, ds, pp)
     return peak / (ds.labeled_x.nbytes + ds.unlabeled_x.nbytes)
@@ -148,23 +152,97 @@ def _peak_share(method, dtype) -> float:
 
 @pytest.mark.parametrize("method", sorted(METHODS))
 def test_peak_memory_below_half_the_draw(method):
-    # The draw is 600 x 16000 float64, 76.8 MB. A column-blocked read holds
-    # a slab of the stacked rows and its centered copy, each 600 x
-    # COLUMN_BLOCK float64 (9.8 MB at 2048 columns, 0.13 of the draw), plus
-    # n x n arrays of 2.9 MB (0.04) each: the Gram matrix, its product
-    # temporary and eigh's eigenvectors. That is about 0.4 of the draw at
-    # most; a stacked copy of the rows alone is 1.0 and a copy of the
-    # confident unlabeled rows about 0.6.
+    # The draw is 600 x 16000 float64, 76.8 MB. The largest working sets are
+    # ul_diag_threshold_pca's (about 0.12 of the draw: its 465 kept columns
+    # copied out and stacked, each 2.2 MB, and their 1.7 MB covariance) and
+    # lspca's screened block (about 0.07); the Gram matrix is 2.9 MB (0.04).
+    # A stacked copy of the rows alone is 1.0 and a copy of the confident
+    # unlabeled rows about 0.6.
     share = _peak_share(method, np.float64)
     assert share < 0.5, f"{method}: peak {share:.2f} of the draw"
+
+
+@pytest.mark.parametrize("method, dtype", [("ul_diag_threshold_pca", np.float64),
+                                           ("top_k_labeled", np.float32)])
+def test_screens_hold_no_slab_of_the_draw(method, dtype):
+    # The variance screen holds one NARROW_SLAB-column float64 slab of one
+    # block (500 x 256, 1 MB); a 2048-column slab of the stacked rows was
+    # 0.26 of the draw. The float32 signed sum casts the labeled rows
+    # COLUMN_BLOCK columns at a time (1.6 MB, 0.04 of the 38.4 MB draw); a
+    # float64 copy of them was 0.35.
+    share = _peak_share(method, dtype)
+    assert share < 0.15, f"{method}: peak {share:.2f} of the draw"
+
+
+# A Gram-side draw with many rows: 2000 rows < p = 2600, so vanilla_pca's Gram
+# matrix (32 MB) is near the float64 draw's 41.6 MB
+GRAM_SIDE = {"p": 2600, "L": 100, "n": 1900}
+
+
+@pytest.mark.parametrize("dtype, bound", [(np.float64, 0.3), (np.float32, 0.5)],
+                         ids=["f64", "f32"])
+def test_variance_screen_reads_the_rows_in_place(dtype, bound):
+    # The screen holds a 1900 x 256 float64 slab (3.9 MB, 0.09 of the float64
+    # draw) and then the 181 kept columns, copied and stacked (2.9 MB each);
+    # stacking 2048-column slabs of the rows and np.var's deviations took
+    # 1.6 (float64) and 2.4 (float32) of the draw.
+    share = _peak_share("ul_diag_threshold_pca", dtype, **GRAM_SIDE)
+    assert share < bound, f"peak {share:.2f} of the draw"
+
+
+def test_gram_side_holds_the_gram_matrix_and_slabs():
+    # Float64 rows: the block products are written into the Gram matrix and
+    # it is centered NARROW_SLAB rows at a time, so the peak is the matrix
+    # plus slabs of 256 x 2000 (0.13 of it) and the Lanczos basis; a product
+    # temporary and a whole-matrix centering temporary made it 2.0.
+    ds, pp = _draw(np.float64, **GRAM_SIDE)
+    ds.unlabeled_x
+    peak, out = _peak("vanilla_pca", ds, pp)
+    gram = (ds.L + ds.n) ** 2 * 8
+    assert out.aux["dual_gram"]
+    assert peak < 1.5 * gram, f"peak {peak / gram:.2f} of the Gram matrix"
+
+
+def test_variance_screen_is_two_pass(monkeypatch):
+    # A column with mean 1e8 and unit spread: E[x^2] - mean^2 cancels there
+    # (x^2 ~ 1e16 carries an absolute rounding error near 1), the two-pass
+    # form matches np.var, on row blocks and on stacked rows
+    rows = np.random.default_rng(7).standard_normal((300, 40))
+    rows[:, 5] += 1e8
+    seen = []
+
+    def spy(values, k):
+        seen.append(np.array(values))
+        return top_k_indices(values, k)
+
+    monkeypatch.setattr(estimators, "top_k_indices", spy)
+    for given in (rows, (rows[:120], rows[120:])):
+        seen.clear()
+        ul_diag_threshold_pca(given, 3)
+        np.testing.assert_allclose(seen[0], np.var(rows, axis=0), rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+def test_labeled_statistics_equal_the_whole_row_formulas(dtype):
+    # p spans three COLUMN_BLOCK slabs: each class's rows are gathered and
+    # float32 rows cast a slab at a time, and the bits must not move
+    p, L = 2 * COLUMN_BLOCK + 300, 157
+    pp = ProblemParams(p=p, k=20, lam=3.0, L=L, n=0, seed=8)
+    ds = sample_dataset(make_sparse_mean(pp, seed=8), L, 0, seed=9, dtype=dtype)
+    xs, ys = ds.labeled_x, ds.labeled_y
+    want = xs[ys == 1].mean(axis=0, dtype=np.float64) - xs[ys == -1].mean(axis=0, dtype=np.float64)
+    assert np.array_equal(labeled_direction(xs, ys), want)
+    total, _, _ = estimators._signed_sum(ds)
+    assert np.array_equal(total, ys.astype(np.float64) @ xs.astype(np.float64))
 
 
 def test_self_train_float32_reads_no_whole_block():
     # On a float32 draw (38.4 MB) a float64 copy of the unlabeled rows is
     # 1.67 of the draw. The scores read the pilot's k columns and the
-    # pseudo-label sum casts one slab at a time, so the peak stays near the
-    # float64 labeled cast and a slab (about 0.6); the bound is below one
-    # such copy. Float32 slabs cost other methods more (vanilla_pca: 0.72).
+    # pseudo-label sum casts one 500 x 2048 slab at a time (0.21 of the
+    # draw; the loop holds the last slab while the next is cast, so the
+    # peak is about 0.44); the bound is below one such copy. Float32 slabs
+    # cost other methods more (vanilla_pca: 0.59).
     share = _peak_share("self_train", np.float32)
     assert share < 1.0, f"self_train: peak {share:.2f} of the float32 draw"
 

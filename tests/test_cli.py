@@ -395,6 +395,21 @@ class TestExperimentCommands:
             "--trials", "1", "--lambda", "1e50", "--f32", "--methods", "top_k_labeled")
         assert code == 0, err
 
+    def test_float32_overflowing_sparse_solve_is_a_failed_row(self, capsys, tmp_path):
+        # lambda = 1e50: the float32 rows fit, but ls2pca's screened-set
+        # products overflow; the row must say failed, not overlap 1.0
+        out_csv = tmp_path / "nan.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, _, err = run_cli(
+                capsys, "simulate", "--p", "200", "--k", "5", "--L", "10", "--n", "50",
+                "--trials", "1", "--lambda", "1e50", "--f32", "--methods", "ls2pca",
+                "--out", str(out_csv))
+        assert code == 1
+        assert "ConvergenceError" in err
+        (row,) = csv.DictReader(io.StringIO(out_csv.read_text()))
+        assert row["method"] == "ls2pca" and row["failed"] == "1"
+
     def test_failed_trials_nonzero_exit(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--p", "30", "--k", "3", "--lambda", "2",

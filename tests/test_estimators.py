@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sslgauss import spectral
-from sslgauss.errors import (ContractError, InsufficientSamplesError,
+from sslgauss.errors import (ContractError, ConvergenceError, InsufficientSamplesError,
                              MissingClassError, ScreeningTooSmallError)
 from sslgauss.estimators import (METHODS, labeled_direction, lspca, resolve_beta_tilde,
                                  screened_count, self_train, signed_mean_direction,
@@ -216,6 +216,16 @@ class TestLspca:
                           unlabeled_x=ds.unlabeled_x[:1])
         with pytest.raises(InsufficientSamplesError):
             lspca(starved, 3, 0.5)
+
+    def test_overflowed_sparse_solve_fails(self):
+        # lambda = 1e50 in float32: entries near 4.5e24, so the screened
+        # covariance's float32 products overflow; ls2pca's solve ended on a
+        # nan eigenvalue and its row counted as a success
+        pp = ProblemParams(p=200, k=5, lam=1e50, L=10, n=50, seed=0)
+        ds = sample_dataset(make_sparse_mean(pp, seed=0), 10, 50, seed=1, dtype=np.float32)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConvergenceError, match="screened-set solve is not finite"):
+            lspca(ds, 5, 0.5, sparse_pca=True)
 
 
 class TestSelfTrain:

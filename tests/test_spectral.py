@@ -397,6 +397,15 @@ class TestTruncatedPower:
         np.testing.assert_allclose(res.vector, [1.0, 1.0] / np.sqrt(2.0))
         assert res.value == 0.0
 
+    def test_stops_at_the_first_non_finite_product(self):
+        # float32 rows near 1e25: X' (X v) overflows float32 in the first
+        # product, while the float64 diagonal stays finite
+        rows = np.random.default_rng(2).standard_normal((50, 10)).astype(np.float32) * 1e25
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = truncated_power(restricted_covariance(rows), 3)
+        assert res.iterations == 1 and not res.converged
+        assert not math.isfinite(res.value)
+
     def test_bad_k(self):
         with pytest.raises(ContractError):
             truncated_power(np.eye(3), 0)
