@@ -114,11 +114,6 @@ def _collect_experiment(args: argparse.Namespace) -> harness.ExperimentConfig:
     return harness.config_from_dict(raw)
 
 
-def _echo_config(config: harness.ExperimentConfig) -> None:
-    for key, text in harness.config_items(config):
-        print(_kv(key, text))
-
-
 def _run_experiment(args: argparse.Namespace, sweep: bool) -> int:
     config = _collect_experiment(args)
     if sweep and config.sweep_axis is None:
@@ -131,7 +126,8 @@ def _run_experiment(args: argparse.Namespace, sweep: bool) -> int:
     # an unwritable output path fails here, before any trial runs; "a" truncates nothing
     for path in (config.out_path, config.out_path + ".agg.csv") if config.out_path else ():
         open(path, "a").close()
-    _echo_config(config)
+    for key, text in harness.config_items(config):
+        print(_kv(key, text))
     records, aggs = harness.run_sweep(config)
     if config.out_path:
         harness.write_csv(records, config.out_path)

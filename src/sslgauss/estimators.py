@@ -25,7 +25,7 @@ import numpy as np
 from .errors import (ContractError, ConvergenceError, InsufficientSamplesError,
                      MissingClassError, ScreeningTooSmallError)
 from .gmodel import Dataset, ProblemParams
-from .spectral import (COLUMN_BLOCK, NARROW_SLAB, float64_slabs, power_iteration,
+from .spectral import (COLUMN_BLOCK, NARROW_SLAB, PowerResult, float64_slabs, power_iteration,
                        principal_direction, restricted_covariance, row_blocks, top_k_indices,
                        truncated_power)
 
@@ -49,8 +49,8 @@ def screened_count(p: int, beta_tilde: float) -> int:
     return min(p, int(math.ceil(p ** (1.0 - beta_tilde) - 1e-9)))
 
 
-def _as_labeled(xs, ys, dtype=np.float64) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.asarray(xs, dtype=dtype)
+def _as_labeled(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    xs = np.asarray(xs)
     ys = np.asarray(ys)
     if xs.ndim != 2 or xs.shape[0] != ys.shape[0]:
         raise ContractError("labeled data must be (L, p) with L matching labels")
@@ -63,7 +63,7 @@ def labeled_direction(xs, ys) -> np.ndarray:
     """Class-mean difference: mean of the +1 class minus mean of the -1 class,
     accumulated in float64 whatever the rows' dtype. Each class's rows are
     gathered COLUMN_BLOCK columns at a time."""
-    xs, ys = _as_labeled(xs, ys, dtype=None)
+    xs, ys = _as_labeled(xs, ys)
     pos = ys == 1
     neg = ys == -1
     if not pos.any() or not neg.any():
@@ -79,7 +79,7 @@ def labeled_direction(xs, ys) -> np.ndarray:
 def signed_mean_direction(xs, ys) -> np.ndarray:
     """Label-signed empirical mean (1/L) sum_i y_i x_i."""
     xs, ys = _as_labeled(xs, ys)
-    return (ys.astype(np.float64) @ xs) / xs.shape[0]
+    return (ys.astype(np.float64) @ xs.astype(np.float64)) / xs.shape[0]
 
 
 def shared_value(dataset: Dataset, kind: str, key: tuple, make: Callable):
@@ -101,11 +101,18 @@ def _mean_difference(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
 def _signed_sum(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Label-signed sum, its mean w and w's stable descending-|w| order."""
     def make():
-        xs, ys = _as_labeled(dataset.labeled_x, dataset.labeled_y, dtype=None)
-        total = np.concatenate([ys.astype(np.float64) @ x for _, (x,) in float64_slabs([xs])])
+        xs, ys = _as_labeled(dataset.labeled_x, dataset.labeled_y)
+        total = np.concatenate([ys.astype(np.float64) @ slab[0] for _, slab in float64_slabs([xs])])
         w = total / xs.shape[0]
         return total, w, top_k_indices(np.abs(w), w.size)
     return shared_value(dataset, "signed_sum", (dataset.L,), make)
+
+
+def _solve_aux(step: str, res: PowerResult) -> dict:
+    """A solve's record in EstimatorOutput.aux: its convergence flag, product
+    count and eigenvalue, under {step}_converged, _iterations, _eigenvalue."""
+    return {f"{step}_converged": res.converged, f"{step}_iterations": res.iterations,
+            f"{step}_eigenvalue": res.value}
 
 
 def _finalize(method: str, p: int, support: np.ndarray, values: np.ndarray,
@@ -179,9 +186,7 @@ def lspca(dataset: Dataset, k: int, beta_tilde: float,
             raise ConvergenceError(f"the {step} solve is not finite (eigenvalue {solve.value})")
     v_support = refit.vector
     aux = {"screening_size": int(retained), "sparse_pca": sparse_pca,
-           "pca_converged": res.converged, "pca_iterations": res.iterations,
-           "pca_eigenvalue": res.value, "refit_converged": refit.converged,
-           "refit_iterations": refit.iterations, "refit_eigenvalue": refit.value}
+           **_solve_aux("pca", res), **_solve_aux("refit", refit)}
     side = float(v_support @ w[support])
     if side < 0.0:
         v_support = -v_support
@@ -209,7 +214,7 @@ def self_train(dataset: Dataset, k: int, gamma_threshold: float) -> EstimatorOut
         scores = ux[:, pilot_support] @ w[pilot_support]
         weights = np.where(np.abs(scores) > gamma_threshold, np.sign(scores), 0.0)
         n_eff = int(np.count_nonzero(weights))
-        pseudo_sum = np.concatenate([weights @ x for _, (x,) in float64_slabs([ux])])
+        pseudo_sum = np.concatenate([weights @ slab[0] for _, slab in float64_slabs([ux])])
     w_self = (labeled_sum + pseudo_sum) / (dataset.L + n_eff)
     support = top_k_indices(np.abs(w_self), k)
     return _finalize("self_train", w.size, support, w_self[support],
@@ -247,8 +252,7 @@ def ul_diag_threshold_pca(rows, k: int) -> EstimatorOutput:
     res = principal_direction([b[:, keep] for b in blocks])
     local = top_k_indices(np.abs(res.vector), k)
     return _finalize("ul_diag_threshold_pca", p, keep[local], res.vector[local],
-                     aux={"screening_size": int(m), "pca_converged": res.converged,
-                          "pca_iterations": res.iterations, "pca_eigenvalue": res.value})
+                     aux={"screening_size": int(m), **_solve_aux("pca", res)})
 
 
 def vanilla_pca(rows, k: int) -> EstimatorOutput:
@@ -266,8 +270,7 @@ def vanilla_pca(rows, k: int) -> EstimatorOutput:
     local = top_k_indices(np.abs(v), k)
     return _finalize("vanilla_pca", v.size, local, v[local],
                      aux={"dual_gram": sum(b.shape[0] for b in blocks) < v.size,
-                          "pca_converged": res.converged, "pca_iterations": res.iterations,
-                          "pca_eigenvalue": res.value})
+                          **_solve_aux("pca", res)})
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,9 +142,6 @@ class ProblemParams:
             return (math.log(self.n) + 2.0 * math.log(self.lam)) / math.log(self.k)
         return math.log(product) / math.log(self.k)
 
-    def with_counts(self, L: int | None = None, n: int | None = None) -> "ProblemParams":
-        return replace(self, L=self.L if L is None else L, n=self.n if n is None else n)
-
 
 @dataclass(frozen=True)
 class SparseMean:
@@ -174,41 +171,21 @@ class SparseMean:
     def norm_sq(self) -> float:
         return self.k * self.magnitude ** 2
 
-    def to_dense(self, dtype=np.float64) -> np.ndarray:
-        mu = np.zeros(self.p, dtype=dtype)
-        mu[list(self.support)] = np.asarray(self.signs, dtype=dtype) * dtype(self.magnitude)
+    def to_dense(self) -> np.ndarray:
+        mu = np.zeros(self.p)
+        mu[list(self.support)] = np.asarray(self.signs, dtype=np.float64) * self.magnitude
         return mu
 
 
-def make_sparse_mean(params: ProblemParams, support=None, signs=None,
-                     seed: int | None = None) -> SparseMean:
-    """Draw (or fix) the sparse mean with nonzero entries +-sqrt(lam/k).
-
-    With support=None the support is uniform over k-subsets of [p] and the
-    signs are i.i.d. uniform; a fixed support must contain k distinct
-    in-range indices (0-based).
-    """
-    base = params.seed if seed is None else seed
+def make_sparse_mean(params: ProblemParams, seed: int) -> SparseMean:
+    """Draw the sparse mean: a support uniform over k-subsets of [p], stored
+    sorted, with i.i.d. uniform signs and magnitude sqrt(lam/k)."""
     k = params.k
-    if support is None:
-        rng = generator(mix64(base, STREAM_SUPPORT))
-        support_list = [int(i) for i in np.sort(rng.choice(params.p, size=k, replace=False))]
-    else:
-        support_list = [int(i) for i in support]
-        if len(support_list) != k:
-            raise InvalidSupportError(f"fixed support has {len(support_list)} indices, expected k={k}")
-    if signs is None:
-        rng = generator(mix64(base, STREAM_SIGNS))
-        signs_list = [int(s) for s in rng.integers(0, 2, size=k) * 2 - 1]
-    else:
-        if len(signs) != k:
-            raise InvalidSupportError("signs length must match the support size")
-        signs_list = [int(s) for s in signs]
-    # signs align with the given support order; store sorted by index
-    pairs = sorted(zip(support_list, signs_list))
-    magnitude = math.sqrt(params.lam / k)
-    return SparseMean(p=params.p, support=tuple(i for i, _ in pairs),
-                      signs=tuple(s for _, s in pairs), magnitude=magnitude)
+    support = np.sort(generator(mix64(seed, STREAM_SUPPORT)).choice(params.p, k, replace=False))
+    signs = generator(mix64(seed, STREAM_SIGNS)).integers(0, 2, size=k) * 2 - 1
+    return SparseMean(p=params.p, support=tuple(int(i) for i in support),
+                      signs=tuple(int(s) for s in signs),
+                      magnitude=math.sqrt(params.lam / k))
 
 
 def check_magnitude(magnitude: float, dtype) -> None:
@@ -272,10 +249,9 @@ class UnlabeledSource:
         self._bumps = {} if mu.magnitude == 0.0 else {
             j: scalar(s) * scalar(mu.magnitude) for j, s in zip(mu.support, mu.signs)}
 
-    def columns(self, idx, n: int | None = None) -> np.ndarray:
+    def columns(self, idx, n: int) -> np.ndarray:
         """Rows [0, n) of columns idx (any order) as a new row-major
-        (n, len(idx)) array; n defaults to all rows."""
-        n = self.shape[0] if n is None else n
+        (n, len(idx)) array."""
         if not 0 <= n <= self.shape[0]:
             raise ConfigError(f"row count {n} out of range [0, {self.shape[0]}]")
         cols = np.asarray(idx, dtype=np.int64).ravel()

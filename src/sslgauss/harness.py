@@ -19,7 +19,7 @@ import functools
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -138,8 +138,7 @@ def trial_ground_truth(config: ExperimentConfig, trial_index: int
     depend only on (master seed, trial index) and the config's problem. The
     labeled rows are drawn here, the unlabeled ones as estimators read them."""
     points = config.points()
-    pp = config.params.with_counts(L=max(L for L, _ in points),
-                                   n=max(n for _, n in points))
+    pp = replace(config.params, L=max(L for L, _ in points), n=max(n for _, n in points))
     seed = trial_seed(config, trial_index)
     mu = make_sparse_mean(pp, seed=mix64(seed, STREAM_MEAN))
     dtype = np.float32 if config.f32 else np.float64
@@ -167,7 +166,7 @@ def run_trial(config: ExperimentConfig, method: str, point: tuple[int, int],
     if point not in config.points():
         raise ConfigError(f"point {point} is not on the config's grid {config.points()}")
     L, n = point
-    pp = config.params.with_counts(L=L, n=n)
+    pp = replace(config.params, L=L, n=n)
     mu, ds = _draw(config, trial_index)
     ds = ds.prefix(L, n)
     error = ""

@@ -25,14 +25,15 @@ import numpy as np
 
 from .errors import ContractError, InsufficientSamplesError, InvalidSupportError
 
-DEFAULT_MAX_ITER = 1000
+# Most products one solve forms, in either solver; read at each call.
+MAX_ITER = 1000
 # Stopping tolerances of both solvers. Products over float32 rows carry about
 # 1e-7 relative error, so their solves settle near 1e-6.
 _TOL = 1e-9
 _F32_TOL = 1e-6
 # Most Lanczos vectors power_iteration holds at once. A full basis starts over
 # from its top Ritz vector, so neither the basis's memory nor the per-step
-# eigh of the tridiagonal matrix grows with max_iter.
+# eigh of the tridiagonal matrix grows with MAX_ITER.
 LANCZOS_BASIS = 64
 
 # Columns per slab of a cast to float64 (float64_slabs) or a class's rows.
@@ -96,10 +97,8 @@ class RestrictedCovariance:
         return (y.T @ y) / self.n_samples
 
 
-def restricted_covariance(rows: np.ndarray) -> RestrictedCovariance:
-    """Empirical covariance of the restricted block `rows` (n x |T|), which
-    it centers in place when it can."""
-    return RestrictedCovariance(rows)
+# The name lspca calls, which perfbench's tracer patches in `estimators`.
+restricted_covariance = RestrictedCovariance
 
 
 def row_blocks(rows) -> list[np.ndarray]:
@@ -118,12 +117,16 @@ def float64_slabs(blocks: list[np.ndarray]):
     """Yield (cols, xs): xs[i] holds columns cols of blocks[i] in float64.
     When every block is float64 there is one slab, the blocks themselves;
     otherwise each slab is COLUMN_BLOCK columns wide and only the blocks
-    that need a cast are copied, one slab at a time."""
+    that need a cast are copied, one slab at a time. The list xs is emptied
+    before the next slab is cast, so a consumer that indexes it, rather than
+    unpacking it, holds one slab at a time, and none once the loop ends."""
     p = blocks[0].shape[1]
     width = p if all(b.dtype == np.float64 for b in blocks) else COLUMN_BLOCK
     for lo in range(0, p, width):
         cols = slice(lo, lo + width)
-        yield cols, [b[:, cols].astype(np.float64, copy=False) for b in blocks]
+        xs = [b[:, cols].astype(np.float64, copy=False) for b in blocks]
+        yield cols, xs
+        xs.clear()
 
 
 def _norm(w: np.ndarray) -> float:
@@ -199,8 +202,8 @@ def principal_direction(rows) -> PowerResult:
         u = result.vector - result.vector.mean()
         v = np.zeros(p)
         for cols, xs in float64_slabs(blocks):
-            for x, span in zip(xs, spans):
-                v[cols] += x.T @ u[span]
+            for i, span in enumerate(spans):
+                v[cols] += xs[i].T @ u[span]
         result.vector = canonical_sign(v / _norm(v))
     return result
 
@@ -244,7 +247,7 @@ def _tolerance(a) -> float:
     return _F32_TOL if f32 else _TOL
 
 
-def power_iteration(a, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
+def power_iteration(a) -> PowerResult:
     """Leading eigenpair of a PSD operator by Lanczos iteration (Lanczos, J.
     Res. NBS 1950), started from the standard basis vector at the largest
     diagonal entry (ties: lowest index).
@@ -255,9 +258,11 @@ def power_iteration(a, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
     matrix by a dense eigh. It stops once the Ritz residual
     ||A y - theta y|| = beta_j |s_last| is at most tol * theta, with tol set
     by the operator's storage as for truncated_power. A basis holds at most
-    LANCZOS_BASIS vectors; a full one starts over from y. max_iter counts
+    LANCZOS_BASIS vectors; a full one starts over from y. MAX_ITER counts
     products: after that many, returns the last Ritz pair with
     converged=False. `value` is theta and `step` the last residual over theta.
+    A step whose product, alpha or norm is not finite ends the solve with
+    converged=False, `value` nan and the vector it started the basis from.
     """
     a = _psd_operator(a)
     diag = a.diagonal()
@@ -267,8 +272,8 @@ def power_iteration(a, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
     y = np.zeros(diag.size)
     y[int(np.argmax(diag))] = 1.0
     result = PowerResult(vector=y, value=0.0, step=0.0, iterations=0, converged=False)
-    basis = np.empty((min(LANCZOS_BASIS, diag.size, max_iter), diag.size))
-    while result.iterations < max_iter and not result.converged:
+    basis = np.empty((min(LANCZOS_BASIS, diag.size, MAX_ITER), diag.size))
+    while result.iterations < MAX_ITER and not result.converged:
         basis[0] = y
         alpha: list[float] = []
         beta: list[float] = []
@@ -281,16 +286,20 @@ def power_iteration(a, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
             h2 = q @ w
             w -= h2 @ q
             alpha.append(float(h[j] + h2[j]))
+            norm = _norm(w)  # not finite when an entry of w is not
+            if not (math.isfinite(alpha[-1]) and math.isfinite(norm)):
+                result.value = math.nan
+                result.vector = canonical_sign(y)
+                return result
             tri = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
             values, vectors = np.linalg.eigh(tri)
             theta, s = float(values[-1]), vectors[:, -1]
-            norm = _norm(w)
             residual = norm * abs(float(s[-1]))
             result.value = theta
             result.step = residual / theta if theta > 0.0 else 0.0
             # a zero residual (an invariant subspace, or A = 0) always stops
             result.converged = residual <= tol * abs(theta)
-            if result.converged or result.iterations == max_iter or j + 1 == len(basis):
+            if result.converged or result.iterations == MAX_ITER or j + 1 == len(basis):
                 break
             beta.append(norm)
             basis[j + 1] = w / norm
@@ -300,7 +309,7 @@ def power_iteration(a, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
     return result
 
 
-def truncated_power(a, k: int, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
+def truncated_power(a, k: int) -> PowerResult:
     """Sparse leading eigenvector of a PSD operator by the truncated power
     method (Yuan & Zhang, JMLR 2013), started from equal weights on the k
     largest diagonal entries.
@@ -309,7 +318,7 @@ def truncated_power(a, k: int, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
     index), and renormalizes; it stops once ||v_new - v|| <= tol, with tol
     set by the operator's storage (float32 rows cap the accuracy of A v).
     `value` is the Rayleigh quotient of the iterate the last step started
-    from. After max_iter steps without convergence, returns the last iterate
+    from. After MAX_ITER steps without convergence, returns the last iterate
     with converged=False, as does a step whose product or norm is not finite.
     """
     a = _psd_operator(a)
@@ -320,7 +329,7 @@ def truncated_power(a, k: int, max_iter: int = DEFAULT_MAX_ITER) -> PowerResult:
     v = np.zeros(diag.size)
     v[top_k_indices(diag, k)] = 1.0 / np.sqrt(k)
     result = PowerResult(vector=v, value=0.0, step=0.0, iterations=0, converged=False)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         w = a @ v
         result.value = theta = float(v @ w)
         result.iterations += 1

@@ -410,6 +410,17 @@ class TestExperimentCommands:
         (row,) = csv.DictReader(io.StringIO(out_csv.read_text()))
         assert row["method"] == "ls2pca" and row["failed"] == "1"
 
+    def test_float32_overflowing_lanczos_solve_is_a_package_error(self, capsys):
+        # the same draw through lspca: its Lanczos solve stops at the first
+        # overflowed product, and the failure names the package's error
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code, _, err = run_cli(
+                capsys, "simulate", "--p", "200", "--k", "5", "--L", "10", "--n", "50",
+                "--trials", "1", "--lambda", "1e50", "--f32", "--methods", "lspca")
+        assert code == 1
+        assert "ConvergenceError" in err and "LinAlgError" not in err
+
     def test_failed_trials_nonzero_exit(self, capsys):
         code, _, err = run_cli(
             capsys, "simulate", "--p", "30", "--k", "3", "--lambda", "2",

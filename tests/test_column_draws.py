@@ -100,9 +100,9 @@ def test_column_read_rejects_bad_requests():
     mu = make_sparse_mean(ProblemParams(p=10, k=2, lam=1.0, L=0, n=4), seed=0)
     source = UnlabeledSource(mu, 4, 1, 2, np.float64)
     with pytest.raises(gmodel.InvalidSupportError):
-        source.columns([10])
+        source.columns([10], 4)
     with pytest.raises(gmodel.ConfigError):
-        source.columns([0], n=5)
+        source.columns([0], 5)
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -110,9 +110,9 @@ def test_empty_column_read(monkeypatch, threads):
     monkeypatch.setattr(gmodel, "_draw_threads", lambda: threads)
     mu = make_sparse_mean(ProblemParams(p=10, k=2, lam=1.0, L=0, n=4), seed=0)
     source = UnlabeledSource(mu, 4, 1, 2, np.float32)
-    empty = source.columns([])
+    empty = source.columns([], 4)
     assert empty.shape == (4, 0) and empty.dtype == np.float32
-    assert source.columns([], n=0).shape == (0, 0)
+    assert source.columns([], 0).shape == (0, 0)
 
 
 def spy_whole(monkeypatch) -> list[bool]:

@@ -1,4 +1,3 @@
-import functools
 import itertools
 import math
 
@@ -11,7 +10,7 @@ from sslgauss.errors import (ContractError, ConvergenceError, InsufficientSample
 from sslgauss.estimators import (METHODS, labeled_direction, lspca, resolve_beta_tilde,
                                  screened_count, self_train, signed_mean_direction,
                                  top_k_labeled, ul_diag_threshold_pca, vanilla_pca)
-from sslgauss.gmodel import Dataset, ProblemParams, make_sparse_mean, sample_dataset
+from sslgauss.gmodel import Dataset, ProblemParams, SparseMean, make_sparse_mean, sample_dataset
 from sslgauss.harness import config_from_dict, trial_ground_truth
 from sslgauss.metrics import support_overlap
 from sslgauss.spectral import canonical_sign, top_k_indices
@@ -24,6 +23,12 @@ def make_instance(p, k, lam, L, n, seed=0, mean_seed=None):
     mu = make_sparse_mean(pp, seed=mean_seed if mean_seed is not None else seed)
     ds = sample_dataset(mu, L, n, seed=seed + 1)
     return pp, mu, ds
+
+
+def _overflowing_draw() -> Dataset:
+    """A float32 draw at lambda = 1e50 whose screened-set products overflow."""
+    pp = ProblemParams(p=200, k=5, lam=1e50, L=10, n=50, seed=0)
+    return sample_dataset(make_sparse_mean(pp, seed=0), 10, 50, seed=1, dtype=np.float32)
 
 
 def _sample_covariance_top(rows: np.ndarray) -> tuple[np.ndarray, float]:
@@ -137,8 +142,7 @@ class TestLspca:
     def test_disjoint_screen_means_zero_overlap(self):
         # labeled data concentrated off-support forces the screen off S
         p, k = 10, 2
-        pp = ProblemParams(p=p, k=k, lam=1.0, L=4, n=50, seed=0)
-        mu = make_sparse_mean(pp, support=[0, 1], signs=[1, 1], seed=0)
+        mu = SparseMean(p, (0, 1), (1, 1), math.sqrt(0.5))
         rng = np.random.default_rng(0)
         xs = np.zeros((4, p))
         xs[:, 8] = [5.0, 5.2, 4.8, 5.1]
@@ -221,11 +225,17 @@ class TestLspca:
         # lambda = 1e50 in float32: entries near 4.5e24, so the screened
         # covariance's float32 products overflow; ls2pca's solve ended on a
         # nan eigenvalue and its row counted as a success
-        pp = ProblemParams(p=200, k=5, lam=1e50, L=10, n=50, seed=0)
-        ds = sample_dataset(make_sparse_mean(pp, seed=0), 10, 50, seed=1, dtype=np.float32)
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ConvergenceError, match="screened-set solve is not finite"):
-            lspca(ds, 5, 0.5, sparse_pca=True)
+            lspca(_overflowing_draw(), 5, 0.5, sparse_pca=True)
+
+    def test_overflowed_lanczos_solve_fails(self):
+        # the same draw through lspca's Lanczos solve: it stops at the first
+        # overflowed product rather than ending in numpy's LinAlgError from
+        # the tridiagonal eigh
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ConvergenceError, match="screened-set solve is not finite"):
+            lspca(_overflowing_draw(), 5, 0.5)
 
 
 class TestSelfTrain:
@@ -262,8 +272,7 @@ class TestSelfTrain:
 
 class TestUnsupervisedBaselines:
     def test_noiseless_spike_exact_recovery(self):
-        pp = ProblemParams(p=20, k=3, lam=3.0, L=1, n=0, seed=0)
-        mu = make_sparse_mean(pp, support=[2, 11, 17], signs=[1, -1, 1])
+        mu = SparseMean(20, (2, 11, 17), (1, -1, 1), 1.0)
         dense = mu.to_dense()
         rows = np.vstack([dense, -dense, dense, -dense])
         out = ul_diag_threshold_pca(rows, 3)
@@ -396,8 +405,7 @@ class TestUnsupervisedBaselines:
         w = np.linalg.qr(rng.standard_normal((p, n - 1)))[0]
         values = 1.0 - 1e-4 * np.linspace(0.0, 1.0, n - 1)
         rows = np.sqrt(n) * (u * np.sqrt(values)) @ w.T
-        monkeypatch.setattr(spectral, "power_iteration",
-                            functools.partial(spectral.power_iteration, max_iter=40))
+        monkeypatch.setattr(spectral, "MAX_ITER", 40)
         out = vanilla_pca(rows, 5)
         assert out.aux["pca_converged"] is False
         assert out.aux["pca_iterations"] == 40

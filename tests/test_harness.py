@@ -160,7 +160,7 @@ def per_point_reference(cfg, records):
     """Each record rerun on a config whose one point is the record's own, so
     run_trial serves it from a draw made at exactly that point."""
     return [run_trial(replace(cfg, sweep_axis=None, sweep_values=(),
-                              params=cfg.params.with_counts(L=r.L, n=r.n)),
+                              params=replace(cfg.params, L=r.L, n=r.n)),
                       r.method, (r.L, r.n), r.trial) for r in records]
 
 
@@ -336,7 +336,7 @@ class TestTrialGroundTruth:
         assert not any(r.failed for r in records)
         for r in records:
             mu, ds = truths[r.trial]
-            pp = cfg.params.with_counts(L=r.L, n=r.n)
+            pp = replace(cfg.params, L=r.L, n=r.n)
             est = harness.METHODS[r.method](ds.prefix(r.L, r.n), pp, cfg.beta_tilde,
                                             cfg.gamma_threshold)
             assert score(mu, est.support, est.direction) \

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sslgauss.errors import ContractError
-from sslgauss.gmodel import ProblemParams, make_sparse_mean, sample_dataset
+from sslgauss.gmodel import ProblemParams, SparseMean, make_sparse_mean, sample_dataset
 from sslgauss.metrics import excess_risk, generalization_error, phi_c, support_overlap
 
 
@@ -71,9 +71,8 @@ class TestSupportOverlap:
             support_overlap([0, 1], [0, 1, 2], 2)
 
 
-def _mean(p, k, lam, seed=0, support=None, signs=None):
-    pp = ProblemParams(p=p, k=k, lam=lam, L=1, n=0, seed=seed)
-    return make_sparse_mean(pp, support=support, signs=signs, seed=seed)
+def _mean(p, k, lam, seed=0):
+    return make_sparse_mean(ProblemParams(p=p, k=k, lam=lam, L=1, n=0, seed=seed), seed=seed)
 
 
 class TestRiskMetrics:
@@ -84,7 +83,7 @@ class TestRiskMetrics:
         assert 0.0 <= excess_risk(mu, v) <= 1e-15
 
     def test_orthogonal_direction_is_chance(self):
-        mu = _mean(10, 2, 3.0, support=[0, 1], signs=[1, 1])
+        mu = SparseMean(10, (0, 1), (1, 1), math.sqrt(1.5))
         v = np.zeros(10)
         v[5] = 1.0
         assert generalization_error(mu, v) == 0.5

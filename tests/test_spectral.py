@@ -8,7 +8,7 @@ import pytest
 from sslgauss import spectral
 from sslgauss.errors import (ContractError, InsufficientSamplesError,
                              InvalidSupportError)
-from sslgauss.spectral import (DEFAULT_MAX_ITER, LANCZOS_BASIS, power_iteration,
+from sslgauss.spectral import (LANCZOS_BASIS, MAX_ITER, power_iteration,
                                principal_direction, restricted_covariance, top_k_indices,
                                truncated_power)
 
@@ -237,12 +237,15 @@ class TestLeadingEigenvector:
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
         assert v[int(np.argmax(np.abs(v)))] >= 0.0
 
-    def test_rayleigh_monotone(self):
+    def test_rayleigh_monotone(self, monkeypatch):
         # the value after t steps never decreases in t
         rng = np.random.default_rng(3)
         b = rng.standard_normal((12, 8))
         cov = restricted_covariance(b)
-        hist = [power_iteration(cov, max_iter=t).value for t in range(1, 41)]
+        hist = []
+        for t in range(1, 41):
+            monkeypatch.setattr(spectral, "MAX_ITER", t)
+            hist.append(power_iteration(cov).value)
         assert all(b2 >= a2 - 1e-10 for a2, b2 in zip(hist, hist[1:]))
         assert hist[-1] > hist[0]
 
@@ -257,13 +260,14 @@ class TestLeadingEigenvector:
         q = np.linalg.qr(np.random.default_rng(0).standard_normal((values.size,) * 2))[0]
         return (q * values) @ q.T
 
-    def test_nonconvergence_returns_last_iterate(self):
+    def test_nonconvergence_returns_last_iterate(self, monkeypatch):
         # 200 eigenvalues within 1e-4 of 1: 40 products are too few to reach
         # the 1e-9 residual (the default cap takes 52)
         a = self._rotated(1.0 - 1e-4 * np.linspace(0.0, 1.0, 200))
-        res = power_iteration(a, max_iter=40)
+        monkeypatch.setattr(spectral, "MAX_ITER", 40)
+        res = power_iteration(a)
         assert not res.converged
-        assert res.iterations == 40  # max_iter counts products
+        assert res.iterations == 40  # MAX_ITER counts products
         v = res.vector
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
         assert v[int(np.argmax(np.abs(v)))] >= 0.0
@@ -274,7 +278,7 @@ class TestLeadingEigenvector:
         # than LANCZOS_BASIS: the solve goes on from the Ritz vector
         a = self._rotated(np.linspace(0.0, 1.0, 200))
         res = power_iteration(a)
-        assert res.converged and LANCZOS_BASIS < res.iterations < DEFAULT_MAX_ITER
+        assert res.converged and LANCZOS_BASIS < res.iterations < MAX_ITER
         values, vectors = np.linalg.eigh(a)
         assert abs(res.value - values[-1]) <= 1e-12
         assert abs(float(res.vector @ vectors[:, -1])) >= 1.0 - 1e-12
@@ -308,13 +312,25 @@ class TestLeadingEigenvector:
             rng.choice([-1.0, 1.0], 2000), u)
         cov = restricted_covariance(rows.astype(np.float32))
         res = power_iteration(cov)
-        assert res.converged and res.iterations < DEFAULT_MAX_ITER
+        assert res.converged and res.iterations < MAX_ITER
         want = np.linalg.eigh(restricted_covariance(rows).matrix())[0][-1]
         assert abs(res.value - want) <= 1e-5 * want
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ContractError):
             power_iteration(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_stops_at_the_first_non_finite_product(self):
+        # a symmetric inf entry: the first product's norm is inf, and the
+        # solve stops there, unconverged on a nan value, before the
+        # tridiagonal eigh (which raised numpy's LinAlgError on it)
+        a = np.eye(4)
+        a[0, 2] = a[2, 0] = np.inf
+        with np.errstate(invalid="ignore"):
+            res = power_iteration(a)
+        assert res.iterations == 1 and not res.converged
+        assert math.isnan(res.value)
+        np.testing.assert_array_equal(res.vector, [1.0, 0.0, 0.0, 0.0])
 
     def test_symmetry_check_holds_no_full_size_temporary(self):
         # a - a.T in one piece would take the matrix's size twice over
@@ -374,12 +390,15 @@ class TestTruncatedPower:
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
             assert v[int(np.argmax(np.abs(v)))] >= 0.0
 
-    def test_rayleigh_monotone(self):
+    def test_rayleigh_monotone(self, monkeypatch):
         # the value after t steps never decreases in t
         rng = np.random.default_rng(11)
         b = rng.standard_normal((40, 10))
         cov = restricted_covariance(b)
-        hist = [truncated_power(cov, 3, max_iter=t).value for t in range(1, 41)]
+        hist = []
+        for t in range(1, 41):
+            monkeypatch.setattr(spectral, "MAX_ITER", t)
+            hist.append(truncated_power(cov, 3).value)
         assert all(b2 >= a2 - 1e-10 for a2, b2 in zip(hist, hist[1:]))
         assert hist[-1] > hist[0]
 

@@ -2,6 +2,7 @@ import functools
 import inspect
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -286,8 +287,8 @@ class TestLowDegNorm:
         val = lowdeg_norm_exact(base, 4)
         assert lowdeg_norm_exact(base, 6) >= val
         assert lowdeg_norm_exact(ProblemParams(12, 3, 2.5, 2, 4), 4) >= val
-        assert lowdeg_norm_exact(base.with_counts(L=5), 4) >= val
-        assert lowdeg_norm_exact(base.with_counts(n=9), 4) >= val
+        assert lowdeg_norm_exact(replace(base, L=5), 4) >= val
+        assert lowdeg_norm_exact(replace(base, n=9), 4) >= val
 
     def test_guard_raises(self):
         # the guard is on D alone: any k and n compute
