@@ -228,9 +228,10 @@ def ul_diag_threshold_pca(rows, k: int) -> EstimatorOutput:
 
     `rows` is one array or a sequence of row blocks read as if stacked, in
     place. The variances take two passes, the column means from the blocks'
-    float64 sums, then the squared deviations NARROW_SLAB columns of a block
-    at a time (E[x^2] - mean^2 would cancel when |mean| >> spread). Only the
-    kept columns are copied out of the rows. The solve's convergence flag,
+    float64 sums, then the squared deviations in row order, from float64
+    slabs of whole rows no larger than NARROW_SLAB columns of the block
+    (E[x^2] - mean^2 would cancel when |mean| >> spread). Only the kept
+    columns are copied out of the rows. The solve's convergence flag,
     product count and eigenvalue go in aux, on either side.
     """
     blocks = row_blocks(rows)
@@ -244,10 +245,13 @@ def ul_diag_threshold_pca(rows, k: int) -> EstimatorOutput:
     mean = sum(b.sum(axis=0, dtype=np.float64) for b in blocks) / n
     squares = np.zeros(p)
     for b in blocks:
-        for lo in range(0, p, NARROW_SLAB):
-            cols = slice(lo, lo + NARROW_SLAB)
-            d = b[:, cols] - mean[cols]
-            squares[cols] += np.square(d, out=d).sum(axis=0)
+        total = np.zeros(p)
+        step = max(1, NARROW_SLAB * b.shape[0] // p)
+        for lo in range(0, b.shape[0], step):
+            d = b[lo:lo + step] - mean
+            for row in np.square(d, out=d):
+                total += row
+        squares += total
     keep = top_k_indices(squares / n, m)
     res = principal_direction([b[:, keep] for b in blocks])
     local = top_k_indices(np.abs(res.vector), k)

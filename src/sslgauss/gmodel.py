@@ -5,13 +5,13 @@ nonzero entries, all of magnitude sqrt(lam/k), so that ||mu||^2 = lam.
 Everything downstream (estimators, metrics, harness) consumes the types
 defined here.
 
-A draw's labeled block is drawn whole, row after row from one stream. Its
-unlabeled rows are drawn on read (UnlabeledSource): the noise of column j is
-the Philox stream under the 128-bit key (noise seed, j), so a reader that
-needs only some columns (lspca's screened set) draws only those, and the
-full block, drawn when a reader takes every column, is drawn in column tiles
-on the process's share of the usable cores (all of them outside a process
-pool) with the same bits as a serial draw.
+Both blocks of a draw take their noise from keyed Philox streams (Salmon et
+al., SC'11): labeled row i from the key (labeled noise seed, i), unlabeled
+column j from (unlabeled noise seed, j). The labeled block is drawn whole;
+the unlabeled rows are drawn on read (UnlabeledSource), so a reader that
+needs only some columns (lspca's screened set) draws only those. Both are
+drawn on the process's share of the usable cores (all of them outside a
+process pool) with the same bits as a serial draw.
 """
 
 from __future__ import annotations
@@ -171,11 +171,6 @@ class SparseMean:
     def norm_sq(self) -> float:
         return self.k * self.magnitude ** 2
 
-    def to_dense(self) -> np.ndarray:
-        mu = np.zeros(self.p)
-        mu[list(self.support)] = np.asarray(self.signs, dtype=np.float64) * self.magnitude
-        return mu
-
 
 def make_sparse_mean(params: ProblemParams, seed: int) -> SparseMean:
     """Draw the sparse mean: a support uniform over k-subsets of [p], stored
@@ -224,6 +219,29 @@ def _draw_threads() -> int:
     return max(1, cores // _processes)
 
 
+def _on_draw_threads(count: int, stripe) -> None:
+    """Run stripe(first, step) on one thread per stripe first, first + step,
+    ... of count units, on this process's share of the usable cores."""
+    step = max(1, min(_draw_threads(), count))
+    with ThreadPoolExecutor(max_workers=step) as pool:
+        list(pool.map(stripe, range(step), [step] * step))
+
+
+def _keyed_fill(out: np.ndarray, seed: int, keys) -> None:
+    """Row r of out becomes the first out.shape[1] normals of Philox under
+    the 128-bit key (seed, keys[r]): one Philox, rekeyed per row through its
+    state, so a row's bits do not depend on the other rows."""
+    gen = generator(0)
+    # plain lists: the state setter reads them faster than arrays
+    state = {"bit_generator": "Philox",
+             "state": {"counter": [0, 0, 0, 0], "key": [seed & MASK64, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for row, j in zip(out, keys):
+        state["state"]["key"][1] = j
+        gen.bit_generator.state = state
+        gen.standard_normal(dtype=out.dtype, out=row)
+
+
 def _labels(seed: int, count: int) -> np.ndarray:
     return (generator(seed).integers(0, 2, size=count) * 2 - 1).astype(np.int8)
 
@@ -232,18 +250,18 @@ class UnlabeledSource:
     """The n x p unlabeled rows x_i = y_i * mu + z_i of one draw, drawn on read.
 
     The labels y come from one stream. The noise of column j is the first n
-    normals of Philox under the 128-bit key (noise_seed, j) (Salmon et al.,
-    SC'11): a column's bits do not depend on which other columns are drawn,
-    in what order or on how many threads, and n' < n rows are a prefix.
-    columns() draws a set of columns; whole() draws every column once and
-    keeps the block.
+    normals of Philox under the 128-bit key (noise_seed, j), the keyed fill
+    the labeled rows use: a column's bits do not depend on which other
+    columns are drawn, in what order or on how many threads, and n' < n rows
+    are a prefix. columns() draws a set of columns; whole() draws every
+    column once and keeps the block.
     """
 
     def __init__(self, mu: SparseMean, n: int, y_seed: int, noise_seed: int, dtype):
         self.dtype = np.dtype(dtype)
         self.shape = (n, mu.p)
         self.block: np.ndarray | None = None
-        self._noise_seed = noise_seed & MASK64
+        self._noise_seed = noise_seed
         self._y = _labels(y_seed, n).astype(self.dtype)
         scalar = self.dtype.type
         self._bumps = {} if mu.magnitude == 0.0 else {
@@ -266,36 +284,25 @@ class UnlabeledSource:
         return self.block
 
     def _draw(self, cols, n: int) -> np.ndarray:
-        """Tiles of _TILE columns, spread over this process's share of the
-        usable cores; each thread takes a fixed stripe of tiles, keeps one
-        Philox and rekeys it per column through its state."""
+        """Tiles of _TILE columns striped over the draw threads; a thread
+        fills a (tile, n) buffer by column keys and copies it transposed
+        into the row-major result."""
         out = np.empty((n, len(cols)), dtype=self.dtype)
         y = self._y[:n]
         starts = range(0, len(cols), _TILE)
-        workers = max(1, min(_draw_threads(), len(starts)))
 
-        def stripe(first: int) -> None:
-            gen = generator(0)
+        def stripe(first: int, step: int) -> None:
             buf = np.empty((_TILE, n), dtype=self.dtype)
-            # plain lists: the state setter reads them faster than arrays
-            state = {"bit_generator": "Philox",
-                     "state": {"counter": [0, 0, 0, 0], "key": [self._noise_seed, 0]},
-                     "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-                     "has_uint32": 0, "uinteger": 0}
-            key = state["state"]["key"]
-            for lo in starts[first::workers]:
-                hi = min(lo + _TILE, len(cols))
-                for row, j in zip(buf, cols[lo:hi]):
-                    key[1] = j
-                    gen.bit_generator.state = state
-                    gen.standard_normal(dtype=self.dtype, out=row)
+            for lo in starts[first::step]:
+                tile = cols[lo:lo + _TILE]
+                _keyed_fill(buf, self._noise_seed, tile)
+                for row, j in zip(buf, tile):
                     bump = self._bumps.get(j)
                     if bump is not None:
                         row += y * bump
-                out[:, lo:hi] = buf[:hi - lo].T
+                out[:, lo:lo + len(tile)] = buf[:len(tile)].T
 
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(stripe, range(workers)))
+        _on_draw_threads(len(starts), stripe)
         return out
 
 
@@ -385,7 +392,8 @@ def sample_dataset(mu: SparseMean, L: int, n: int, seed: int,
     Pure function of (mu, L, n, seed, dtype): labeled and unlabeled streams
     are keyed separately, so the labeled block does not depend on n and vice
     versa, and the first rows of a larger draw coincide with a smaller one.
-    The labeled block is drawn here; the unlabeled rows are an
+    The labeled block is drawn here, row i keyed by i (_keyed_fill) and the
+    rows striped over the draw threads; the unlabeled rows are an
     UnlabeledSource, drawn when they are read.
     """
     if L < 0 or n < 0:
@@ -394,7 +402,10 @@ def sample_dataset(mu: SparseMean, L: int, n: int, seed: int,
         raise EmptyDatasetError("refusing to build a dataset with L = n = 0")
     check_magnitude(mu.magnitude, dtype)
     ly = _labels(mix64(seed, STREAM_LABELED_Y), L)
-    lx = generator(mix64(seed, STREAM_LABELED_NOISE)).standard_normal((L, mu.p), dtype=dtype)
+    lx = np.empty((L, mu.p), dtype=dtype)
+    noise_seed = mix64(seed, STREAM_LABELED_NOISE)
+    _on_draw_threads(L, lambda first, step: _keyed_fill(lx[first::step], noise_seed,
+                                                        range(first, L, step)))
     if mu.magnitude != 0.0 and L:
         bump = np.asarray(mu.signs, dtype=dtype) * dtype(mu.magnitude)
         lx[:, list(mu.support)] += ly[:, None].astype(dtype) * bump

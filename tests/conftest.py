@@ -1,5 +1,8 @@
 """Shared pytest plumbing: collects acceptance-criterion report lines and
-echoes them in the terminal summary so they are visible in every run mode."""
+echoes them in the terminal summary so they are visible in every run mode;
+builds the dense mean vector the tests compare against."""
+
+import numpy as np
 
 ACCEPTANCE_LINES: list = []
 
@@ -13,3 +16,10 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def dense_mean(mu) -> np.ndarray:
+    """The sparse mean as a dense float64 length-p vector."""
+    dense = np.zeros(mu.p)
+    dense[list(mu.support)] = np.asarray(mu.signs, dtype=np.float64) * mu.magnitude
+    return dense

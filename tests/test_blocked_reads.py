@@ -165,11 +165,11 @@ def test_peak_memory_below_half_the_draw(method):
 @pytest.mark.parametrize("method, dtype", [("ul_diag_threshold_pca", np.float64),
                                            ("top_k_labeled", np.float32)])
 def test_screens_hold_no_slab_of_the_draw(method, dtype):
-    # The variance screen holds one NARROW_SLAB-column float64 slab of one
-    # block (500 x 256, 1 MB); a 2048-column slab of the stacked rows was
-    # 0.26 of the draw. The float32 signed sum casts the labeled rows
-    # COLUMN_BLOCK columns at a time (1.6 MB, 0.04 of the 38.4 MB draw); a
-    # float64 copy of them was 0.35.
+    # The variance screen holds a float64 slab of a few whole rows of one
+    # block, no larger than 500 x 256 (1 MB); a 2048-column slab of the
+    # stacked rows was 0.26 of the draw. The float32 signed sum casts the
+    # labeled rows COLUMN_BLOCK columns at a time (1.6 MB, 0.04 of the
+    # 38.4 MB draw); a float64 copy of them was 0.35.
     share = _peak_share(method, dtype)
     assert share < 0.15, f"{method}: peak {share:.2f} of the draw"
 
@@ -182,7 +182,7 @@ GRAM_SIDE = {"p": 2600, "L": 100, "n": 1900}
 @pytest.mark.parametrize("dtype, bound", [(np.float64, 0.3), (np.float32, 0.5)],
                          ids=["f64", "f32"])
 def test_variance_screen_reads_the_rows_in_place(dtype, bound):
-    # The screen holds a 1900 x 256 float64 slab (3.9 MB, 0.09 of the float64
+    # The screen holds a 187 x 2600 float64 slab (3.9 MB, 0.09 of the float64
     # draw) and then the 181 kept columns, copied and stacked (2.9 MB each);
     # stacking 2048-column slabs of the rows and np.var's deviations took
     # 1.6 (float64) and 2.4 (float32) of the draw.
@@ -220,6 +220,32 @@ def test_variance_screen_is_two_pass(monkeypatch):
         seen.clear()
         ul_diag_threshold_pca(given, 3)
         np.testing.assert_allclose(seen[0], np.var(rows, axis=0), rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
+@pytest.mark.parametrize("L, n, p", [(40, 200, 400), (3, 7, 1000)])
+def test_variance_screen_equals_the_column_slab_sums(monkeypatch, dtype, L, n, p):
+    # The squared deviations are added up a few whole rows at a time, in row
+    # order; they must give the bits of summing each NARROW_SLAB-column slab
+    # of a block down its rows (25 and 128 rows at a time here, and 1 at
+    # p = 1000, where a row is wider than NARROW_SLAB columns' worth)
+    rng = np.random.default_rng(5)
+    blocks = [(rng.standard_normal((rows, p)) + 50.0).astype(dtype) for rows in (L, n)]
+    mean = sum(b.sum(axis=0, dtype=np.float64) for b in blocks) / (L + n)
+    squares = np.zeros(p)
+    for b in blocks:
+        for lo in range(0, p, spectral.NARROW_SLAB):
+            cols = slice(lo, lo + spectral.NARROW_SLAB)
+            squares[cols] += np.square(b[:, cols] - mean[cols]).sum(axis=0)
+    seen = []
+
+    def spy(values, k):
+        seen.append(np.array(values))
+        return top_k_indices(values, k)
+
+    monkeypatch.setattr(estimators, "top_k_indices", spy)
+    ul_diag_threshold_pca(blocks, 3)
+    assert np.array_equal(seen[0], squares / (L + n))
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])

@@ -1,17 +1,20 @@
-"""Column-keyed unlabeled draws.
+"""Column-keyed unlabeled draws and row-keyed labeled draws.
 
 Every read of an unlabeled column gives the same bits: drawn alone or with
 the whole block, in any order, at any row prefix and on any number of
 threads. A trial draws the whole block only when a reader takes every
-column; lspca and ls2pca read only their screened columns.
+column; lspca and ls2pca read only their screened columns. Each labeled row
+is its own keyed stream: the block's bits do not depend on the number of
+draw threads, and a smaller L draws a prefix of the rows.
 """
 
 import numpy as np
 import pytest
 
 from sslgauss import gmodel, harness
-from sslgauss.gmodel import (STREAM_UNLABELED_NOISE, STREAM_UNLABELED_Y, ProblemParams,
-                             UnlabeledSource, make_sparse_mean, sample_dataset)
+from sslgauss.gmodel import (STREAM_LABELED_NOISE, STREAM_LABELED_Y, STREAM_UNLABELED_NOISE,
+                             STREAM_UNLABELED_Y, ProblemParams, UnlabeledSource,
+                             make_sparse_mean, sample_dataset)
 from sslgauss.harness import ExperimentConfig, run_sweep, run_trial
 from sslgauss.rng import generator, mix64
 
@@ -83,6 +86,47 @@ def test_whole_block_independent_of_thread_count(monkeypatch, dtype):
         blocks.append(draw(dtype)[1].unlabeled_x)
     assert blocks[0].tobytes() == blocks[1].tobytes() == blocks[2].tobytes()
     assert not blocks[0].flags.writeable
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_labeled_row_is_its_keyed_stream(dtype):
+    # row i: the first p normals of Philox under the key (noise seed, i),
+    # plus y_i * mu_j on the support columns j
+    mu, ds = draw(dtype, L=9)
+    data_seed = 3 + 1  # draw()'s sample_dataset seed
+    noise_seed = mix64(data_seed, STREAM_LABELED_NOISE)
+    y = (generator(mix64(data_seed, STREAM_LABELED_Y)).integers(0, 2, size=9) * 2 - 1)
+    assert ds.labeled_y.tolist() == y.tolist()
+    assert ds.labeled_x.dtype == dtype and not ds.labeled_x.flags.writeable
+    for i in range(9):
+        # an array key: Philox reads a list of ints past 2**63 through float64
+        key = np.array([noise_seed, i], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).standard_normal(P, dtype=dtype)
+        for j, sign in zip(mu.support, mu.signs):
+            want[j] += dtype(y[i]) * (dtype(sign) * dtype(mu.magnitude))
+        assert ds.labeled_x[i].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_labeled_block_independent_of_thread_count(monkeypatch, dtype):
+    blocks = []
+    for threads in (1, 2, 3):  # 3 threads for 7 rows: uneven stripes
+        monkeypatch.setattr(gmodel, "_draw_threads", lambda threads=threads: threads)
+        blocks.append(draw(dtype, L=7)[1].labeled_x)
+    monkeypatch.undo()
+    monkeypatch.setattr(gmodel, "_processes", 1)
+    gmodel.share_cores(2)
+    blocks.append(draw(dtype, L=7)[1].labeled_x)
+    assert len({b.tobytes() for b in blocks}) == 1
+
+
+def test_smaller_labeled_draw_is_a_prefix():
+    full = draw(np.float64, L=8)[1]
+    for L in (0, 1, 5):
+        part = draw(np.float64, L=L)[1]
+        assert part.labeled_x.shape == (L, P)
+        assert part.labeled_x.tobytes() == full.labeled_x[:L].tobytes()
+        assert part.labeled_y.tobytes() == full.labeled_y[:L].tobytes()
 
 
 def test_pool_worker_draws_on_its_share_of_the_cores(monkeypatch):

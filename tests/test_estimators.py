@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import dense_mean
 from sslgauss import spectral
 from sslgauss.errors import (ContractError, ConvergenceError, InsufficientSamplesError,
                              MissingClassError, ScreeningTooSmallError)
@@ -74,7 +75,7 @@ class TestLabeledDirections:
         p, L, lam = 50, 10 ** 4, 4.0
         _, mu, ds = make_instance(p, 5, lam, L, 0, seed=3)
         w = labeled_direction(ds.labeled_x, ds.labeled_y)
-        assert np.linalg.norm(w - 2 * mu.to_dense()) <= 5.0 * math.sqrt(4.0 * p / L)
+        assert np.linalg.norm(w - 2 * dense_mean(mu)) <= 5.0 * math.sqrt(4.0 * p / L)
 
     def test_signed_mean_single_sample(self):
         a = np.array([3.0, -1.0])
@@ -92,7 +93,7 @@ class TestLabeledDirections:
         p, L, lam = 50, 10 ** 4, 4.0
         _, mu, ds = make_instance(p, 5, lam, L, 0, seed=3)
         w = signed_mean_direction(ds.labeled_x, ds.labeled_y)
-        assert np.linalg.norm(w - mu.to_dense()) <= 5.0 * math.sqrt(p / L)
+        assert np.linalg.norm(w - dense_mean(mu)) <= 5.0 * math.sqrt(p / L)
 
 
 class TestTopKLabeled:
@@ -273,7 +274,7 @@ class TestSelfTrain:
 class TestUnsupervisedBaselines:
     def test_noiseless_spike_exact_recovery(self):
         mu = SparseMean(20, (2, 11, 17), (1, -1, 1), 1.0)
-        dense = mu.to_dense()
+        dense = dense_mean(mu)
         rows = np.vstack([dense, -dense, dense, -dense])
         out = ul_diag_threshold_pca(rows, 3)
         assert set(out.support.tolist()) == {2, 11, 17}

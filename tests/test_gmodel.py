@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_mean
 from sslgauss.errors import ConfigError, EmptyDatasetError, InvalidSupportError
 from sslgauss.gmodel import (ProblemParams, SparseMean, k_from_alpha, labeled_count,
                              make_sparse_mean, sample_dataset, unlabeled_count)
@@ -20,19 +21,19 @@ class TestSparseMean:
         # support {0, 2} with signs (+, -): mu = (1/sqrt2, 0, -1/sqrt2, 0)
         mu = SparseMean(4, (0, 2), (1, -1), math.sqrt(0.5))
         np.testing.assert_allclose(
-            mu.to_dense(), [1 / math.sqrt(2), 0.0, -1 / math.sqrt(2), 0.0])
-        assert abs(np.linalg.norm(mu.to_dense()) - 1.0) < 1e-15
+            dense_mean(mu), [1 / math.sqrt(2), 0.0, -1 / math.sqrt(2), 0.0])
+        assert abs(np.linalg.norm(dense_mean(mu)) - 1.0) < 1e-15
 
     def test_large_instance_magnitudes(self):
         mu = make_sparse_mean(params(10 ** 5, 100, 3.0), seed=5)
-        dense = mu.to_dense()
+        dense = dense_mean(mu)
         nz = dense[np.nonzero(dense)]
         assert nz.size == 100
         np.testing.assert_allclose(np.abs(nz), math.sqrt(0.03), rtol=1e-12)
 
     def test_dense_edge_case_k_equals_p(self):
         mu = make_sparse_mean(params(6, 6, 2.0), seed=1)
-        dense = mu.to_dense()
+        dense = dense_mean(mu)
         np.testing.assert_allclose(np.abs(dense), math.sqrt(1.0 / 3.0), rtol=1e-12)
         assert abs(mu.norm_sq - 2.0) < 1e-12
         assert abs(np.dot(dense, dense) - 2.0) < 1e-12
@@ -52,7 +53,7 @@ class TestSparseMean:
         k = min(k, p)
         mu = make_sparse_mean(params(p, k, lam), seed=seed)
         assert abs(mu.norm_sq - lam) < 1e-9 * max(1.0, lam)
-        dense = mu.to_dense()
+        dense = dense_mean(mu)
         assert np.count_nonzero(dense) == k
         assert abs(float(dense @ dense) - lam) < 1e-9 * max(1.0, lam)
 
@@ -160,7 +161,7 @@ class TestSampleDataset:
         ds = sample_dataset(mu, L, 0, seed=1)
         est = (ds.labeled_y.astype(np.float64) @ ds.labeled_x) / L
         sigma = 1.0 / math.sqrt(L)
-        assert np.all(np.abs(est - mu.to_dense()) <= 3.0 * sigma)
+        assert np.all(np.abs(est - dense_mean(mu)) <= 3.0 * sigma)
 
     def test_unlabeled_covariance_converges(self):
         # sample covariance approaches mu mu^T + I in operator norm
@@ -169,7 +170,7 @@ class TestSampleDataset:
         ds = sample_dataset(mu, 0, n, seed=21)
         xc = ds.unlabeled_x - ds.unlabeled_x.mean(axis=0)
         cov = xc.T @ xc / n
-        target = np.outer(mu.to_dense(), mu.to_dense()) + np.eye(p)
+        target = np.outer(dense_mean(mu), dense_mean(mu)) + np.eye(p)
         gap = np.linalg.norm(cov - target, ord=2)
         assert gap <= 8.0 * math.sqrt(p / n)
 

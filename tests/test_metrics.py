@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import dense_mean
 from sslgauss.errors import ContractError
 from sslgauss.gmodel import ProblemParams, SparseMean, make_sparse_mean, sample_dataset
 from sslgauss.metrics import excess_risk, generalization_error, phi_c, support_overlap
@@ -78,7 +79,7 @@ def _mean(p, k, lam, seed=0):
 class TestRiskMetrics:
     def test_bayes_direction(self):
         mu = _mean(10, 2, 3.0)
-        v = mu.to_dense() / math.sqrt(3.0)
+        v = dense_mean(mu) / math.sqrt(3.0)
         assert abs(generalization_error(mu, v) - phi_c(math.sqrt(3.0))) < 1e-15
         assert 0.0 <= excess_risk(mu, v) <= 1e-15
 
@@ -91,19 +92,19 @@ class TestRiskMetrics:
 
     def test_flipped_direction(self):
         mu = _mean(10, 2, 3.0)
-        v = -mu.to_dense() / math.sqrt(3.0)
+        v = -dense_mean(mu) / math.sqrt(3.0)
         assert abs(generalization_error(mu, v) - (1.0 - phi_c(math.sqrt(3.0)))) < 1e-12
 
     def test_non_unit_rejected(self):
         mu = _mean(6, 2, 1.0)
         with pytest.raises(ContractError):
-            generalization_error(mu, 0.5 * mu.to_dense())
+            generalization_error(mu, 0.5 * dense_mean(mu))
 
     def test_nan_direction_rejected(self):
         # a NaN norm is not within the tolerance of 1, so scoring fails
         # and the trial becomes a failed row instead of a nan one
         mu = _mean(6, 2, 1.0)
-        v = mu.to_dense()
+        v = dense_mean(mu)
         v[0] = math.nan
         with pytest.raises(ContractError):
             generalization_error(mu, v)
@@ -119,7 +120,7 @@ class TestRiskMetrics:
 
     def test_excess_risk_zero_iff_aligned(self):
         mu = _mean(12, 3, 2.0, seed=1)
-        v = mu.to_dense() / math.sqrt(2.0)
+        v = dense_mean(mu) / math.sqrt(2.0)
         assert 0.0 <= excess_risk(mu, v) <= 1e-15
         w = v.copy()
         w[0] += 0.05
@@ -133,7 +134,7 @@ class TestEmpiricalError:
         mu = _mean(20, 3, 2.0, seed=3)
         ds = sample_dataset(mu, m, 0, seed=8)
         rng = np.random.default_rng(0)
-        v = mu.to_dense() + 0.3 * rng.standard_normal(20)
+        v = dense_mean(mu) + 0.3 * rng.standard_normal(20)
         v /= np.linalg.norm(v)
         q = generalization_error(mu, v)
         emp = empirical_error(v, ds.labeled_x, ds.labeled_y)
@@ -141,7 +142,7 @@ class TestEmpiricalError:
 
     def test_perfect_on_noiseless_data(self):
         mu = _mean(8, 2, 4.0, seed=1)
-        dense = mu.to_dense()
+        dense = dense_mean(mu)
         xs = np.vstack([dense, -dense, dense])
         ys = np.array([1, -1, 1])
         v = dense / np.linalg.norm(dense)
@@ -151,5 +152,5 @@ class TestEmpiricalError:
         mu = _mean(40, 4, 3.0, seed=2)
         ds = sample_dataset(mu, 20000, 0, seed=4)
         v = np.zeros(40)
-        v[np.argmin(np.abs(mu.to_dense()))] = 1.0  # off-support coordinate
+        v[np.argmin(np.abs(dense_mean(mu)))] = 1.0  # off-support coordinate
         assert abs(empirical_error(v, ds.labeled_x, ds.labeled_y) - 0.5) < 0.02

@@ -1,4 +1,5 @@
 import csv
+import json
 import pathlib
 import runpy
 
@@ -48,3 +49,40 @@ def test_phase_map_reports_a_domain_error(tmp_path, capsys, flag):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
     assert not out.exists()
+
+
+def bench_record_main():
+    return runpy.run_path(str(SCRIPTS / "bench_record.py"))["main"]
+
+
+def test_bench_record_appends_a_correct_result(tmp_path):
+    # a stubbed runner: the benchmark itself never runs
+    calls = []
+    result = {"correct": True, "attempted": 3, "failed": 0,
+              "metrics": {"trials_per_s": {"value": 1.5, "unit": "1/s"}}}
+
+    def run(root, workload, seed, seconds):
+        calls.append((root, workload, seed, seconds))
+        return "trials_per_s: 1.5 1/s\n" + json.dumps(result) + "\n"
+
+    main = bench_record_main()
+    for seed in (4, 5):
+        assert main(["--workload", "blue_point", "--seed", str(seed), "--root", str(tmp_path)],
+                    run=run, facts=lambda root: ("abc123", 2262), out_dir=tmp_path) == 0
+    assert calls == [(tmp_path, "blue_point", 4, 30.0), (tmp_path, "blue_point", 5, 30.0)]
+    entries = json.loads((tmp_path / "BENCH_blue_point.json").read_text())
+    assert entries == [{"commit": "abc123", "src_lines": 2262, "workload": "blue_point",
+                        "seed": seed, "seconds": 30.0, "result": result} for seed in (4, 5)]
+
+
+@pytest.mark.parametrize("stdout", ["", "trials_per_s: 1.5 1/s\n", json.dumps({"correct": False}),
+                                    "[1, 2]"])
+def test_bench_record_appends_nothing_without_a_correct_result(tmp_path, capsys, stdout):
+    bench = tmp_path / "BENCH_n_sweep.json"
+    bench.write_text("[]\n")
+    main = bench_record_main()
+    assert main(["--workload", "n_sweep", "--seed", "1", "--seconds", "5"],
+                run=lambda *args: stdout, facts=lambda root: ("abc123", 1),
+                out_dir=tmp_path) == 1
+    assert "nothing recorded" in capsys.readouterr().err
+    assert bench.read_text() == "[]\n"
