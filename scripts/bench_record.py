@@ -51,12 +51,12 @@ def main(argv=None, run=run_benchmark, facts=checkout_facts, out_dir: Path = REP
     args = ap.parse_args(argv)
 
     root = args.root.resolve()
+    commit, src_lines = facts(root)  # before the run: a checkout without git fails here
     result = last_json(run(root, args.workload, args.seed, args.seconds))
     if not isinstance(result, dict) or result.get("correct") is not True:
         print(f"error: the {args.workload} run gave no correct result; nothing recorded",
               file=sys.stderr)
         return 1
-    commit, src_lines = facts(root)
     path = out_dir / f"BENCH_{args.workload}.json"
     entries = json.loads(path.read_text()) if path.exists() else []
     entries.append({"commit": commit, "src_lines": src_lines, "workload": args.workload,
