@@ -227,11 +227,10 @@ def _on_draw_threads(count: int, stripe) -> None:
         list(pool.map(stripe, range(step), [step] * step))
 
 
-def _keyed_fill(out: np.ndarray, seed: int, keys) -> None:
+def _keyed_fill(gen: np.random.Generator, out: np.ndarray, seed: int, keys) -> None:
     """Row r of out becomes the first out.shape[1] normals of Philox under
-    the 128-bit key (seed, keys[r]): one Philox, rekeyed per row through its
-    state, so a row's bits do not depend on the other rows."""
-    gen = generator(0)
+    the 128-bit key (seed, keys[r]): gen, a Philox generator, is rekeyed per
+    row through its state, so a row's bits do not depend on the other rows."""
     # plain lists: the state setter reads them faster than arrays
     state = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, 0], "key": [seed & MASK64, 0]},
@@ -285,17 +284,18 @@ class UnlabeledSource:
 
     def _draw(self, cols, n: int) -> np.ndarray:
         """Tiles of _TILE columns striped over the draw threads; a thread
-        fills a (tile, n) buffer by column keys and copies it transposed
-        into the row-major result."""
+        keeps one Philox, fills a (tile, n) buffer by column keys and copies
+        it transposed into the row-major result."""
         out = np.empty((n, len(cols)), dtype=self.dtype)
         y = self._y[:n]
         starts = range(0, len(cols), _TILE)
 
         def stripe(first: int, step: int) -> None:
+            gen = generator(0)
             buf = np.empty((_TILE, n), dtype=self.dtype)
             for lo in starts[first::step]:
                 tile = cols[lo:lo + _TILE]
-                _keyed_fill(buf, self._noise_seed, tile)
+                _keyed_fill(gen, buf, self._noise_seed, tile)
                 for row, j in zip(buf, tile):
                     bump = self._bumps.get(j)
                     if bump is not None:
@@ -404,8 +404,8 @@ def sample_dataset(mu: SparseMean, L: int, n: int, seed: int,
     ly = _labels(mix64(seed, STREAM_LABELED_Y), L)
     lx = np.empty((L, mu.p), dtype=dtype)
     noise_seed = mix64(seed, STREAM_LABELED_NOISE)
-    _on_draw_threads(L, lambda first, step: _keyed_fill(lx[first::step], noise_seed,
-                                                        range(first, L, step)))
+    _on_draw_threads(L, lambda first, step: _keyed_fill(generator(0), lx[first::step],
+                                                        noise_seed, range(first, L, step)))
     if mu.magnitude != 0.0 and L:
         bump = np.asarray(mu.signs, dtype=dtype) * dtype(mu.magnitude)
         lx[:, list(mu.support)] += ly[:, None].astype(dtype) * bump

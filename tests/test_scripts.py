@@ -2,6 +2,7 @@ import csv
 import json
 import pathlib
 import runpy
+import subprocess
 
 import pytest
 
@@ -61,15 +62,15 @@ def test_bench_record_appends_a_correct_result(tmp_path):
     result = {"correct": True, "attempted": 3, "failed": 0,
               "metrics": {"trials_per_s": {"value": 1.5, "unit": "1/s"}}}
 
-    def run(root, workload, seed, seconds):
-        calls.append((root, workload, seed, seconds))
+    def run(root, workload, seed):
+        calls.append((root, workload, seed))
         return "trials_per_s: 1.5 1/s\n" + json.dumps(result) + "\n"
 
     main = bench_record_main()
     for seed in (4, 5):
         assert main(["--workload", "blue_point", "--seed", str(seed), "--root", str(tmp_path)],
                     run=run, facts=lambda root: ("abc123", 2262), out_dir=tmp_path) == 0
-    assert calls == [(tmp_path, "blue_point", 4, 30.0), (tmp_path, "blue_point", 5, 30.0)]
+    assert calls == [(tmp_path, "blue_point", 4), (tmp_path, "blue_point", 5)]
     entries = json.loads((tmp_path / "BENCH_blue_point.json").read_text())
     assert entries == [{"commit": "abc123", "src_lines": 2262, "workload": "blue_point",
                         "seed": seed, "seconds": 30.0, "result": result} for seed in (4, 5)]
@@ -81,8 +82,35 @@ def test_bench_record_appends_nothing_without_a_correct_result(tmp_path, capsys,
     bench = tmp_path / "BENCH_n_sweep.json"
     bench.write_text("[]\n")
     main = bench_record_main()
-    assert main(["--workload", "n_sweep", "--seed", "1", "--seconds", "5"],
+    assert main(["--workload", "n_sweep", "--seed", "1"],
                 run=lambda *args: stdout, facts=lambda root: ("abc123", 1),
                 out_dir=tmp_path) == 1
     assert "nothing recorded" in capsys.readouterr().err
     assert bench.read_text() == "[]\n"
+
+
+def test_bench_record_names_the_head_commit(tmp_path):
+    facts = runpy.run_path(str(SCRIPTS / "bench_record.py"))["checkout_facts"]
+    git = ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t"]
+    (tmp_path / "src").mkdir()
+    (tmp_path / "src" / "a.py").write_text("x = 1\ny = 2\n")
+    subprocess.run([*git, "init", "-q"], check=True)
+    subprocess.run([*git, "add", "."], check=True)
+    subprocess.run([*git, "commit", "-q", "-m", "a"], check=True)
+    subprocess.run([*git, "tag", "v1"], check=True)  # a tag does not change the name
+    head = subprocess.run([*git, "rev-parse", "HEAD"], stdout=subprocess.PIPE, text=True,
+                          check=True).stdout.strip()
+    assert facts(tmp_path) == (head, 2)
+    (tmp_path / "b.txt").write_text("")
+    assert facts(tmp_path) == (head + "-dirty", 2)
+
+
+def test_bench_record_reports_a_root_outside_git(tmp_path, capsys):
+    def run(*args):
+        raise AssertionError("the benchmark ran")
+
+    assert bench_record_main()(["--workload", "n_sweep", "--seed", "1", "--root", str(tmp_path)],
+                               run=run, out_dir=tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not a git checkout" in err
+    assert not (tmp_path / "BENCH_n_sweep.json").exists()
