@@ -1,21 +1,29 @@
 """Support and direction estimators for the sparse mixture.
 
 Every estimator returns an EstimatorOutput with a size-k support and a unit
-direction supported on it. Two labeled summaries coexist on purpose: the
-class-mean difference (used for screening) and the label-signed mean (the
-likelihood-maximizing statistic for the symmetric model); with balanced
-classes one is exactly twice the other.
+direction supported on it. Two labeled summaries serve different
+estimators: the class-mean difference pos/n_pos - neg/n_neg (used for
+screening) and the label-signed sum pos - neg (the likelihood-maximizing
+statistic for the symmetric model); with balanced classes the signed mean
+is exactly half the difference. Both come from one statistic, the float64
+sums pos and neg of each class's labeled rows, added in row order.
 
 Statistics that several estimators read are computed once per draw and
-shared by its prefixes (shared_value): per labeled prefix, the class-mean
-difference and the label-signed sum, each with its descending-|.| order;
-per grid point, the screened RestrictedCovariance that lspca and ls2pca
-both only read, one held at a time. Every estimator reads the draw's row
-blocks in place, gathering or casting at most a slab of columns at once.
+shared by its prefixes (shared_value): the class sums, extended row by row
+when a larger labeled prefix asks for them, so an ascending L-sweep reads
+each labeled row once; per labeled prefix, the class-mean difference and
+the label-signed sum, each with its descending-|.| order; per grid point,
+the screened RestrictedCovariance that lspca and ls2pca both only read,
+one held at a time. The class sums read the labeled block if it is drawn
+and otherwise stream its rows a slab at a time (Dataset.labeled_slabs), so
+only the methods in READS_LABELED_ROWS need the block. Every estimator
+reads the draw's row blocks in place, casting at most a slab of columns at
+once.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -25,7 +33,7 @@ import numpy as np
 from .errors import (ContractError, ConvergenceError, InsufficientSamplesError,
                      MissingClassError, ScreeningTooSmallError)
 from .gmodel import Dataset, ProblemParams
-from .spectral import (COLUMN_BLOCK, NARROW_SLAB, PowerResult, float64_slabs, power_iteration,
+from .spectral import (NARROW_SLAB, PowerResult, float64_slabs, power_iteration,
                        principal_direction, restricted_covariance, row_blocks, top_k_indices,
                        truncated_power)
 
@@ -56,30 +64,52 @@ def _as_labeled(xs, ys) -> tuple[np.ndarray, np.ndarray]:
         raise ContractError("labeled data must be (L, p) with L matching labels")
     if xs.shape[0] == 0:
         raise InsufficientSamplesError("need at least one labeled sample")
+    if not np.isin(ys, (-1, 1)).all():
+        raise ContractError("labels must lie in {-1, +1}")
     return xs, ys
+
+
+def _add_by_class(sums: np.ndarray, rows, ys) -> None:
+    """Add each row, in order, to its class's float64 sum: sums[0] for label
+    +1, sums[1] for -1. Row by row, each sum has the bits of numpy's float64
+    mean over the class's gathered rows times its count."""
+    for row, y in zip(rows, ys):
+        sums[0 if y == 1 else 1] += row
+
+
+def _new_sums(p: int) -> np.ndarray:
+    # -0.0 is the additive identity: a sum started there has the bits of one
+    # started at its first row, even where that row holds -0.0
+    return np.full((2, p), -0.0)
+
+
+def _array_sums(xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """The class sums of plain labeled arrays, and the checked labels."""
+    xs, ys = _as_labeled(xs, ys)
+    sums = _new_sums(xs.shape[1])
+    _add_by_class(sums, xs, ys)
+    return sums, ys
+
+
+def _difference(sums: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Class-mean difference from the class sums of rows labeled ys."""
+    n_pos = int(np.count_nonzero(ys == 1))
+    if n_pos in (0, ys.size):
+        raise MissingClassError("class-mean difference needs samples of both labels")
+    return sums[0] / n_pos - sums[1] / (ys.size - n_pos)
 
 
 def labeled_direction(xs, ys) -> np.ndarray:
     """Class-mean difference: mean of the +1 class minus mean of the -1 class,
-    accumulated in float64 whatever the rows' dtype. Each class's rows are
-    gathered COLUMN_BLOCK columns at a time."""
-    xs, ys = _as_labeled(xs, ys)
-    pos = ys == 1
-    neg = ys == -1
-    if not pos.any() or not neg.any():
-        raise MissingClassError("class-mean difference needs samples of both labels")
-    w = np.empty(xs.shape[1])
-    for lo in range(0, w.size, COLUMN_BLOCK):
-        cols = slice(lo, lo + COLUMN_BLOCK)
-        w[cols] = (xs[pos, cols].mean(axis=0, dtype=np.float64)
-                   - xs[neg, cols].mean(axis=0, dtype=np.float64))
-    return w
+    accumulated in float64 whatever the rows' dtype, the rows added in order."""
+    return _difference(*_array_sums(xs, ys))
 
 
 def signed_mean_direction(xs, ys) -> np.ndarray:
-    """Label-signed empirical mean (1/L) sum_i y_i x_i."""
-    xs, ys = _as_labeled(xs, ys)
-    return (ys.astype(np.float64) @ xs.astype(np.float64)) / xs.shape[0]
+    """Label-signed empirical mean (1/L) sum_i y_i x_i, as (pos - neg) / L
+    from the float64 class sums."""
+    sums, ys = _array_sums(xs, ys)
+    return (sums[0] - sums[1]) / ys.size
 
 
 def shared_value(dataset: Dataset, kind: str, key: tuple, make: Callable):
@@ -90,10 +120,26 @@ def shared_value(dataset: Dataset, kind: str, key: tuple, make: Callable):
     return dataset.shared[kind][1]
 
 
+def _class_sums(dataset: Dataset) -> np.ndarray:
+    """The class sums of the dataset's L labeled rows (_add_by_class), kept
+    per draw: a larger prefix adds only the rows it lacks, a smaller one
+    starts over. The rows come from Dataset.labeled_slabs, read from the
+    drawn block or drawn a slab at a time and dropped."""
+    if dataset.L == 0:
+        raise InsufficientSamplesError("need at least one labeled sample")
+    done, sums = dataset.shared.get("class_sums", (0, None))
+    if sums is None or done > dataset.L:
+        done, sums = 0, _new_sums(dataset.p)
+    rows = itertools.chain.from_iterable(dataset.labeled_slabs(done))
+    _add_by_class(sums, rows, dataset.labeled_y[done:])
+    dataset.shared["class_sums"] = (dataset.L, sums)
+    return sums
+
+
 def _mean_difference(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
     """Class-mean difference w and its stable descending-|w| order."""
     def make():
-        w = labeled_direction(dataset.labeled_x, dataset.labeled_y)
+        w = _difference(_class_sums(dataset), dataset.labeled_y)
         return w, top_k_indices(np.abs(w), w.size)
     return shared_value(dataset, "mean_difference", (dataset.L,), make)
 
@@ -101,9 +147,9 @@ def _mean_difference(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
 def _signed_sum(dataset: Dataset) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Label-signed sum, its mean w and w's stable descending-|w| order."""
     def make():
-        xs, ys = _as_labeled(dataset.labeled_x, dataset.labeled_y)
-        total = np.concatenate([ys.astype(np.float64) @ slab[0] for _, slab in float64_slabs([xs])])
-        w = total / xs.shape[0]
+        sums = _class_sums(dataset)
+        total = sums[0] - sums[1]
+        w = total / dataset.L
         return total, w, top_k_indices(np.abs(w), w.size)
     return shared_value(dataset, "signed_sum", (dataset.L,), make)
 
@@ -343,3 +389,7 @@ METHODS: dict[str, Callable[[Dataset, ProblemParams, float | str, float], Estima
     "ul_diag_threshold_pca": _run_ul_diag,
     "vanilla_pca": _run_vanilla,
 }
+
+# The methods that read the labeled rows themselves, not only their class
+# sums; a trial that runs one draws the labeled block whole up front.
+READS_LABELED_ROWS = frozenset({"ul_diag_threshold_pca", "vanilla_pca"})

@@ -7,11 +7,14 @@ defined here.
 
 Both blocks of a draw take their noise from keyed Philox streams (Salmon et
 al., SC'11): labeled row i from the key (labeled noise seed, i), unlabeled
-column j from (unlabeled noise seed, j). The labeled block is drawn whole;
-the unlabeled rows are drawn on read (UnlabeledSource), so a reader that
-needs only some columns (lspca's screened set) draws only those. Both are
-drawn on the process's share of the usable cores (all of them outside a
-process pool) with the same bits as a serial draw.
+column j from (unlabeled noise seed, j). Both blocks are drawn on read: the
+labeled rows by LabeledSource, so a reader that streams them (the labeled
+class sums) holds a few rows at a time, and the unlabeled rows by
+UnlabeledSource, so a reader that needs only some columns (lspca's
+screened set) draws only those. Each source keeps its whole block once a
+reader asks for it. Both are drawn on the process's share of the usable
+cores (all of them outside a process pool) with the same bits as a serial
+draw.
 """
 
 from __future__ import annotations
@@ -40,6 +43,8 @@ _FLOOR_EPS = 1e-9
 # Columns per tile of an unlabeled draw: a thread draws a tile's columns into
 # a (tile, n) buffer and copies it into the row-major result.
 _TILE = 256
+# Labeled rows per draw thread in one slab of a streamed read (labeled_slabs).
+_SLAB_ROWS = 4
 
 
 def _floor_count(x: float) -> int:
@@ -245,7 +250,57 @@ def _labels(seed: int, count: int) -> np.ndarray:
     return (generator(seed).integers(0, 2, size=count) * 2 - 1).astype(np.int8)
 
 
-class UnlabeledSource:
+class _Source:
+    """Rows of one draw, drawn on read; whole() draws every row once."""
+
+    block: np.ndarray | None = None
+
+    def whole(self) -> np.ndarray:
+        """Every row and column, drawn on the first call and kept read-only."""
+        if self.block is None:
+            self.block = _freeze(self._draw_all())
+        return self.block
+
+
+def _whole(rows) -> np.ndarray:
+    """A source's whole block, or the array itself."""
+    return rows.whole() if isinstance(rows, _Source) else rows
+
+
+class LabeledSource(_Source):
+    """The L x p labeled rows x_i = y_i * mu + z_i of one draw, drawn on read.
+
+    The noise of row i is the first p normals of Philox under the 128-bit
+    key (noise_seed, i): a row's bits do not depend on which other rows are
+    drawn, in what order or on how many threads, and L' < L rows are a
+    prefix. rows() draws a run of rows; whole() draws every row once and
+    keeps the block.
+    """
+
+    def __init__(self, mu: SparseMean, y: np.ndarray, noise_seed: int, dtype):
+        self.dtype = np.dtype(dtype)
+        self.shape = (y.shape[0], mu.p)
+        self._y = y
+        self._noise_seed = noise_seed
+        self._support = list(mu.support)
+        self._bump = None if mu.magnitude == 0.0 else (
+            np.asarray(mu.signs, dtype=self.dtype) * self.dtype.type(mu.magnitude))
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows [lo, hi) as a new (hi - lo, p) array, the rows striped over
+        the draw threads."""
+        out = np.empty((hi - lo, self.shape[1]), dtype=self.dtype)
+        _on_draw_threads(hi - lo, lambda first, step: _keyed_fill(
+            generator(0), out[first::step], self._noise_seed, range(lo + first, hi, step)))
+        if self._bump is not None:
+            out[:, self._support] += self._y[lo:hi, None].astype(self.dtype) * self._bump
+        return out
+
+    def _draw_all(self) -> np.ndarray:
+        return self.rows(0, self.shape[0])
+
+
+class UnlabeledSource(_Source):
     """The n x p unlabeled rows x_i = y_i * mu + z_i of one draw, drawn on read.
 
     The labels y come from one stream. The noise of column j is the first n
@@ -259,7 +314,6 @@ class UnlabeledSource:
     def __init__(self, mu: SparseMean, n: int, y_seed: int, noise_seed: int, dtype):
         self.dtype = np.dtype(dtype)
         self.shape = (n, mu.p)
-        self.block: np.ndarray | None = None
         self._noise_seed = noise_seed
         self._y = _labels(y_seed, n).astype(self.dtype)
         scalar = self.dtype.type
@@ -276,11 +330,8 @@ class UnlabeledSource:
             raise InvalidSupportError(f"column index out of range for p={self.shape[1]}")
         return self._draw(cols.tolist(), n)
 
-    def whole(self) -> np.ndarray:
-        """Every row and column, drawn on the first call and kept read-only."""
-        if self.block is None:
-            self.block = _freeze(self._draw(range(self.shape[1]), self.shape[0]))
-        return self.block
+    def _draw_all(self) -> np.ndarray:
+        return self._draw(range(self.shape[1]), self.shape[0])
 
     def _draw(self, cols, n: int) -> np.ndarray:
         """Tiles of _TILE columns striped over the draw threads; a thread
@@ -309,36 +360,41 @@ class UnlabeledSource:
 class Dataset:
     """L labeled pairs and n unlabeled vectors, all of dimension p.
 
-    unlabeled_x is the unlabeled rows as an array, or an UnlabeledSource that
-    draws them on read; n reads the first n of them (default all). Reading
-    the unlabeled_x property draws every column; unlabeled_columns draws only
-    the columns asked for until the whole block is drawn. Arrays are marked
-    read-only; datasets can be shared across workers.
+    labeled_x and unlabeled_x are the rows as arrays, or a LabeledSource and
+    an UnlabeledSource that draw them on read; L and n read the first L and
+    n of them (default all). Reading the labeled_x or unlabeled_x property
+    draws that whole block. Until it is drawn, labeled_slabs draws the
+    labeled rows a slab at a time and unlabeled_columns only the columns
+    asked for. Arrays are marked read-only; datasets can be shared across
+    workers.
     """
 
-    def __init__(self, labeled_x: np.ndarray, labeled_y: np.ndarray,
-                 unlabeled_x, n: int | None = None, shared: dict | None = None):
-        self.labeled_x = labeled_x
-        self.labeled_y = labeled_y
+    def __init__(self, labeled_x, labeled_y: np.ndarray, unlabeled_x,
+                 L: int | None = None, n: int | None = None, shared: dict | None = None):
+        self._labeled = labeled_x
+        self._labels = labeled_y
         self._unlabeled = unlabeled_x
         # statistics computed once per draw (estimators.shared_value)
         self.shared = {} if shared is None else shared
-        if labeled_x.ndim != 2 or len(unlabeled_x.shape) != 2:
+        if len(labeled_x.shape) != 2 or len(unlabeled_x.shape) != 2:
             raise ConfigError("data matrices must be 2-d (rows are samples)")
-        rows, cols = unlabeled_x.shape
+        (held, dim), (rows, cols) = labeled_x.shape, unlabeled_x.shape
+        self._L = held if L is None else L
         self._n = rows if n is None else n
+        if not 0 <= self._L <= held:
+            raise ConfigError(f"L = {self._L} exceeds the {held} labeled rows held")
         if not 0 <= self._n <= rows:
             raise ConfigError(f"n = {self._n} exceeds the {rows} unlabeled rows held")
-        if labeled_x.shape[0] != labeled_y.shape[0]:
+        if held != labeled_y.shape[0]:
             raise ConfigError("labeled_x and labeled_y row counts differ")
-        if labeled_x.shape[0] and self._n and labeled_x.shape[1] != cols:
+        if self._L and self._n and dim != cols:
             raise ConfigError("labeled and unlabeled dimensions differ")
         if labeled_y.size and not np.all(np.isin(labeled_y, (-1, 1))):
             raise ConfigError("labels must lie in {-1, +1}")
 
     @property
     def L(self) -> int:
-        return self.labeled_x.shape[0]
+        return self._L
 
     @property
     def n(self) -> int:
@@ -346,16 +402,39 @@ class Dataset:
 
     @property
     def p(self) -> int:
-        return self.labeled_x.shape[1] if self.L else self._unlabeled.shape[1]
+        return self._labeled.shape[1] if self._L else self._unlabeled.shape[1]
+
+    @property
+    def labeled_y(self) -> np.ndarray:
+        y = self._labels
+        return y if y.shape[0] == self._L else y[:self._L]
+
+    @property
+    def labeled_x(self) -> np.ndarray:
+        """The L x p labeled rows; a source draws them all on first read."""
+        block = _whole(self._labeled)
+        return block if block.shape[0] == self._L else block[:self._L]
 
     @property
     def unlabeled_x(self) -> np.ndarray:
         """The n x p unlabeled rows; a source draws them all on first read."""
-        u = self._unlabeled
-        block = u.whole() if isinstance(u, UnlabeledSource) else u
+        block = _whole(self._unlabeled)
         # the held array itself when all its rows are read: every read then
         # returns the same object, which identity checks and weakrefs rely on
         return block if block.shape[0] == self._n else block[:self._n]
+
+    def labeled_slabs(self, start: int):
+        """Labeled rows [start, L) as consecutive slabs of rows, in order:
+        one view of the whole block once it is drawn, otherwise slabs of
+        _SLAB_ROWS rows per draw thread, each drawn alone as a new array.
+        Both give the same bits."""
+        rows = self._labeled
+        if isinstance(rows, LabeledSource) and rows.block is None:
+            step = _SLAB_ROWS * _draw_threads()
+            for lo in range(start, self._L, step):
+                yield rows.rows(lo, min(lo + step, self._L))
+        else:
+            yield self.labeled_x[start:]
 
     def unlabeled_columns(self, idx) -> np.ndarray:
         """A new row-major n x len(idx) array of the unlabeled columns idx:
@@ -370,10 +449,8 @@ class Dataset:
 
     def prefix(self, L: int, n: int) -> "Dataset":
         """The first L labeled pairs and n unlabeled vectors, sharing this
-        dataset's arrays, source and shared statistics."""
-        if not 0 <= L <= self.L:
-            raise ConfigError(f"L = {L} exceeds the {self.L} labeled rows held")
-        return Dataset(self.labeled_x[:L], self.labeled_y[:L], self._unlabeled, n, self.shared)
+        dataset's arrays, sources and shared statistics."""
+        return Dataset(self._labeled, self._labels, self._unlabeled, L, n, self.shared)
 
     # No package code calls this; kept because perfbench's tracer patches it by name.
     def all_vectors(self) -> np.ndarray:
@@ -392,23 +469,17 @@ def sample_dataset(mu: SparseMean, L: int, n: int, seed: int,
     Pure function of (mu, L, n, seed, dtype): labeled and unlabeled streams
     are keyed separately, so the labeled block does not depend on n and vice
     versa, and the first rows of a larger draw coincide with a smaller one.
-    The labeled block is drawn here, row i keyed by i (_keyed_fill) and the
-    rows striped over the draw threads; the unlabeled rows are an
-    UnlabeledSource, drawn when they are read.
+    The labels are drawn here; the rows are a LabeledSource (row i keyed by
+    i) and an UnlabeledSource (column j keyed by j), drawn when they are
+    read.
     """
     if L < 0 or n < 0:
         raise ConfigError(f"sample counts must be nonnegative, got L={L}, n={n}")
     if L + n == 0:
         raise EmptyDatasetError("refusing to build a dataset with L = n = 0")
     check_magnitude(mu.magnitude, dtype)
-    ly = _labels(mix64(seed, STREAM_LABELED_Y), L)
-    lx = np.empty((L, mu.p), dtype=dtype)
-    noise_seed = mix64(seed, STREAM_LABELED_NOISE)
-    _on_draw_threads(L, lambda first, step: _keyed_fill(generator(0), lx[first::step],
-                                                        noise_seed, range(first, L, step)))
-    if mu.magnitude != 0.0 and L:
-        bump = np.asarray(mu.signs, dtype=dtype) * dtype(mu.magnitude)
-        lx[:, list(mu.support)] += ly[:, None].astype(dtype) * bump
-    source = UnlabeledSource(mu, n, mix64(seed, STREAM_UNLABELED_Y),
-                             mix64(seed, STREAM_UNLABELED_NOISE), dtype)
-    return Dataset(labeled_x=_freeze(lx), labeled_y=_freeze(ly), unlabeled_x=source)
+    ly = _freeze(_labels(mix64(seed, STREAM_LABELED_Y), L))
+    labeled = LabeledSource(mu, ly, mix64(seed, STREAM_LABELED_NOISE), dtype)
+    unlabeled = UnlabeledSource(mu, n, mix64(seed, STREAM_UNLABELED_Y),
+                                mix64(seed, STREAM_UNLABELED_NOISE), dtype)
+    return Dataset(labeled_x=labeled, labeled_y=ly, unlabeled_x=unlabeled)

@@ -36,7 +36,7 @@ _F32_TOL = 1e-6
 # eigh of the tridiagonal matrix grows with MAX_ITER.
 LANCZOS_BASIS = 64
 
-# Columns per slab of a cast to float64 (float64_slabs) or a class's rows.
+# Columns per slab of a cast to float64 (float64_slabs).
 COLUMN_BLOCK = 2048
 # Rows (columns) per slab of a float64 temporary as wide (tall) as its input.
 NARROW_SLAB = 256

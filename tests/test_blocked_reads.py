@@ -142,10 +142,10 @@ def _peak(method, ds, pp):
 
 
 def _peak_share(method, dtype, **sizes) -> float:
-    """The peak over one METHODS call on a draw whose unlabeled block is
-    already drawn, as a share of the draw's bytes."""
+    """The peak over one METHODS call on a draw whose blocks are already
+    drawn, as a share of the draw's bytes."""
     ds, pp = _draw(dtype, **sizes)
-    ds.unlabeled_x  # the unlabeled rows are drawn on first read: draw them here
+    ds.labeled_x, ds.unlabeled_x  # both blocks are drawn on first read: draw them here
     peak, _ = _peak(method, ds, pp)
     return peak / (ds.labeled_x.nbytes + ds.unlabeled_x.nbytes)
 
@@ -250,8 +250,9 @@ def test_variance_screen_equals_the_column_slab_sums(monkeypatch, dtype, L, n, p
 
 @pytest.mark.parametrize("dtype", [np.float64, np.float32], ids=["f64", "f32"])
 def test_labeled_statistics_equal_the_whole_row_formulas(dtype):
-    # p spans three COLUMN_BLOCK slabs: each class's rows are gathered and
-    # float32 rows cast a slab at a time, and the bits must not move
+    # each class's rows are added in row order into float64 sums: the mean
+    # difference keeps the bits of numpy's per-class means, and the signed
+    # sum is pos - neg, within a few ulps of the BLAS product y @ x
     p, L = 2 * COLUMN_BLOCK + 300, 157
     pp = ProblemParams(p=p, k=20, lam=3.0, L=L, n=0, seed=8)
     ds = sample_dataset(make_sparse_mean(pp, seed=8), L, 0, seed=9, dtype=dtype)
@@ -259,7 +260,10 @@ def test_labeled_statistics_equal_the_whole_row_formulas(dtype):
     want = xs[ys == 1].mean(axis=0, dtype=np.float64) - xs[ys == -1].mean(axis=0, dtype=np.float64)
     assert np.array_equal(labeled_direction(xs, ys), want)
     total, _, _ = estimators._signed_sum(ds)
-    assert np.array_equal(total, ys.astype(np.float64) @ xs.astype(np.float64))
+    sums = [xs[ys == y].sum(axis=0, dtype=np.float64) for y in (1, -1)]
+    assert np.array_equal(total, sums[0] - sums[1])
+    np.testing.assert_allclose(total, ys.astype(np.float64) @ xs.astype(np.float64),
+                               rtol=0, atol=1e-12)
 
 
 def test_self_train_float32_reads_no_whole_block():

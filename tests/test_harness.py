@@ -277,13 +277,13 @@ class TestSharedStatistics:
     def test_labeled_direction_once_per_labeled_prefix(self, monkeypatch, axis, values,
                                                         per_trial):
         calls = []
-        original = estimators.labeled_direction
+        original = estimators._difference
 
-        def counted(xs, ys):
-            calls.append(xs.shape[0])
-            return original(xs, ys)
+        def counted(sums, ys):
+            calls.append(ys.shape[0])
+            return original(sums, ys)
 
-        monkeypatch.setattr(estimators, "labeled_direction", counted)
+        monkeypatch.setattr(estimators, "_difference", counted)
         cfg = sharing_config(axis, values)
         run_sweep(cfg, threads=1)
         assert len(calls) == cfg.trials * per_trial
