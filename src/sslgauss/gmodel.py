@@ -19,8 +19,10 @@ draw.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -43,7 +45,8 @@ _FLOOR_EPS = 1e-9
 # Columns per tile of an unlabeled draw: a thread draws a tile's columns into
 # a (tile, n) buffer and copies it into the row-major result.
 _TILE = 256
-# Labeled rows per draw thread in one slab of a streamed read (labeled_slabs).
+# Labeled rows per slab of a streamed read (LabeledSource.slabs); a draw
+# thread draws one slab at a time.
 _SLAB_ROWS = 4
 
 
@@ -273,7 +276,7 @@ class LabeledSource(_Source):
     The noise of row i is the first p normals of Philox under the 128-bit
     key (noise_seed, i): a row's bits do not depend on which other rows are
     drawn, in what order or on how many threads, and L' < L rows are a
-    prefix. rows() draws a run of rows; whole() draws every row once and
+    prefix. slabs() streams a run of rows; whole() draws every row once and
     keeps the block.
     """
 
@@ -286,18 +289,41 @@ class LabeledSource(_Source):
         self._bump = None if mu.magnitude == 0.0 else (
             np.asarray(mu.signs, dtype=self.dtype) * self.dtype.type(mu.magnitude))
 
-    def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows [lo, hi) as a new (hi - lo, p) array, the rows striped over
-        the draw threads."""
-        out = np.empty((hi - lo, self.shape[1]), dtype=self.dtype)
-        _on_draw_threads(hi - lo, lambda first, step: _keyed_fill(
-            generator(0), out[first::step], self._noise_seed, range(lo + first, hi, step)))
-        if self._bump is not None:
-            out[:, self._support] += self._y[lo:hi, None].astype(self.dtype) * self._bump
-        return out
+    def slabs(self, lo: int, hi: int):
+        """Rows [lo, hi) as consecutive new arrays of _SLAB_ROWS rows (the
+        last may be shorter), in order. Each draw thread draws one slab at a
+        time, keeping one slab per thread ahead of the reader, so a reader
+        that drops each slab holds a few at once and its work on one slab
+        overlaps the drawing of the next."""
+        starts = iter(range(lo, hi, _SLAB_ROWS))
+        threads = _draw_threads()
+
+        def slab(first: int) -> np.ndarray:
+            keys = range(first, min(first + _SLAB_ROWS, hi))
+            out = np.empty((len(keys), self.shape[1]), dtype=self.dtype)
+            self._fill(out, keys)
+            return out
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            ahead = deque(pool.submit(slab, first) for first in itertools.islice(starts, threads))
+            while ahead:
+                done = ahead.popleft().result()
+                ahead.extend(pool.submit(slab, first) for first in itertools.islice(starts, 1))
+                yield done
 
     def _draw_all(self) -> np.ndarray:
-        return self.rows(0, self.shape[0])
+        """The block, its rows striped over the draw threads."""
+        L = self.shape[0]
+        out = np.empty(self.shape, dtype=self.dtype)
+        _on_draw_threads(L, lambda first, step: self._fill(out[first::step],
+                                                           range(first, L, step)))
+        return out
+
+    def _fill(self, out: np.ndarray, keys: range) -> None:
+        """Rows keys into out, on the calling thread."""
+        _keyed_fill(generator(0), out, self._noise_seed, keys)
+        if self._bump is not None:
+            out[:, self._support] += self._y[keys, None].astype(self.dtype) * self._bump
 
 
 class UnlabeledSource(_Source):
@@ -425,16 +451,13 @@ class Dataset:
 
     def labeled_slabs(self, start: int):
         """Labeled rows [start, L) as consecutive slabs of rows, in order:
-        one view of the whole block once it is drawn, otherwise slabs of
-        _SLAB_ROWS rows per draw thread, each drawn alone as a new array.
-        Both give the same bits."""
+        one view of the whole block once it is drawn, otherwise
+        LabeledSource.slabs, each drawn alone as a new array. Both give the
+        same bits."""
         rows = self._labeled
         if isinstance(rows, LabeledSource) and rows.block is None:
-            step = _SLAB_ROWS * _draw_threads()
-            for lo in range(start, self._L, step):
-                yield rows.rows(lo, min(lo + step, self._L))
-        else:
-            yield self.labeled_x[start:]
+            return rows.slabs(start, self._L)
+        return iter([self.labeled_x[start:]])
 
     def unlabeled_columns(self, idx) -> np.ndarray:
         """A new row-major n x len(idx) array of the unlabeled columns idx:

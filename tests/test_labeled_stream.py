@@ -35,8 +35,8 @@ def _statistics(ds):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
 def test_streamed_sums_equal_the_drawn_block(monkeypatch, dtype):
-    # 2 draw threads: slabs of 8 rows, which no prefix below is a multiple of;
-    # the prefixes grow, then shrink, so the streamed sums extend and restart
+    # 2 draw threads drawing slabs of 4 rows, of which no prefix below is a
+    # multiple; the prefixes grow, then shrink, so the sums extend and restart
     monkeypatch.setattr(gmodel, "_draw_threads", lambda: 2)
     p, L = 300, 37
     mu = make_sparse_mean(ProblemParams(p=p, k=6, lam=3.0, L=L, n=10), seed=2)
@@ -44,7 +44,7 @@ def test_streamed_sums_equal_the_drawn_block(monkeypatch, dtype):
     drawn = sample_dataset(mu, L, 10, seed=3, dtype=dtype)
     xs, ys = drawn.labeled_x, drawn.labeled_y
     slabs = list(streamed.labeled_slabs(5))
-    assert [len(s) for s in slabs] == [8, 8, 8, 8]
+    assert [len(s) for s in slabs] == [4] * 8
     assert np.concatenate(slabs).tobytes() == xs[5:].tobytes()
     for prefix in (5, 19, 37, 30, 11, 37):
         got = _statistics(streamed.prefix(prefix, 10))
@@ -70,14 +70,14 @@ def test_class_sum_errors_are_unchanged():
             statistic(none)
 
 
-def spy_rows(monkeypatch) -> list[tuple]:
-    """Record each labeled fill as (source, first row, end row, whole)."""
+def spy_fills(monkeypatch) -> list[tuple]:
+    """Record each labeled fill as (source, rows, part of a whole-block draw)."""
     fills, whole = [], []
-    rows, draw_all = LabeledSource.rows, LabeledSource._draw_all
+    fill, draw_all = LabeledSource._fill, LabeledSource._draw_all
 
-    def spied_rows(self, lo, hi):
-        fills.append((self, lo, hi, bool(whole)))
-        return rows(self, lo, hi)
+    def spied_fill(self, out, keys):
+        fills.append((self, keys, bool(whole)))
+        return fill(self, out, keys)
 
     def spied_draw_all(self):
         whole.append(True)
@@ -86,7 +86,7 @@ def spy_rows(monkeypatch) -> list[tuple]:
         finally:
             whole.pop()
 
-    monkeypatch.setattr(LabeledSource, "rows", spied_rows)
+    monkeypatch.setattr(LabeledSource, "_fill", spied_fill)
     monkeypatch.setattr(LabeledSource, "_draw_all", spied_draw_all)
     return fills
 
@@ -112,26 +112,25 @@ def test_each_labeled_row_is_drawn_once_per_trial(monkeypatch, case):
         "L_sweep": (labeled_sweep_config(), False),
         "all_methods": (_config(tuple(METHODS)), True),
     }[case]
-    fills = spy_rows(monkeypatch)
+    fills = spy_fills(monkeypatch)
     records, _ = run_sweep(config, threads=1)
     assert not any(r.failed for r in records)
     sources = {id(source): source for source, *_ in fills}
     assert len(sources) == config.trials
     for source in sources.values():
-        mine = [(lo, hi, from_whole) for s, lo, hi, from_whole in fills if s is source]
-        drawn = Counter(i for lo, hi, _ in mine for i in range(lo, hi))
-        assert drawn == Counter(range(source.shape[0]))
-        # the block is drawn in one fill, or never and every fill streamed
-        assert [f[2] for f in mine] == ([True] if whole else [False] * len(mine))
+        mine = [(keys, from_whole) for s, keys, from_whole in fills if s is source]
+        assert Counter(i for keys, _ in mine for i in keys) == Counter(range(source.shape[0]))
+        # every row comes from the whole-block draw, or every one is streamed
+        assert {from_whole for _, from_whole in mine} == {whole}
         assert (source.block is not None) == whole
 
 
 def test_lspca_trial_holds_no_labeled_block():
     # p = 20000, L = 200, n = 400 in float32: the labeled block is 16 MB and
     # lspca's screened block (400 x 2760) 4.4 MB. The class sums draw the
-    # rows a slab of 4 per draw thread at a time (80 kB a row) and add them
-    # into two float64 sums (0.3 MB): the trial peaks near 7.4 MB. A trial
-    # that drew the labeled block peaked at 23.1 MB, above both blocks.
+    # rows in slabs of 4, one slab per draw thread ahead (80 kB a row), and
+    # add them into two float64 sums (0.3 MB): the trial peaks near 7.4 MB.
+    # A trial that drew the labeled block peaked at 23.1 MB, above both.
     pp = ProblemParams(p=20000, k=52, lam=3.0, L=200, n=400, seed=11)
     config = ExperimentConfig(params=pp, methods=("lspca",), trials=1, f32=True,
                               beta_tilde=0.2)
