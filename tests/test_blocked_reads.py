@@ -167,9 +167,9 @@ def test_peak_memory_below_half_the_draw(method):
 def test_screens_hold_no_slab_of_the_draw(method, dtype):
     # The variance screen holds a float64 slab of a few whole rows of one
     # block, no larger than 500 x 256 (1 MB); a 2048-column slab of the
-    # stacked rows was 0.26 of the draw. The float32 signed sum casts the
-    # labeled rows COLUMN_BLOCK columns at a time (1.6 MB, 0.04 of the
-    # 38.4 MB draw); a float64 copy of them was 0.35.
+    # stacked rows was 0.26 of the draw. The float32 signed sum adds the
+    # labeled rows one at a time into two float64 class sums (0.26 MB, 0.01
+    # of the 38.4 MB draw); a float64 copy of the rows was 0.35.
     share = _peak_share(method, dtype)
     assert share < 0.15, f"{method}: peak {share:.2f} of the draw"
 
