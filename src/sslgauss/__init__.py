@@ -6,9 +6,8 @@ reproducible Monte Carlo harness with a CLI front end.
 """
 
 from . import errors
-from .estimators import (EstimatorOutput, METHODS, labeled_direction, lspca,
-                         resolve_beta_tilde, screened_count, self_train,
-                         signed_mean_direction, top_k_labeled,
+from .estimators import (EstimatorOutput, METHODS, lspca, resolve_beta_tilde,
+                         screened_count, self_train, top_k_labeled,
                          ul_diag_threshold_pca, vanilla_pca)
 from .gmodel import (Dataset, ProblemParams, SparseMean, k_from_alpha, labeled_count,
                      make_sparse_mean, sample_dataset, unlabeled_count)

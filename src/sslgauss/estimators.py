@@ -15,15 +15,16 @@ each labeled row once; per labeled prefix, the class-mean difference and
 the label-signed sum, each with its descending-|.| order; per grid point,
 the screened RestrictedCovariance that lspca and ls2pca both only read,
 one held at a time. The class sums read the labeled block if it is drawn
-and otherwise stream its rows a slab at a time (Dataset.labeled_slabs), so
-only the methods in READS_LABELED_ROWS need the block. Every estimator
+and otherwise draw the rows they lack (Dataset.labeled_rows) and drop them
+once added, so only the methods in READS_LABELED_ROWS keep the block: a
+reader of the sums alone holds at most the L x p rows, once, and never
+beside the screened columns lspca draws after them. Every estimator
 reads the draw's row blocks in place, casting at most a slab of columns at
 once.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
@@ -57,18 +58,6 @@ def screened_count(p: int, beta_tilde: float) -> int:
     return min(p, int(math.ceil(p ** (1.0 - beta_tilde) - 1e-9)))
 
 
-def _as_labeled(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    xs = np.asarray(xs)
-    ys = np.asarray(ys)
-    if xs.ndim != 2 or xs.shape[0] != ys.shape[0]:
-        raise ContractError("labeled data must be (L, p) with L matching labels")
-    if xs.shape[0] == 0:
-        raise InsufficientSamplesError("need at least one labeled sample")
-    if not np.isin(ys, (-1, 1)).all():
-        raise ContractError("labels must lie in {-1, +1}")
-    return xs, ys
-
-
 def _add_by_class(sums: np.ndarray, rows, ys) -> None:
     """Add each row, in order, to its class's float64 sum: sums[0] for label
     +1, sums[1] for -1. Row by row, each sum has the bits of numpy's float64
@@ -83,33 +72,12 @@ def _new_sums(p: int) -> np.ndarray:
     return np.full((2, p), -0.0)
 
 
-def _array_sums(xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """The class sums of plain labeled arrays, and the checked labels."""
-    xs, ys = _as_labeled(xs, ys)
-    sums = _new_sums(xs.shape[1])
-    _add_by_class(sums, xs, ys)
-    return sums, ys
-
-
 def _difference(sums: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Class-mean difference from the class sums of rows labeled ys."""
     n_pos = int(np.count_nonzero(ys == 1))
     if n_pos in (0, ys.size):
         raise MissingClassError("class-mean difference needs samples of both labels")
     return sums[0] / n_pos - sums[1] / (ys.size - n_pos)
-
-
-def labeled_direction(xs, ys) -> np.ndarray:
-    """Class-mean difference: mean of the +1 class minus mean of the -1 class,
-    accumulated in float64 whatever the rows' dtype, the rows added in order."""
-    return _difference(*_array_sums(xs, ys))
-
-
-def signed_mean_direction(xs, ys) -> np.ndarray:
-    """Label-signed empirical mean (1/L) sum_i y_i x_i, as (pos - neg) / L
-    from the float64 class sums."""
-    sums, ys = _array_sums(xs, ys)
-    return (sums[0] - sums[1]) / ys.size
 
 
 def shared_value(dataset: Dataset, kind: str, key: tuple, make: Callable):
@@ -123,15 +91,14 @@ def shared_value(dataset: Dataset, kind: str, key: tuple, make: Callable):
 def _class_sums(dataset: Dataset) -> np.ndarray:
     """The class sums of the dataset's L labeled rows (_add_by_class), kept
     per draw: a larger prefix adds only the rows it lacks, a smaller one
-    starts over. The rows come from Dataset.labeled_slabs, read from the
-    drawn block or drawn a slab at a time and dropped."""
+    starts over. The rows come from Dataset.labeled_rows, a view of the
+    drawn block or a new array of the rows lacking, dropped once added."""
     if dataset.L == 0:
         raise InsufficientSamplesError("need at least one labeled sample")
     done, sums = dataset.shared.get("class_sums", (0, None))
     if sums is None or done > dataset.L:
         done, sums = 0, _new_sums(dataset.p)
-    rows = itertools.chain.from_iterable(dataset.labeled_slabs(done))
-    _add_by_class(sums, rows, dataset.labeled_y[done:])
+    _add_by_class(sums, dataset.labeled_rows(done), dataset.labeled_y[done:])
     dataset.shared["class_sums"] = (dataset.L, sums)
     return sums
 

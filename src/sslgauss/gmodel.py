@@ -8,21 +8,19 @@ defined here.
 Both blocks of a draw take their noise from keyed Philox streams (Salmon et
 al., SC'11): labeled row i from the key (labeled noise seed, i), unlabeled
 column j from (unlabeled noise seed, j). Both blocks are drawn on read: the
-labeled rows by LabeledSource, so a reader that streams them (the labeled
-class sums) holds a few rows at a time, and the unlabeled rows by
-UnlabeledSource, so a reader that needs only some columns (lspca's
-screened set) draws only those. Each source keeps its whole block once a
-reader asks for it. Both are drawn on the process's share of the usable
-cores (all of them outside a process pool) with the same bits as a serial
-draw.
+labeled rows by LabeledSource, so a reader that needs only their class
+sums draws the rows, adds them and drops them without keeping the block,
+and the unlabeled rows by UnlabeledSource, so a reader that needs only
+some columns (lspca's screened set) draws only those. Each source keeps
+its whole block once a reader asks for it. Both are drawn on the
+process's share of the usable cores (all of them outside a process pool)
+with the same bits as a serial draw.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -45,9 +43,6 @@ _FLOOR_EPS = 1e-9
 # Columns per tile of an unlabeled draw: a thread draws a tile's columns into
 # a (tile, n) buffer and copies it into the row-major result.
 _TILE = 256
-# Labeled rows per slab of a streamed read (LabeledSource.slabs); a draw
-# thread draws one slab at a time.
-_SLAB_ROWS = 4
 
 
 def _floor_count(x: float) -> int:
@@ -229,10 +224,12 @@ def _draw_threads() -> int:
 
 def _on_draw_threads(count: int, stripe) -> None:
     """Run stripe(first, step) on one thread per stripe first, first + step,
-    ... of count units, on this process's share of the usable cores."""
-    step = max(1, min(_draw_threads(), count))
-    with ThreadPoolExecutor(max_workers=step) as pool:
-        list(pool.map(stripe, range(step), [step] * step))
+    ... of count units, on this process's share of the usable cores; with
+    no units, no thread starts."""
+    step = min(_draw_threads(), count)
+    if step:
+        with ThreadPoolExecutor(max_workers=step) as pool:
+            list(pool.map(stripe, range(step), [step] * step))
 
 
 def _keyed_fill(gen: np.random.Generator, out: np.ndarray, seed: int, keys) -> None:
@@ -276,7 +273,7 @@ class LabeledSource(_Source):
     The noise of row i is the first p normals of Philox under the 128-bit
     key (noise_seed, i): a row's bits do not depend on which other rows are
     drawn, in what order or on how many threads, and L' < L rows are a
-    prefix. slabs() streams a run of rows; whole() draws every row once and
+    prefix. rows() draws a range of rows; whole() draws every row once and
     keeps the block.
     """
 
@@ -289,35 +286,15 @@ class LabeledSource(_Source):
         self._bump = None if mu.magnitude == 0.0 else (
             np.asarray(mu.signs, dtype=self.dtype) * self.dtype.type(mu.magnitude))
 
-    def slabs(self, lo: int, hi: int):
-        """Rows [lo, hi) as consecutive new arrays of _SLAB_ROWS rows (the
-        last may be shorter), in order. Each draw thread draws one slab at a
-        time, keeping one slab per thread ahead of the reader, so a reader
-        that drops each slab holds a few at once and its work on one slab
-        overlaps the drawing of the next."""
-        starts = iter(range(lo, hi, _SLAB_ROWS))
-        threads = _draw_threads()
-
-        def slab(first: int) -> np.ndarray:
-            keys = range(first, min(first + _SLAB_ROWS, hi))
-            out = np.empty((len(keys), self.shape[1]), dtype=self.dtype)
-            self._fill(out, keys)
-            return out
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ahead = deque(pool.submit(slab, first) for first in itertools.islice(starts, threads))
-            while ahead:
-                done = ahead.popleft().result()
-                ahead.extend(pool.submit(slab, first) for first in itertools.islice(starts, 1))
-                yield done
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        """Rows [lo, hi) as a new array, striped over the draw threads."""
+        out = np.empty((hi - lo, self.shape[1]), dtype=self.dtype)
+        _on_draw_threads(hi - lo, lambda first, step: self._fill(out[first::step],
+                                                                 range(lo + first, hi, step)))
+        return out
 
     def _draw_all(self) -> np.ndarray:
-        """The block, its rows striped over the draw threads."""
-        L = self.shape[0]
-        out = np.empty(self.shape, dtype=self.dtype)
-        _on_draw_threads(L, lambda first, step: self._fill(out[first::step],
-                                                           range(first, L, step)))
-        return out
+        return self.rows(0, self.shape[0])
 
     def _fill(self, out: np.ndarray, keys: range) -> None:
         """Rows keys into out, on the calling thread."""
@@ -389,10 +366,10 @@ class Dataset:
     labeled_x and unlabeled_x are the rows as arrays, or a LabeledSource and
     an UnlabeledSource that draw them on read; L and n read the first L and
     n of them (default all). Reading the labeled_x or unlabeled_x property
-    draws that whole block. Until it is drawn, labeled_slabs draws the
-    labeled rows a slab at a time and unlabeled_columns only the columns
-    asked for. Arrays are marked read-only; datasets can be shared across
-    workers.
+    draws that whole block. Until it is drawn, labeled_rows draws only the
+    labeled rows asked for and unlabeled_columns only the columns asked
+    for, neither kept. Arrays are marked read-only; datasets can be shared
+    across workers.
     """
 
     def __init__(self, labeled_x, labeled_y: np.ndarray, unlabeled_x,
@@ -449,15 +426,14 @@ class Dataset:
         # returns the same object, which identity checks and weakrefs rely on
         return block if block.shape[0] == self._n else block[:self._n]
 
-    def labeled_slabs(self, start: int):
-        """Labeled rows [start, L) as consecutive slabs of rows, in order:
-        one view of the whole block once it is drawn, otherwise
-        LabeledSource.slabs, each drawn alone as a new array. Both give the
-        same bits."""
+    def labeled_rows(self, start: int) -> np.ndarray:
+        """Labeled rows [start, L): a view of the whole block once it is
+        drawn, otherwise LabeledSource.rows, drawn alone as a new array.
+        Both give the same bits."""
         rows = self._labeled
         if isinstance(rows, LabeledSource) and rows.block is None:
-            return rows.slabs(start, self._L)
-        return iter([self.labeled_x[start:]])
+            return rows.rows(start, self._L)
+        return self.labeled_x[start:]
 
     def unlabeled_columns(self, idx) -> np.ndarray:
         """A new row-major n x len(idx) array of the unlabeled columns idx:

@@ -28,9 +28,9 @@ import pytest
 
 import conftest
 
+from sslgauss import estimators
 from sslgauss.cli import main as cli_main
-from sslgauss.estimators import (labeled_direction, screened_count,
-                                  signed_mean_direction, top_k_labeled)
+from sslgauss.estimators import screened_count, top_k_labeled
 from sslgauss.gmodel import ProblemParams, labeled_count, make_sparse_mean, \
     sample_dataset, unlabeled_count
 from sslgauss.harness import ExperimentConfig, run_sweep, trial_ground_truth
@@ -94,7 +94,7 @@ def test_criterion_02_mle_equivalence():
         pp = ProblemParams(p=p, k=k, lam=lam, L=L, n=0, seed=seed)
         mu = make_sparse_mean(pp, seed=seed)
         ds = sample_dataset(mu, L, 0, seed=seed + 1)
-        w = signed_mean_direction(ds.labeled_x, ds.labeled_y)
+        _, w, _ = estimators._signed_sum(ds)
         mags = np.sort(np.abs(w))[::-1]
         if k < p and mags[k - 1] - mags[k] < 1e-9:
             continue  # near-tie at the cut: excluded, fresh draw instead
@@ -253,12 +253,12 @@ def _blue_config(methods: tuple[str, ...]) -> ExperimentConfig:
 
 def _measured_retention() -> float:
     """Mean share of the true support that the fixture's screening step keeps,
-    from the labeled block of each trial (the same rows the run used)."""
+    from the labeled rows of each trial (the same rows the run used)."""
     config = _blue_config(("lspca",))
     shares = []
     for trial in range(BLUE_TRIALS):
         mu, ds = trial_ground_truth(config, trial)
-        w = labeled_direction(ds.labeled_x, ds.labeled_y)
+        w, _ = estimators._mean_difference(ds)
         screen = top_k_indices(np.abs(w), BLUE_SCREEN)
         shares.append(np.isin(mu.support, screen).mean())
     return float(np.mean(shares))

@@ -5,11 +5,10 @@ import numpy as np
 import pytest
 
 from conftest import dense_mean
-from sslgauss import spectral
+from sslgauss import estimators, spectral
 from sslgauss.errors import (ContractError, ConvergenceError, InsufficientSamplesError,
                              MissingClassError, ScreeningTooSmallError)
-from sslgauss.estimators import (METHODS, labeled_direction, lspca, resolve_beta_tilde,
-                                 screened_count, self_train, signed_mean_direction,
+from sslgauss.estimators import (METHODS, lspca, resolve_beta_tilde, screened_count, self_train,
                                  top_k_labeled, ul_diag_threshold_pca, vanilla_pca)
 from sslgauss.gmodel import Dataset, ProblemParams, SparseMean, make_sparse_mean, sample_dataset
 from sslgauss.harness import config_from_dict, trial_ground_truth
@@ -52,47 +51,57 @@ def brute_force_mle_support(w: np.ndarray, k: int, lam: float) -> set[int]:
     return best_support
 
 
+def labeled(xs, ys) -> Dataset:
+    """A labeled-only dataset over plain arrays."""
+    return Dataset(np.asarray(xs), np.asarray(ys), np.zeros((0, np.shape(xs)[1])))
+
+
+def mean_difference(ds: Dataset) -> np.ndarray:
+    return estimators._mean_difference(ds)[0]
+
+
+def signed_mean(ds: Dataset) -> np.ndarray:
+    return estimators._signed_sum(ds)[1]
+
+
 class TestLabeledDirections:
     def test_two_sample_difference(self):
         a = np.array([1.0, 2.0, 3.0])
         b = np.array([0.5, -1.0, 4.0])
-        w = labeled_direction(np.vstack([a, b]), np.array([1, -1]))
+        w = mean_difference(labeled(np.vstack([a, b]), [1, -1]))
         np.testing.assert_allclose(w, a - b)
 
     def test_symmetric_class_means(self):
         m = np.array([2.0, -1.0, 0.0, 0.5])
         xs = np.vstack([m, m, -m, -m])
         ys = np.array([1, 1, -1, -1])
-        np.testing.assert_allclose(labeled_direction(xs, ys), 2 * m)
+        np.testing.assert_allclose(mean_difference(labeled(xs, ys)), 2 * m)
 
     def test_missing_class(self):
         xs = np.ones((3, 2))
         with pytest.raises(MissingClassError):
-            labeled_direction(xs, np.array([1, 1, 1]))
+            mean_difference(labeled(xs, [1, 1, 1]))
 
     def test_monte_carlo_concentration(self):
         # w approaches twice the mean at the expected 2/sqrt(L) noise scale
         p, L, lam = 50, 10 ** 4, 4.0
         _, mu, ds = make_instance(p, 5, lam, L, 0, seed=3)
-        w = labeled_direction(ds.labeled_x, ds.labeled_y)
+        w = mean_difference(ds)
         assert np.linalg.norm(w - 2 * dense_mean(mu)) <= 5.0 * math.sqrt(4.0 * p / L)
 
     def test_signed_mean_single_sample(self):
         a = np.array([3.0, -1.0])
-        np.testing.assert_allclose(
-            signed_mean_direction(a[None, :], np.array([1])), a)
+        np.testing.assert_allclose(signed_mean(labeled(a[None, :], [1])), a)
 
     def test_signed_mean_is_half_of_difference_when_balanced(self):
         rng = np.random.default_rng(5)
-        xs = rng.standard_normal((8, 6))
-        ys = np.array([1, -1] * 4)
-        np.testing.assert_allclose(signed_mean_direction(xs, ys),
-                                   labeled_direction(xs, ys) / 2.0, rtol=1e-12)
+        ds = labeled(rng.standard_normal((8, 6)), [1, -1] * 4)
+        np.testing.assert_allclose(signed_mean(ds), mean_difference(ds) / 2.0, rtol=1e-12)
 
     def test_signed_mean_concentration(self):
         p, L, lam = 50, 10 ** 4, 4.0
         _, mu, ds = make_instance(p, 5, lam, L, 0, seed=3)
-        w = signed_mean_direction(ds.labeled_x, ds.labeled_y)
+        w = signed_mean(ds)
         assert np.linalg.norm(w - dense_mean(mu)) <= 5.0 * math.sqrt(p / L)
 
 
@@ -118,7 +127,7 @@ class TestTopKLabeled:
         pp = ProblemParams(p=p, k=k, lam=lam, L=L, n=0, seed=seed)
         mu = make_sparse_mean(pp, seed=seed)
         ds = sample_dataset(mu, L, 0, seed=seed + 100)
-        w = signed_mean_direction(ds.labeled_x, ds.labeled_y)
+        w = signed_mean(ds)
         out = top_k_labeled(ds, k)
         assert set(out.support.tolist()) == brute_force_mle_support(w, k, lam)
 
@@ -134,7 +143,7 @@ class TestLspca:
     def test_screening_containment(self):
         pp, mu, ds = make_instance(60, 4, 3.0, 40, 60, seed=2)
         out = lspca(ds, 4, 0.5)
-        w = labeled_direction(ds.labeled_x, ds.labeled_y)
+        w = mean_difference(labeled(ds.labeled_x, ds.labeled_y))
         retained = screened_count(60, 0.5)
         screen = set(np.argsort(-np.abs(w), kind="stable")[:retained].tolist())
         assert set(out.support.tolist()) <= screen
@@ -159,7 +168,7 @@ class TestLspca:
     def test_sign_follows_labeled_direction(self):
         pp, mu, ds = make_instance(40, 3, 4.0, 200, 400, seed=4)
         out = lspca(ds, 3, 0.4)
-        w = labeled_direction(ds.labeled_x, ds.labeled_y)
+        w = mean_difference(labeled(ds.labeled_x, ds.labeled_y))
         assert float(out.direction @ w) >= 0.0
 
     def test_blue_region_qualitative(self):
@@ -194,7 +203,7 @@ class TestLspca:
         assert abs(float(v @ u)) >= 1.0 - 1e-12
         assert abs(float(v @ cov @ v) - top) <= 1e-10 * top
         assert abs(out.aux["refit_eigenvalue"] - top) <= 1e-10 * top
-        w = labeled_direction(ds.labeled_x, ds.labeled_y)
+        w = mean_difference(labeled(ds.labeled_x, ds.labeled_y))
         assert float(v @ w[out.support]) >= 0.0
 
     def test_sparse_pca_variant(self):

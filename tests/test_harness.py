@@ -274,8 +274,8 @@ class TestSharedStatistics:
 
     @pytest.mark.parametrize("axis, values, per_trial",
                              [("n", (30, 60, 120), 1), ("L", (10, 20, 40), 3)], ids=["n", "L"])
-    def test_labeled_direction_once_per_labeled_prefix(self, monkeypatch, axis, values,
-                                                        per_trial):
+    def test_mean_difference_once_per_labeled_prefix(self, monkeypatch, axis, values,
+                                                      per_trial):
         calls = []
         original = estimators._difference
 

@@ -1,17 +1,19 @@
-"""The labeled rows are drawn on read, and their class sums streamed.
+"""The labeled rows are drawn on read, and their class sums drop them.
 
 The estimators' labeled statistics come from one per-draw statistic, the
 float64 sums of each class's rows added in row order. It reads the labeled
-block when the block is drawn and otherwise draws the rows a slab at a time
-and drops them; both must give the same bits, at every prefix, in any order
-the prefixes are asked for. A trial draws each labeled row once: the block
-up front when a configured method reads the rows themselves, otherwise the
-streamed slabs only, extended as an L-sweep grows. An lspca-only trial
-never holds the labeled block.
+block when the block is drawn and otherwise draws the rows it lacks as one
+range and drops them once added; both must give the same bits, at every
+prefix, in any order the prefixes are asked for, on any number of draw
+threads. A trial draws each labeled row once: the block up front when a
+configured method reads the rows themselves, otherwise only the ranges the
+sums lack, extended as an L-sweep grows. An lspca-only trial never holds
+the labeled block beside its screened columns.
 """
 
 import tracemalloc
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -33,19 +35,34 @@ def _statistics(ds):
     return [a.tobytes() for a in (w, order, total, mean, signed_order)]
 
 
-@pytest.mark.parametrize("dtype", [np.float32, np.float64], ids=["f32", "f64"])
-def test_streamed_sums_equal_the_drawn_block(monkeypatch, dtype):
-    # 2 draw threads drawing slabs of 4 rows, of which no prefix below is a
-    # multiple; the prefixes grow, then shrink, so the sums extend and restart
-    monkeypatch.setattr(gmodel, "_draw_threads", lambda: 2)
+# (dtype, draw threads, first row read alone): the 2-thread read from row 5
+# is the case named f32 or f64, and row 37 = L is an empty range
+READS = [pytest.param(dtype, threads, start, id=name + suffix)
+         for dtype, name in ((np.float32, "f32"), (np.float64, "f64"))
+         for threads, start, suffix in ((2, 5, ""), (1, 5, "-1thread"), (3, 5, "-3threads"),
+                                        (2, 37, "-empty"))]
+
+
+@pytest.mark.parametrize("dtype, threads, start", READS)
+def test_streamed_sums_equal_the_drawn_block(monkeypatch, dtype, threads, start):
+    # the prefixes grow, then shrink, so the sums extend and restart
+    monkeypatch.setattr(gmodel, "_draw_threads", lambda: threads)
     p, L = 300, 37
     mu = make_sparse_mean(ProblemParams(p=p, k=6, lam=3.0, L=L, n=10), seed=2)
     streamed = sample_dataset(mu, L, 10, seed=3, dtype=dtype)
     drawn = sample_dataset(mu, L, 10, seed=3, dtype=dtype)
     xs, ys = drawn.labeled_x, drawn.labeled_y
-    slabs = list(streamed.labeled_slabs(5))
-    assert [len(s) for s in slabs] == [4] * 8
-    assert np.concatenate(slabs).tobytes() == xs[5:].tobytes()
+    pools = []
+
+    def pool(max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(gmodel, "ThreadPoolExecutor", pool)
+    rows = streamed.labeled_rows(start)
+    # one pool of the draw threads, none for an empty range
+    assert pools == ([threads] if start < L else [])
+    assert rows.tobytes() == xs[start:].tobytes()
     for prefix in (5, 19, 37, 30, 11, 37):
         got = _statistics(streamed.prefix(prefix, 10))
         assert got == _statistics(drawn.prefix(prefix, 10)), prefix
@@ -120,7 +137,7 @@ def test_each_labeled_row_is_drawn_once_per_trial(monkeypatch, case):
     for source in sources.values():
         mine = [(keys, from_whole) for s, keys, from_whole in fills if s is source]
         assert Counter(i for keys, _ in mine for i in keys) == Counter(range(source.shape[0]))
-        # every row comes from the whole-block draw, or every one is streamed
+        # every row comes from the whole-block draw, or every one from the sums' ranges
         assert {from_whole for _, from_whole in mine} == {whole}
         assert (source.block is not None) == whole
 
@@ -128,9 +145,10 @@ def test_each_labeled_row_is_drawn_once_per_trial(monkeypatch, case):
 def test_lspca_trial_holds_no_labeled_block():
     # p = 20000, L = 200, n = 400 in float32: the labeled block is 16 MB and
     # lspca's screened block (400 x 2760) 4.4 MB. The class sums draw the
-    # rows in slabs of 4, one slab per draw thread ahead (80 kB a row), and
-    # add them into two float64 sums (0.3 MB): the trial peaks near 7.4 MB.
-    # A trial that drew the labeled block peaked at 23.1 MB, above both.
+    # 200 rows as one range, add them into two float64 sums (0.3 MB) and
+    # drop them before the screened columns are drawn: the trial peaks near
+    # the labeled block, at 17.2 MB. A trial that kept the labeled block
+    # while it drew the screened columns peaked at 23.1 MB, above both.
     pp = ProblemParams(p=20000, k=52, lam=3.0, L=200, n=400, seed=11)
     config = ExperimentConfig(params=pp, methods=("lspca",), trials=1, f32=True,
                               beta_tilde=0.2)
