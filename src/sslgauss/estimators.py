@@ -35,8 +35,7 @@ from .errors import (ContractError, ConvergenceError, InsufficientSamplesError,
                      MissingClassError, ScreeningTooSmallError)
 from .gmodel import Dataset, ProblemParams
 from .spectral import (NARROW_SLAB, PowerResult, float64_slabs, power_iteration,
-                       principal_direction, restricted_covariance, row_blocks, top_k_indices,
-                       truncated_power)
+                       principal_direction, restricted_covariance, top_k_indices, truncated_power)
 
 _DEFAULT_BETA_TILDE = 0.5
 
@@ -193,7 +192,7 @@ def lspca(dataset: Dataset, k: int, beta_tilde: float,
     local = top_k_indices(np.abs(res.vector), k)
     support = screen[local]
 
-    refit = principal_direction(dataset.unlabeled_columns(support))
+    refit = principal_direction([dataset.unlabeled_columns(support)])
     for step, solve in (("screened-set", res), ("refit", refit)):
         if not (math.isfinite(solve.value) and np.isfinite(solve.vector).all()):
             raise ConvergenceError(f"the {step} solve is not finite (eigenvalue {solve.value})")
@@ -234,24 +233,24 @@ def self_train(dataset: Dataset, k: int, gamma_threshold: float) -> EstimatorOut
                      aux={"n_eff": n_eff})
 
 
-def ul_diag_threshold_pca(rows, k: int) -> EstimatorOutput:
+def ul_diag_threshold_pca(dataset: Dataset, k: int) -> EstimatorOutput:
     """Unlabeled-only baseline: keep the ceil(k log p) largest-variance
     coordinates, take the leading eigenvector of the covariance there
     (spectral.principal_direction), and keep its k largest magnitudes.
 
-    `rows` is one array or a sequence of row blocks read as if stacked, in
-    place. The variances take two passes, the column means from the blocks'
-    float64 sums, then the squared deviations in row order, from float64
-    slabs of whole rows no larger than NARROW_SLAB columns of the block
-    (E[x^2] - mean^2 would cancel when |mean| >> spread). Only the kept
-    columns are copied out of the rows. The solve's convergence flag,
-    product count and eigenvalue go in aux, on either side.
+    It reads all L + n feature vectors, labels dropped: the labeled and
+    unlabeled blocks in place, as if stacked. The variances take two passes,
+    the column means from the blocks' float64 sums, then the squared
+    deviations in row order, from float64 slabs of whole rows no larger
+    than NARROW_SLAB columns of the block (E[x^2] - mean^2 would cancel when
+    |mean| >> spread). Only the kept columns are copied out of the rows. The
+    solve's convergence flag, product count and eigenvalue go in aux, on
+    either side.
     """
-    blocks = row_blocks(rows)
-    n = sum(b.shape[0] for b in blocks)
+    blocks = [dataset.labeled_x, dataset.unlabeled_x]
+    n, p = dataset.L + dataset.n, dataset.p
     if n < 2:
         raise InsufficientSamplesError("variance screening needs n >= 2 rows")
-    p = blocks[0].shape[1]
     if not 1 <= k <= p:
         raise ContractError(f"k={k} out of range for dimension {p}")
     m = min(p, max(k, int(math.ceil(k * math.log(p)))))
@@ -272,22 +271,20 @@ def ul_diag_threshold_pca(rows, k: int) -> EstimatorOutput:
                      aux={"screening_size": int(m), **_solve_aux("pca", res)})
 
 
-def vanilla_pca(rows, k: int) -> EstimatorOutput:
+def vanilla_pca(dataset: Dataset, k: int) -> EstimatorOutput:
     """Unlabeled-only baseline: the leading eigenvector of the full sample
     covariance (spectral.principal_direction), then its k largest
-    magnitudes. `rows` is one array or a sequence of row blocks read as if
-    stacked, in place. The solve's convergence flag, product count and
-    eigenvalue go in aux, with dual_gram set when fewer rows than columns
-    send it to the Gram side."""
-    blocks = row_blocks(rows)
-    res = principal_direction(blocks)
-    v = res.vector
-    if not 1 <= k <= v.size:
-        raise ContractError(f"k={k} out of range for dimension {v.size}")
-    local = top_k_indices(np.abs(v), k)
-    return _finalize("vanilla_pca", v.size, local, v[local],
-                     aux={"dual_gram": sum(b.shape[0] for b in blocks) < v.size,
-                          **_solve_aux("pca", res)})
+    magnitudes. It reads all L + n feature vectors, labels dropped: the
+    labeled and unlabeled blocks in place, as if stacked. The solve's
+    convergence flag, product count and eigenvalue go in aux, with
+    dual_gram set when fewer rows than columns send it to the Gram side."""
+    p = dataset.p
+    res = principal_direction([dataset.labeled_x, dataset.unlabeled_x])
+    if not 1 <= k <= p:
+        raise ContractError(f"k={k} out of range for dimension {p}")
+    local = top_k_indices(np.abs(res.vector), k)
+    return _finalize("vanilla_pca", p, local, res.vector[local],
+                     aux={"dual_gram": dataset.L + dataset.n < p, **_solve_aux("pca", res)})
 
 
 # ---------------------------------------------------------------------------
@@ -298,8 +295,9 @@ def resolve_beta_tilde(params: ProblemParams, setting: float | str) -> float:
     """Screening factor: explicit value, or the quarter-gap rule
     beta - (beta - (1 - gamma*alpha))/4 from the implied exponents.
 
-    Falls back to 0.5 when the exponents are undefined (lambda = 0, k < 2,
-    n = 0); always clamped so the screened set still covers k coordinates.
+    Falls back to 0.5 when the rule has no value: an exponent is undefined
+    (lambda = 0, k < 2, p - k < 2, n = 0) or beta = 0 (L = 0); always
+    clamped so the screened set still covers k coordinates.
 
     The rule is asymptotic: in the blue band at p = 20000 it holds the
     expected share of the true support that screening keeps near 0.72,
@@ -340,12 +338,11 @@ def _run_self_train(ds: Dataset, pp: ProblemParams, beta_tilde,
 
 
 def _run_ul_diag(ds: Dataset, pp: ProblemParams, beta_tilde, gamma_threshold) -> EstimatorOutput:
-    # unlabeled baselines read every available vector in place, labels dropped
-    return ul_diag_threshold_pca((ds.labeled_x, ds.unlabeled_x), pp.k)
+    return ul_diag_threshold_pca(ds, pp.k)
 
 
 def _run_vanilla(ds: Dataset, pp: ProblemParams, beta_tilde, gamma_threshold) -> EstimatorOutput:
-    return vanilla_pca((ds.labeled_x, ds.unlabeled_x), pp.k)
+    return vanilla_pca(ds, pp.k)
 
 
 METHODS: dict[str, Callable[[Dataset, ProblemParams, float | str, float], EstimatorOutput]] = {

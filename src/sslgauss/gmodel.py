@@ -19,6 +19,7 @@ with the same bits as a serial draw.
 
 from __future__ import annotations
 
+import copy
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -364,33 +365,26 @@ class Dataset:
     """L labeled pairs and n unlabeled vectors, all of dimension p.
 
     labeled_x and unlabeled_x are the rows as arrays, or a LabeledSource and
-    an UnlabeledSource that draw them on read; L and n read the first L and
-    n of them (default all). Reading the labeled_x or unlabeled_x property
-    draws that whole block. Until it is drawn, labeled_rows draws only the
-    labeled rows asked for and unlabeled_columns only the columns asked
-    for, neither kept. Arrays are marked read-only; datasets can be shared
-    across workers.
+    an UnlabeledSource that draw them on read; a dataset holds every row
+    given, and prefix reads its first L and n. Reading the labeled_x or
+    unlabeled_x property draws that whole block. Until it is drawn,
+    labeled_rows draws only the labeled rows asked for and
+    unlabeled_columns only the columns asked for, neither kept. Arrays are
+    marked read-only; datasets can be shared across workers.
     """
 
-    def __init__(self, labeled_x, labeled_y: np.ndarray, unlabeled_x,
-                 L: int | None = None, n: int | None = None, shared: dict | None = None):
+    def __init__(self, labeled_x, labeled_y: np.ndarray, unlabeled_x):
         self._labeled = labeled_x
         self._labels = labeled_y
         self._unlabeled = unlabeled_x
         # statistics computed once per draw (estimators.shared_value)
-        self.shared = {} if shared is None else shared
+        self.shared = {}
         if len(labeled_x.shape) != 2 or len(unlabeled_x.shape) != 2:
             raise ConfigError("data matrices must be 2-d (rows are samples)")
-        (held, dim), (rows, cols) = labeled_x.shape, unlabeled_x.shape
-        self._L = held if L is None else L
-        self._n = rows if n is None else n
-        if not 0 <= self._L <= held:
-            raise ConfigError(f"L = {self._L} exceeds the {held} labeled rows held")
-        if not 0 <= self._n <= rows:
-            raise ConfigError(f"n = {self._n} exceeds the {rows} unlabeled rows held")
-        if held != labeled_y.shape[0]:
+        self._L, self._n = labeled_x.shape[0], unlabeled_x.shape[0]
+        if self._L != labeled_y.shape[0]:
             raise ConfigError("labeled_x and labeled_y row counts differ")
-        if self._L and self._n and dim != cols:
+        if labeled_x.shape[1] != unlabeled_x.shape[1]:
             raise ConfigError("labeled and unlabeled dimensions differ")
         if labeled_y.size and not np.all(np.isin(labeled_y, (-1, 1))):
             raise ConfigError("labels must lie in {-1, +1}")
@@ -405,7 +399,7 @@ class Dataset:
 
     @property
     def p(self) -> int:
-        return self._labeled.shape[1] if self._L else self._unlabeled.shape[1]
+        return self._unlabeled.shape[1]
 
     @property
     def labeled_y(self) -> np.ndarray:
@@ -447,9 +441,16 @@ class Dataset:
         return np.take(self.unlabeled_x, idx, axis=1)
 
     def prefix(self, L: int, n: int) -> "Dataset":
-        """The first L labeled pairs and n unlabeled vectors, sharing this
-        dataset's arrays, sources and shared statistics."""
-        return Dataset(self._labeled, self._labels, self._unlabeled, L, n, self.shared)
+        """The first L labeled pairs and n unlabeled vectors of the rows
+        held, sharing this dataset's arrays, sources and shared statistics."""
+        held, rows = self._labeled.shape[0], self._unlabeled.shape[0]
+        if not 0 <= L <= held:
+            raise ConfigError(f"L = {L} exceeds the {held} labeled rows held")
+        if not 0 <= n <= rows:
+            raise ConfigError(f"n = {n} exceeds the {rows} unlabeled rows held")
+        view = copy.copy(self)
+        view._L, view._n = L, n
+        return view
 
     # No package code calls this; kept because perfbench's tracer patches it by name.
     def all_vectors(self) -> np.ndarray:

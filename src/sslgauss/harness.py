@@ -250,12 +250,17 @@ def aggregate(records: list[TrialRecord]) -> list[AggregateRow]:
     return rows
 
 
-def run_sweep(config: ExperimentConfig, threads: int | None = None
+def run_sweep(config: ExperimentConfig, _forwarded: None = None
               ) -> tuple[list[TrialRecord], list[AggregateRow]]:
-    """Execute trials x points x methods, one task per trial; results do not
-    depend on the worker count (records are merged under a deterministic
-    sort key)."""
-    workers = min(config.threads if threads is None else threads, config.trials)
+    """Execute trials x points x methods, one task per trial, on
+    config.threads worker processes; results do not depend on the worker
+    count (records are merged under a deterministic sort key).
+
+    The second argument is only a slot for perfbench's launcher, which
+    forwards a None there; anything else is refused."""
+    if _forwarded is not None:
+        raise ConfigError("run_sweep takes its worker count from config.threads")
+    workers = min(config.threads, config.trials)
     tasks = [(config, t) for t in range(config.trials)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers, initializer=share_cores,

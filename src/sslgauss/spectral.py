@@ -4,16 +4,17 @@ Every PCA step but ls2pca's sparse one takes its top pair by one solver,
 `power_iteration`: Lanczos with full reorthogonalization, stopped once the
 top Ritz pair's residual is at most tol times its value, with a flag when
 it falls short. `principal_direction` serves every dense PCA step: it reads
-one array or a sequence of row blocks (a trial's labeled and unlabeled
-rows) as if stacked, and solves the explicit float64 covariance when there
-are at least as many rows as columns, else the n x n Gram matrix, into
-which the blocks' products are written in place. lspca's screened-set PCA
-solves an implicit RestrictedCovariance; ls2pca's runs `truncated_power`,
-which forms A v, keeps its k largest magnitudes and renormalizes until the
-iterate moves by at most tol (or a product is not finite). tol is 1e-6 for
-a RestrictedCovariance over float32 rows and 1e-9 otherwise. Both solvers
-take a symmetric PSD operator, an implicit RestrictedCovariance or an
-ndarray, and use only `a @ v` and `a.diagonal()`.
+a list of row blocks (a trial's labeled and unlabeled rows, or the refit's
+unlabeled columns) as if stacked, and solves the explicit float64
+covariance when there are at least as many rows as columns, else the n x n
+Gram matrix, into which the blocks' products are written in place.
+lspca's screened-set PCA solves an implicit RestrictedCovariance; ls2pca's
+runs `truncated_power`, which forms A v, keeps its k largest magnitudes
+and renormalizes until the iterate moves by at most tol (or a product is
+not finite). tol is 1e-6 for a RestrictedCovariance over float32 rows and
+1e-9 otherwise. Both solvers take a symmetric PSD operator, an implicit
+RestrictedCovariance or an ndarray, and use only `a @ v` and
+`a.diagonal()`.
 """
 
 from __future__ import annotations
@@ -101,18 +102,6 @@ class RestrictedCovariance:
 restricted_covariance = RestrictedCovariance
 
 
-def row_blocks(rows) -> list[np.ndarray]:
-    """One 2-d array, or a sequence of 2-d row blocks with a common column
-    count, as a list of blocks; readers take the list as if stacked. One
-    array is the one-block case."""
-    blocks = [rows] if isinstance(rows, np.ndarray) else [np.asarray(b) for b in rows]
-    if not blocks or any(b.ndim != 2 for b in blocks):
-        raise InsufficientSamplesError("rows must be 2-d, one array or a sequence of row blocks")
-    if len({b.shape[1] for b in blocks}) > 1:
-        raise ContractError("row blocks must have the same number of columns")
-    return blocks
-
-
 def float64_slabs(blocks: list[np.ndarray]):
     """Yield (cols, xs): xs[i] holds columns cols of blocks[i] in float64.
     When every block is float64 there is one slab, the blocks themselves;
@@ -139,18 +128,18 @@ def _norm(w: np.ndarray) -> float:
     return s * float(np.linalg.norm(w / s))
 
 
-def principal_direction(rows) -> PowerResult:
+def principal_direction(blocks: list[np.ndarray]) -> PowerResult:
     """Leading eigenpair of the centered 1/n sample covariance of rows, as
     power_iteration's PowerResult: a Ritz pair with residual at most 1e-9
     times its value when `converged`, the vector in p-space (canonical sign;
     e1 for a zero covariance).
 
-    `rows` is one array or a sequence of row blocks read as if stacked
-    (row_blocks). When n >= p, the solve runs on the explicit p x p
-    covariance. When n < p, it runs on the n x n Gram matrix (same nonzero
-    spectrum; its top vector u maps back to Y' u): the uncentered Gram
-    matrix is summed from the block products blocks[i] @ blocks[j].T in
-    float64, mirrored across the diagonal, and centered by the rank-two
+    `blocks` is a list of 2-d row blocks of one column count, read as if
+    stacked. When n >= p, the solve runs on the explicit p x p covariance.
+    When n < p, it runs on the n x n Gram matrix (same nonzero spectrum;
+    its top vector u maps back to Y' u): the uncentered Gram matrix is
+    summed from the block products blocks[i] @ blocks[j].T in float64,
+    mirrored across the diagonal, and centered by the rank-two
     correction G - r 1' - 1 r' + ||m||^2 1 1', with m the column mean,
     r = X m = G 1 / n and ||m||^2 = 1' G 1 / n^2, which leaves it exactly
     symmetric.
@@ -160,7 +149,6 @@ def principal_direction(rows) -> PowerResult:
     COLUMN_BLOCK) and a block product. The covariance side (p <= n) centers
     all rows at once, in an n x p float64 array, and holds the p x p matrix.
     """
-    blocks = row_blocks(rows)
     n = sum(b.shape[0] for b in blocks)
     if n < 2:
         raise InsufficientSamplesError("covariance needs n >= 2 rows")

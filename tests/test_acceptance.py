@@ -71,17 +71,6 @@ def test_criterion_01_bayes_error():
 # criterion 2: top-k of the signed mean is the exhaustive-search maximizer
 # ---------------------------------------------------------------------------
 
-def _brute_force_support(w: np.ndarray, k: int, lam: float) -> set:
-    mag = math.sqrt(lam / k)
-    best, best_support = -np.inf, None
-    for support in itertools.combinations(range(w.size), k):
-        for signs in itertools.product((-1.0, 1.0), repeat=k):
-            val = mag * sum(s * w[j] for j, s in zip(support, signs))
-            if val > best:
-                best, best_support = val, set(support)
-    return best_support
-
-
 def test_criterion_02_mle_equivalence():
     rng = np.random.default_rng(MASTER_SEED + 2)
     matches = total = 0
@@ -100,7 +89,7 @@ def test_criterion_02_mle_equivalence():
             continue  # near-tie at the cut: excluded, fresh draw instead
         total += 1
         got = set(top_k_labeled(ds, k).support.tolist())
-        matches += got == _brute_force_support(w, k, lam)
+        matches += got == conftest.brute_force_mle_support(w, k, lam)
     ok = matches == total
     _report(2, "labeled-only maximizer", ok, f"{matches}/{total} exhaustive matches")
     assert ok
@@ -386,15 +375,6 @@ def test_criterion_09_threshold_calculators():
 # criterion 10: worker-count determinism through the CLI
 # ---------------------------------------------------------------------------
 
-def _strip_runtime(text: str) -> str:
-    rows = []
-    for line in text.strip().splitlines():
-        cells = line.split(",")
-        del cells[11]
-        rows.append(",".join(cells))
-    return "\n".join(rows)
-
-
 def test_criterion_10_thread_determinism(tmp_path):
     outputs = {}
     for threads in (1, 8):
@@ -409,7 +389,7 @@ def test_criterion_10_thread_determinism(tmp_path):
             "--out", str(out)])
         assert code == 0
         outputs[threads] = out.read_text()
-    same = _strip_runtime(outputs[1]) == _strip_runtime(outputs[8])
+    same = conftest.strip_runtime(outputs[1]) == conftest.strip_runtime(outputs[8])
     _report(10, "worker-count determinism", same,
             "CSV identical for --threads 1 vs 8 (runtime column excluded)"
             if same else "CSV mismatch between --threads 1 and 8")

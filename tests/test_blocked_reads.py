@@ -1,10 +1,11 @@
 """Estimators read a trial's labeled and unlabeled rows in place.
 
-principal_direction, vanilla_pca and ul_diag_threshold_pca take a sequence of
-row blocks read as if stacked. On the covariance side the answers must be
-bit-identical to the same call on the stacked rows; on the Gram side the
-blocked and stacked calls form the Gram matrix from different products, so
-each must match the eigh oracle and both must give the same supports. No
+principal_direction takes a list of row blocks read as if stacked, and
+vanilla_pca and ul_diag_threshold_pca read a Dataset's two blocks that
+way. On the covariance side the answers must be bit-identical to the same
+call on the stacked rows; on the Gram side the blocked and stacked calls
+form the Gram matrix from different products, so each must match the eigh
+oracle and both must give the same supports. No
 method may allocate anything near the size of the draw: a trial's peak is
 its draw plus one solver's working set. The labeled statistics gather and
 cast their rows a column slab at a time and must give the bits of the
@@ -17,8 +18,9 @@ import numpy as np
 import pytest
 
 from sslgauss import estimators, spectral
+from conftest import unlabeled_only
 from sslgauss.estimators import METHODS, self_train, ul_diag_threshold_pca, vanilla_pca
-from sslgauss.gmodel import ProblemParams, k_from_alpha, make_sparse_mean, sample_dataset
+from sslgauss.gmodel import Dataset, ProblemParams, k_from_alpha, make_sparse_mean, sample_dataset
 from sslgauss.spectral import COLUMN_BLOCK, principal_direction, top_k_indices
 
 # (labeled rows, unlabeled rows): the Gram side (32 rows < p = 50), the
@@ -39,6 +41,11 @@ def _blocks(split, dtype, p=50, seed=0):
     spike = 2.0 * np.outer(rng.choice([-1.0, 1.0], L + n), np.eye(p)[3])
     rows = (rng.standard_normal((L + n, p)) + spike).astype(dtype)
     return rows[:L], rows[L:]
+
+
+def _two_blocks(labeled, unlabeled) -> Dataset:
+    """A dataset of the two blocks, its labels all +1 (the methods here drop them)."""
+    return Dataset(labeled, np.ones(len(labeled), np.int8), unlabeled)
 
 
 def _assert_matches_eigh(result, stacked):
@@ -63,8 +70,8 @@ def test_row_blocks_equal_stacked_rows(split, dtype, monkeypatch):
     stacked = np.vstack([labeled, unlabeled])
     gram = split.startswith("gram")
 
-    got = principal_direction((labeled, unlabeled))
-    want = principal_direction(stacked)
+    got = principal_direction([labeled, unlabeled])
+    want = principal_direction([stacked])
     if gram:
         _assert_matches_eigh(got, stacked)
         _assert_matches_eigh(want, stacked)
@@ -74,8 +81,8 @@ def test_row_blocks_equal_stacked_rows(split, dtype, monkeypatch):
         assert got.converged and got.iterations == want.iterations
 
     for estimator in (vanilla_pca, ul_diag_threshold_pca):
-        got = estimator((labeled, unlabeled), 3)
-        want = estimator(stacked, 3)
+        got = estimator(_two_blocks(labeled, unlabeled), 3)
+        want = estimator(unlabeled_only(stacked), 3)
         assert np.array_equal(got.support, want.support)
         # ul_diag's ceil(3 log 50) = 12 kept columns are on the covariance side
         if not gram or estimator is ul_diag_threshold_pca:
@@ -90,8 +97,8 @@ def test_row_blocks_equal_stacked_rows_at_default_width():
     for dtype in (np.float64, np.float32):
         labeled, unlabeled = _blocks("gram", dtype, p=p, seed=1)
         stacked = np.vstack([labeled, unlabeled])
-        got = principal_direction((labeled, unlabeled))
-        want = principal_direction(stacked)
+        got = principal_direction([labeled, unlabeled])
+        want = principal_direction([stacked])
         _assert_matches_eigh(got, stacked)
         _assert_matches_eigh(want, stacked)
         assert set(top_k_indices(np.abs(got.vector), 3)) \
@@ -215,7 +222,7 @@ def test_variance_screen_is_two_pass(monkeypatch):
         return top_k_indices(values, k)
 
     monkeypatch.setattr(estimators, "top_k_indices", spy)
-    for given in (rows, (rows[:120], rows[120:])):
+    for given in (unlabeled_only(rows), _two_blocks(rows[:120], rows[120:])):
         seen.clear()
         ul_diag_threshold_pca(given, 3)
         np.testing.assert_allclose(seen[0], np.var(rows, axis=0), rtol=1e-9, atol=0)
@@ -243,7 +250,7 @@ def test_variance_screen_equals_the_column_slab_sums(monkeypatch, dtype, L, n, p
         return top_k_indices(values, k)
 
     monkeypatch.setattr(estimators, "top_k_indices", spy)
-    ul_diag_threshold_pca(blocks, 3)
+    ul_diag_threshold_pca(_two_blocks(*blocks), 3)
     assert np.array_equal(seen[0], squares / (L + n))
 
 

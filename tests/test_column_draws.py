@@ -190,7 +190,7 @@ def test_lspca_trial_never_draws_the_whole_block(monkeypatch, method):
 
 def test_self_train_trial_draws_the_whole_block_once(monkeypatch):
     calls = spy_whole(monkeypatch)
-    records, _ = run_sweep(config(("lspca", "self_train")), threads=1)
+    records, _ = run_sweep(config(("lspca", "self_train")))
     assert not any(r.failed for r in records)
     assert calls == [True]
 
@@ -199,7 +199,7 @@ def test_sweep_draws_the_whole_block_once_per_trial(monkeypatch):
     calls = spy_whole(monkeypatch)
     cfg = config(("lspca", "self_train", "vanilla_pca"), sweep_axis="n",
                  sweep_values=(60, 120))
-    records, _ = run_sweep(cfg, threads=1)
+    records, _ = run_sweep(cfg)
     assert not any(r.failed for r in records)
     assert sum(calls) == 1
 
@@ -207,8 +207,8 @@ def test_sweep_draws_the_whole_block_once_per_trial(monkeypatch):
 def test_lspca_records_do_not_depend_on_the_whole_block():
     # lspca first draws its columns alone; after self_train it slices them
     # from the whole block
-    alone, _ = run_sweep(config(("lspca",)), threads=1)
-    after, _ = run_sweep(config(("self_train", "lspca")), threads=1)
+    alone, _ = run_sweep(config(("lspca",)))
+    after, _ = run_sweep(config(("self_train", "lspca")))
     after = [r for r in after if r.method == "lspca"]
     key = [(r.overlap, r.gen_error, r.excess_risk, r.seed) for r in alone]
     assert key == [(r.overlap, r.gen_error, r.excess_risk, r.seed) for r in after]

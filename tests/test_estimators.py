@@ -1,10 +1,9 @@
-import itertools
 import math
 
 import numpy as np
 import pytest
 
-from conftest import dense_mean
+from conftest import brute_force_mle_support, dense_mean, unlabeled_only
 from sslgauss import estimators, spectral
 from sslgauss.errors import (ContractError, ConvergenceError, InsufficientSamplesError,
                              MissingClassError, ScreeningTooSmallError)
@@ -36,19 +35,6 @@ def _sample_covariance_top(rows: np.ndarray) -> tuple[np.ndarray, float]:
     y = rows - rows.mean(axis=0)
     cov = (y.T @ y) / rows.shape[0]
     return cov, float(np.linalg.eigh(cov)[0][-1])
-
-
-def brute_force_mle_support(w: np.ndarray, k: int, lam: float) -> set[int]:
-    """Oracle: maximize <w, mu'> over all (support, signs) candidate means."""
-    p = w.size
-    mag = math.sqrt(lam / k)
-    best, best_support = -np.inf, None
-    for support in itertools.combinations(range(p), k):
-        for signs in itertools.product((-1.0, 1.0), repeat=k):
-            val = mag * sum(s * w[j] for j, s in zip(support, signs))
-            if val > best:
-                best, best_support = val, set(support)
-    return best_support
 
 
 def labeled(xs, ys) -> Dataset:
@@ -285,7 +271,7 @@ class TestUnsupervisedBaselines:
         mu = SparseMean(20, (2, 11, 17), (1, -1, 1), 1.0)
         dense = dense_mean(mu)
         rows = np.vstack([dense, -dense, dense, -dense])
-        out = ul_diag_threshold_pca(rows, 3)
+        out = ul_diag_threshold_pca(unlabeled_only(rows), 3)
         assert set(out.support.tolist()) == {2, 11, 17}
 
     def test_overlap_with_ample_samples(self):
@@ -293,7 +279,7 @@ class TestUnsupervisedBaselines:
         overlaps = []
         for trial in range(20):
             pp, mu, ds = make_instance(500, 10, 3.0, 0, 1111, seed=300 + trial)
-            out = ul_diag_threshold_pca(ds.unlabeled_x, 10)
+            out = ul_diag_threshold_pca(ds, 10)
             overlaps.append(support_overlap(mu.support, out.support, 10))
         assert np.mean(overlaps) >= 0.9
 
@@ -301,7 +287,7 @@ class TestUnsupervisedBaselines:
         overlaps = []
         for trial in range(10):
             pp, mu, ds = make_instance(500, 10, 0.0, 0, 1111, seed=400 + trial)
-            out = ul_diag_threshold_pca(ds.unlabeled_x, 10)
+            out = ul_diag_threshold_pca(ds, 10)
             overlaps.append(support_overlap(mu.support, out.support, 10))
         assert np.mean(overlaps) <= 0.2
 
@@ -312,20 +298,20 @@ class TestUnsupervisedBaselines:
         rng = np.random.default_rng(26)
         rows = rng.standard_normal((100, 300))
         cov, top = _sample_covariance_top(rows)
-        out = ul_diag_threshold_pca(rows, rows.shape[1])
+        out = ul_diag_threshold_pca(unlabeled_only(rows), rows.shape[1])
         v = out.direction
         assert abs(float(v @ cov @ v) - top) <= 1e-10 * top
         assert abs(out.aux["pca_eigenvalue"] - top) <= 1e-10 * top
 
     def test_vanilla_two_dims(self):
         rows = np.array([[1.0, 0.0], [-1.0, 0.0], [1.0, 0.0], [-1.0, 0.0]])
-        out = vanilla_pca(rows, 1)
+        out = vanilla_pca(unlabeled_only(rows), 1)
         assert list(out.support) == [0]
 
     def test_vanilla_agrees_with_diag_threshold_when_separated(self):
         pp, mu, ds = make_instance(50, 3, 5.0, 0, 2000, seed=11)
-        a = vanilla_pca(ds.unlabeled_x, 3)
-        b = ul_diag_threshold_pca(ds.unlabeled_x, 3)
+        a = vanilla_pca(ds, 3)
+        b = ul_diag_threshold_pca(ds, 3)
         assert set(a.support.tolist()) == set(b.support.tolist()) \
             == set(mu.support)
 
@@ -335,7 +321,7 @@ class TestUnsupervisedBaselines:
         rng = np.random.default_rng(13)
         rows = rng.standard_normal((30, 60)) + 2.0 * np.outer(
             rng.choice([-1.0, 1.0], 30), np.eye(60)[4])
-        dual = vanilla_pca(rows, 2)
+        dual = vanilla_pca(unlabeled_only(rows), 2)
         cov, _ = _sample_covariance_top(rows)
         u = canonical_sign(np.linalg.eigh(cov)[1][:, -1])
         support = np.sort(top_k_indices(np.abs(u), 2))
@@ -352,7 +338,7 @@ class TestUnsupervisedBaselines:
         rng = np.random.default_rng(2)
         rows = rng.standard_normal((100, 300))
         cov, top = _sample_covariance_top(rows)
-        out = vanilla_pca(rows, rows.shape[1])  # k = p keeps every entry
+        out = vanilla_pca(unlabeled_only(rows), rows.shape[1])  # k = p keeps every entry
         v = out.direction
         assert abs(float(v @ cov @ v) - top) <= 1e-10 * top
         assert out.aux["dual_gram"]
@@ -366,7 +352,7 @@ class TestUnsupervisedBaselines:
         # these draws 1000 power steps stop 1e-7 and 3e-7 (relative) short
         pp, mu, ds = make_instance(300, 5, lam, 0, n, seed=seed)
         cov, top = _sample_covariance_top(ds.unlabeled_x)
-        out = vanilla_pca(ds.unlabeled_x, 300)  # k = p keeps every entry
+        out = vanilla_pca(ds, 300)  # k = p keeps every entry
         v = out.direction
         assert abs(float(v @ cov @ v) - top) <= 1e-10 * top
         assert out.aux["dual_gram"] == (n < 300)
@@ -386,7 +372,7 @@ class TestUnsupervisedBaselines:
         ds = trial_ground_truth(config, trial)[1].prefix(L, n)
         blocks = (ds.labeled_x, ds.unlabeled_x)
         k = config.params.k
-        out = vanilla_pca(blocks, k)
+        out = vanilla_pca(ds, k)
 
         rows, p = L + n, blocks[0].shape[1]
         mean = sum(b.sum(axis=0) for b in blocks) / rows
@@ -416,7 +402,7 @@ class TestUnsupervisedBaselines:
         values = 1.0 - 1e-4 * np.linspace(0.0, 1.0, n - 1)
         rows = np.sqrt(n) * (u * np.sqrt(values)) @ w.T
         monkeypatch.setattr(spectral, "MAX_ITER", 40)
-        out = vanilla_pca(rows, 5)
+        out = vanilla_pca(unlabeled_only(rows), 5)
         assert out.aux["pca_converged"] is False
         assert out.aux["pca_iterations"] == 40
 
@@ -424,7 +410,7 @@ class TestUnsupervisedBaselines:
         overlaps = []
         for trial in range(10):
             pp, mu, ds = make_instance(400, 4, 0.5, 0, 30, seed=500 + trial)
-            out = vanilla_pca(ds.unlabeled_x, 4)
+            out = vanilla_pca(ds, 4)
             overlaps.append(support_overlap(mu.support, out.support, 4))
         assert np.mean(overlaps) <= 0.25
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import dense_mean
 from sslgauss.errors import ConfigError, EmptyDatasetError, InvalidSupportError
-from sslgauss.gmodel import (ProblemParams, SparseMean, k_from_alpha, labeled_count,
+from sslgauss.gmodel import (Dataset, ProblemParams, SparseMean, k_from_alpha, labeled_count,
                              make_sparse_mean, sample_dataset, unlabeled_count)
 from sslgauss.harness import config_from_dict
 
@@ -144,6 +144,20 @@ class TestSampleDataset:
             ds.prefix(1000, 5)
         with pytest.raises(ConfigError, match="n = 21 exceeds the 20 unlabeled rows held"):
             ds.prefix(30, 21)
+
+    @pytest.mark.parametrize("labeled_x, labeled_y, unlabeled_x, message", [
+        (np.ones((2, 4)), np.array([1, -1]), np.ones(4), "must be 2-d"),
+        (np.ones((3, 4)), np.array([1, -1]), np.ones((5, 4)), "row counts differ"),
+        (np.ones((2, 4)), np.array([1, -1]), np.ones((5, 3)), "dimensions differ"),
+        (np.empty((0, 3)), np.empty(0, np.int8), np.ones((5, 4)), "dimensions differ"),
+        (np.ones((2, 4)), np.array([1, -1]), np.empty((0, 3)), "dimensions differ"),
+        (np.ones((2, 4)), np.array([1, 0]), np.ones((5, 4)), r"must lie in \{-1, \+1\}"),
+    ], ids=["not-2d", "label-count", "widths", "widths-empty-labeled",
+            "widths-empty-unlabeled", "label-value"])
+    def test_dataset_refuses_malformed_blocks(self, labeled_x, labeled_y, unlabeled_x,
+                                              message):
+        with pytest.raises(ConfigError, match=message):
+            Dataset(labeled_x, labeled_y, unlabeled_x)
 
     def test_zero_signal_mean(self):
         p, n = 16, 10 ** 4

@@ -42,7 +42,7 @@ CONFIGS = {
 def rows():
     out = []
     for name, config in CONFIGS.items():
-        records, _ = run_sweep(config, threads=1)
+        records, _ = run_sweep(config)
         out += [dict(config=name, method=r.method, L=str(r.L), n=str(r.n),
                      trial=str(r.trial), seed=str(r.seed), overlap=repr(r.overlap),
                      gen_error=repr(r.gen_error), excess_risk=repr(r.excess_risk),

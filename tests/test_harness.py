@@ -9,6 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import strip_runtime
 from sslgauss import estimators, harness
 from sslgauss.errors import ConfigError
 from sslgauss.estimators import EstimatorOutput
@@ -31,15 +32,6 @@ def small_config(**kw):
     )
     defaults.update(kw)
     return ExperimentConfig(**defaults)
-
-
-def strip_runtime(csv_text: str) -> str:
-    out = []
-    for line in csv_text.strip().splitlines():
-        cells = line.split(",")
-        del cells[11]  # runtime_ms column
-        out.append(",".join(cells))
-    return "\n".join(out)
 
 
 class TestRunTrial:
@@ -112,7 +104,7 @@ class TestRunSweep:
 
         monkeypatch.setitem(harness.METHODS, "lspca", boom)
         cfg = small_config(sweep_axis="n", sweep_values=(20, 60), trials=2)
-        records, aggs = run_sweep(cfg, threads=1)
+        records, aggs = run_sweep(cfg)
         assert len(records) == 2 * 2 * 2
         for rec in records:
             if rec.method == "lspca":
@@ -130,9 +122,9 @@ class TestRunSweep:
                                    direction=np.full(pp.p, np.nan))
 
         cfg = small_config(sweep_axis="n", sweep_values=(20, 60), trials=2)
-        clean, _ = run_sweep(cfg, threads=1)
+        clean, _ = run_sweep(cfg)
         monkeypatch.setitem(harness.METHODS, "lspca", nan_direction)
-        records, aggs = run_sweep(cfg, threads=1)
+        records, aggs = run_sweep(cfg)
         assert len(records) == len(clean) == 2 * 2 * 2
         for rec, ref in zip(records, clean):
             if rec.method == "lspca":
@@ -146,14 +138,19 @@ class TestRunSweep:
 
     def test_parallel_equals_serial(self):
         cfg = small_config(sweep_axis="n", sweep_values=(20, 60), trials=2)
-        serial_records, _ = run_sweep(cfg, threads=1)
-        parallel_records, _ = run_sweep(cfg, threads=4)
+        serial_records, _ = run_sweep(cfg)
+        parallel_records, _ = run_sweep(replace(cfg, threads=4))
         buf_a, buf_b = io.StringIO(), io.StringIO()
         for rec in serial_records:
             buf_a.write(rec.csv_row() + "\n")
         for rec in parallel_records:
             buf_b.write(rec.csv_row() + "\n")
         assert strip_runtime(buf_a.getvalue()) == strip_runtime(buf_b.getvalue())
+
+    def test_worker_count_comes_only_from_the_config(self):
+        # the second slot takes only the None that perfbench's launcher forwards
+        with pytest.raises(ConfigError, match="config.threads"):
+            run_sweep(small_config(), 4)
 
 
 def per_point_reference(cfg, records):
@@ -182,7 +179,7 @@ class TestOneDrawPerTrial:
         monkeypatch.setattr(harness, "trial_ground_truth", counted)
         cfg = small_config(methods=("top_k_labeled", "lspca", "self_train"),
                            sweep_axis="n", sweep_values=(20, 60, 100), trials=2)
-        records, _ = run_sweep(cfg, threads=1)
+        records, _ = run_sweep(cfg)
         assert len(records) == 3 * 3 * 2
         assert calls == [(0, 30, 100), (1, 30, 100)]
         assert harness._draw.cache_info().currsize == 0  # the draw is released
@@ -192,7 +189,7 @@ class TestOneDrawPerTrial:
     def test_sweep_matches_fresh_draws(self, axis, values):
         cfg = small_config(methods=tuple(harness.METHODS), sweep_axis=axis,
                            sweep_values=values, trials=2)
-        records, _ = run_sweep(cfg, threads=1)
+        records, _ = run_sweep(cfg)
         reference = per_point_reference(cfg, records)
         assert len(records) == 6 * 3 * 2
         assert not any(r.failed for r in records)
@@ -252,15 +249,15 @@ class TestSharedStatistics:
     @SHARING_SWEEPS
     def test_reversed_methods_give_identical_records(self, axis, values):
         cfg = sharing_config(axis, values)
-        forward, _ = run_sweep(cfg, threads=1)
-        backward, _ = run_sweep(replace(cfg, methods=SHARING_METHODS[::-1]), threads=1)
+        forward, _ = run_sweep(cfg)
+        backward, _ = run_sweep(replace(cfg, methods=SHARING_METHODS[::-1]))
         assert not any(r.failed for r in forward)
         assert csv_text(forward) == csv_text(backward)
 
     @SHARING_SWEEPS
     def test_points_visited_in_reverse_give_identical_records(self, axis, values):
         cfg = sharing_config(axis, values)
-        forward, _ = run_sweep(cfg, threads=1)
+        forward, _ = run_sweep(cfg)
         backward = []
         try:
             for trial in range(cfg.trials):
@@ -285,7 +282,7 @@ class TestSharedStatistics:
 
         monkeypatch.setattr(estimators, "_difference", counted)
         cfg = sharing_config(axis, values)
-        run_sweep(cfg, threads=1)
+        run_sweep(cfg)
         assert len(calls) == cfg.trials * per_trial
         assert len(set(calls)) == per_trial
 
@@ -331,7 +328,7 @@ class TestTrialGroundTruth:
     def test_prefix_reproduces_the_sweep(self):
         cfg = small_config(methods=("lspca", "vanilla_pca", "self_train"),
                            sweep_axis="n", sweep_values=(20, 60, 100), trials=2)
-        records, _ = run_sweep(cfg, threads=1)
+        records, _ = run_sweep(cfg)
         truths = {t: trial_ground_truth(cfg, t) for t in range(cfg.trials)}
         assert not any(r.failed for r in records)
         for r in records:

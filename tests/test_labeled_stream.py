@@ -130,7 +130,7 @@ def test_each_labeled_row_is_drawn_once_per_trial(monkeypatch, case):
         "all_methods": (_config(tuple(METHODS)), True),
     }[case]
     fills = spy_fills(monkeypatch)
-    records, _ = run_sweep(config, threads=1)
+    records, _ = run_sweep(config)
     assert not any(r.failed for r in records)
     sources = {id(source): source for source, *_ in fills}
     assert len(sources) == config.trials
