@@ -9,18 +9,21 @@ is exactly half the difference. Both come from one statistic, the float64
 sums pos and neg of each class's labeled rows, added in row order.
 
 Statistics that several estimators read are computed once per draw and
-shared by its prefixes (shared_value): the class sums, extended row by row
-when a larger labeled prefix asks for them, so an ascending L-sweep reads
-each labeled row once; per labeled prefix, the class-mean difference and
-the label-signed sum, each with its descending-|.| order; per grid point,
-the screened RestrictedCovariance that lspca and ls2pca both only read,
-one held at a time. The class sums read the labeled block if it is drawn
-and otherwise draw the rows they lack (Dataset.labeled_rows) and drop them
-once added, so only the methods in READS_LABELED_ROWS keep the block: a
-reader of the sums alone holds at most the L x p rows, once, and never
-beside the screened columns lspca draws after them. Every estimator
-reads the draw's row blocks in place, casting at most a slab of columns at
-once.
+shared by its prefixes (shared_value): the class sums, kept per labeled
+prefix and extended from the largest smaller one, so an ascending L-sweep
+reads each labeled row once; per labeled prefix, the class-mean difference
+and the label-signed sum, each with its descending-|.| order; per grid
+point, the screened RestrictedCovariance that lspca and ls2pca both only
+read, one held at a time; and self_train's pseudo-label sums at every grid
+point of the draw, from one pass of unlabeled column tiles. The class sums
+read the labeled block if it is drawn and otherwise draw the rows they
+lack (Dataset.labeled_rows) and drop them once added, and the tile pass
+reads views of the unlabeled block if it is drawn and otherwise draws
+each tile and drops it, so only the methods in READS_WHOLE_BLOCKS keep a
+block: a reader of the sums alone holds at most the L x p labeled rows,
+once, and never beside the screened columns lspca draws after them, and
+self_train holds two tile buffers per draw thread. Every estimator reads the
+draw's row blocks in place, casting at most a slab of columns at once.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 from .errors import (ContractError, ConvergenceError, InsufficientSamplesError,
                      MissingClassError, ScreeningTooSmallError)
 from .gmodel import Dataset, ProblemParams
-from .spectral import (NARROW_SLAB, PowerResult, float64_slabs, power_iteration,
+from .spectral import (NARROW_SLAB, PowerResult, power_iteration,
                        principal_direction, restricted_covariance, top_k_indices, truncated_power)
 
 _DEFAULT_BETA_TILDE = 0.5
@@ -89,17 +92,19 @@ def shared_value(dataset: Dataset, kind: str, key: tuple, make: Callable):
 
 def _class_sums(dataset: Dataset) -> np.ndarray:
     """The class sums of the dataset's L labeled rows (_add_by_class), kept
-    per draw: a larger prefix adds only the rows it lacks, a smaller one
-    starts over. The rows come from Dataset.labeled_rows, a view of the
-    drawn block or a new array of the rows lacking, dropped once added."""
+    per draw and L: an L not yet summed copies the sums of the largest
+    smaller L and adds only the rows it lacks. The rows come from
+    Dataset.labeled_rows, a view of the drawn block or a new array of the
+    rows lacking, dropped once added."""
     if dataset.L == 0:
         raise InsufficientSamplesError("need at least one labeled sample")
-    done, sums = dataset.shared.get("class_sums", (0, None))
-    if sums is None or done > dataset.L:
-        done, sums = 0, _new_sums(dataset.p)
-    _add_by_class(sums, dataset.labeled_rows(done), dataset.labeled_y[done:])
-    dataset.shared["class_sums"] = (dataset.L, sums)
-    return sums
+    kept = dataset.shared.setdefault("class_sums", {})
+    if dataset.L not in kept:
+        done = max((L for L in kept if L < dataset.L), default=0)
+        sums = kept[done].copy() if done else _new_sums(dataset.p)
+        _add_by_class(sums, dataset.labeled_rows(done), dataset.labeled_y[done:])
+        kept[dataset.L] = sums
+    return kept[dataset.L]
 
 
 def _mean_difference(dataset: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -210,27 +215,60 @@ def self_train(dataset: Dataset, k: int, gamma_threshold: float) -> EstimatorOut
     """Pseudo-label the unlabeled data with the thresholded signed mean, keep
     confident points (|score| > threshold), refit the signed mean on the
     union, and read the support off its k largest magnitudes. The scores read
-    only the pilot's k columns; the confident rows' sum is one product of
-    the rows, in place, with weights sign(score) on them and 0 elsewhere
-    (float32 rows are cast COLUMN_BLOCK columns at a time)."""
+    only the pilot's k columns; the confident rows' sum, with weights
+    sign(score) on them and 0 elsewhere, comes from _pseudo_label_sums."""
     if not gamma_threshold >= 0:
         raise ContractError(f"threshold must be nonnegative, got {gamma_threshold}")
-    labeled_sum, w, order = _signed_sum(dataset)
+    labeled_sum, w, _ = _signed_sum(dataset)
     if k > w.size:
         raise ContractError(f"k={k} exceeds dimension {w.size}")
-    pilot_support = order[:k]
-
     n_eff, pseudo_sum = 0, 0.0
     if dataset.n:
-        ux = dataset.unlabeled_x
-        scores = ux[:, pilot_support] @ w[pilot_support]
-        weights = np.where(np.abs(scores) > gamma_threshold, np.sign(scores), 0.0)
-        n_eff = int(np.count_nonzero(weights))
-        pseudo_sum = np.concatenate([weights @ slab[0] for _, slab in float64_slabs([ux])])
+        n_eff, pseudo_sum = _pseudo_label_sums(dataset, k, gamma_threshold)[dataset.L, dataset.n]
     w_self = (labeled_sum + pseudo_sum) / (dataset.L + n_eff)
     support = top_k_indices(np.abs(w_self), k)
     return _finalize("self_train", w.size, support, w_self[support],
                      aux={"n_eff": n_eff})
+
+
+def _pseudo_label_sums(dataset: Dataset, k: int, threshold: float) -> dict:
+    """(n_eff, pseudo-label sum) at each point (L, n) of the draw's grid with
+    L, n >= 1, or at the dataset's own point when it is off the grid, kept
+    per draw. Each point's pilot is the top k of its signed mean, taken in
+    ascending L from class sums that draw each labeled row once. The
+    pilots' columns are drawn once and score each point's n rows; then one
+    tile pass (Dataset.unlabeled_tiles) reuses them and reduces each tile,
+    in row order, over each point's own rows [0, n), so a point's sum
+    depends only on its rows, whichever grid it is on."""
+    points = dataset.grid if (dataset.L, dataset.n) in dataset.grid else ((dataset.L, dataset.n),)
+    points = tuple((L, n) for L, n in points if L and n)
+
+    def make():
+        largest = dataset.prefix(dataset.L, max(n for _, n in points))
+        pilots = {}
+        for L in sorted({L for L, _ in points}):
+            _, w, order = _signed_sum(largest.prefix(L, largest.n))
+            pilots[L] = order[:k], w[order[:k]]
+        union = np.unique(np.concatenate([support for support, _ in pilots.values()]))
+        cols = largest.unlabeled_columns(union)
+        weights = {}
+        for L, n in points:
+            support, values = pilots[L]
+            scores = cols[:n][:, np.searchsorted(union, support)] @ values
+            weights[L, n] = np.where(np.abs(scores) > threshold, np.sign(scores), 0.0)
+        sums = {point: np.empty(dataset.p) for point in points}
+
+        def reduce(lo, tile):
+            # einsum, not BLAS: a row-order sum per column, whose bits do not
+            # depend on where the tile came from, and no BLAS threads
+            # contending with the draw threads
+            for (L, n), wt in weights.items():
+                sums[L, n][lo:lo + tile.shape[1]] = np.einsum("i,ij->j", wt, tile[:n])
+
+        largest.unlabeled_tiles(reduce, dict(zip(union.tolist(), cols.T)))
+        return {point: (int(np.count_nonzero(weights[point])), sums[point]) for point in points}
+
+    return shared_value(dataset, "pseudo_label_sums", (k, threshold, points), make)
 
 
 def ul_diag_threshold_pca(dataset: Dataset, k: int) -> EstimatorOutput:
@@ -354,6 +392,6 @@ METHODS: dict[str, Callable[[Dataset, ProblemParams, float | str, float], Estima
     "vanilla_pca": _run_vanilla,
 }
 
-# The methods that read the labeled rows themselves, not only their class
-# sums; a trial that runs one draws the labeled block whole up front.
-READS_LABELED_ROWS = frozenset({"ul_diag_threshold_pca", "vanilla_pca"})
+# The methods that read both blocks whole; a trial that runs one draws them
+# up front, and the class sums and self_train's tile pass read them in place.
+READS_WHOLE_BLOCKS = frozenset({"ul_diag_threshold_pca", "vanilla_pca"})

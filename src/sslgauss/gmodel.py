@@ -11,8 +11,10 @@ column j from (unlabeled noise seed, j). Both blocks are drawn on read: the
 labeled rows by LabeledSource, so a reader that needs only their class
 sums draws the rows, adds them and drops them without keeping the block,
 and the unlabeled rows by UnlabeledSource, so a reader that needs only
-some columns (lspca's screened set) draws only those. Each source keeps
-its whole block once a reader asks for it. Both are drawn on the
+some columns (lspca's screened set) draws only those, and a reader that
+reduces every column (self_train's pseudo-label sums) takes them in one
+pass of column tiles, each dropped once reduced. A source keeps its whole
+block only when a reader asks for the block itself. Both are drawn on the
 process's share of the usable cores (all of them outside a process pool)
 with the same bits as a serial draw.
 """
@@ -233,18 +235,19 @@ def _on_draw_threads(count: int, stripe) -> None:
             list(pool.map(stripe, range(step), [step] * step))
 
 
-def _keyed_fill(gen: np.random.Generator, out: np.ndarray, seed: int, keys) -> None:
-    """Row r of out becomes the first out.shape[1] normals of Philox under
-    the 128-bit key (seed, keys[r]): gen, a Philox generator, is rekeyed per
-    row through its state, so a row's bits do not depend on the other rows."""
+def _keyed_fill(gen: np.random.Generator, rows, seed: int, keys) -> None:
+    """rows[r], a 1-d array, becomes its first len(rows[r]) normals of
+    Philox under the 128-bit key (seed, keys[r]): gen, a Philox generator, is
+    rekeyed per row through its state, so a row's bits do not depend on the
+    other rows."""
     # plain lists: the state setter reads them faster than arrays
     state = {"bit_generator": "Philox",
              "state": {"counter": [0, 0, 0, 0], "key": [seed & MASK64, 0]},
              "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-    for row, j in zip(out, keys):
+    for row, j in zip(rows, keys):
         state["state"]["key"][1] = j
         gen.bit_generator.state = state
-        gen.standard_normal(dtype=out.dtype, out=row)
+        gen.standard_normal(dtype=row.dtype, out=row)
 
 
 def _labels(seed: int, count: int) -> np.ndarray:
@@ -338,27 +341,47 @@ class UnlabeledSource(_Source):
         return self._draw(range(self.shape[1]), self.shape[0])
 
     def _draw(self, cols, n: int) -> np.ndarray:
-        """Tiles of _TILE columns striped over the draw threads; a thread
-        keeps one Philox, fills a (tile, n) buffer by column keys and copies
-        it transposed into the row-major result."""
         out = np.empty((n, len(cols)), dtype=self.dtype)
-        y = self._y[:n]
+        self.tiles(cols, n, None, out=out)
+        return out
+
+    def tiles(self, cols, n: int, use, drawn=None, out=None) -> None:
+        """The tile pass over rows [0, n) of columns cols (any order), _TILE
+        columns at a time, striped over the draw threads. A thread keeps one
+        Philox and fills a (tile, n) buffer by column keys, copying the
+        columns that drawn (column -> its n rows) holds instead of drawing
+        them again. It copies the buffer transposed into the tile, the view
+        out[:, lo:lo + w] or an (n, w) scratch array the thread reuses, and
+        calls use(lo, tile) there, unless use is None. Either tile has
+        adjacent columns and strided rows, as a view of the block has."""
+        drawn = drawn or {}
         starts = range(0, len(cols), _TILE)
 
         def stripe(first: int, step: int) -> None:
             gen = generator(0)
             buf = np.empty((_TILE, n), dtype=self.dtype)
+            scratch = np.empty((n, _TILE), dtype=self.dtype) if out is None else None
             for lo in starts[first::step]:
-                tile = cols[lo:lo + _TILE]
-                _keyed_fill(gen, buf, self._noise_seed, tile)
-                for row, j in zip(buf, tile):
-                    bump = self._bumps.get(j)
-                    if bump is not None:
-                        row += y * bump
-                out[:, lo:lo + len(tile)] = buf[:len(tile)].T
+                keys = cols[lo:lo + _TILE]
+                fresh = [i for i, j in enumerate(keys) if j not in drawn]
+                self._fill(gen, [buf[i] for i in fresh], [keys[i] for i in fresh])
+                for i, j in enumerate(keys):
+                    if j in drawn:
+                        buf[i] = drawn[j]
+                tile = scratch[:, :len(keys)] if out is None else out[:, lo:lo + len(keys)]
+                tile[...] = buf[:len(keys)].T
+                if use is not None:
+                    use(lo, tile)
 
         _on_draw_threads(len(starts), stripe)
-        return out
+
+    def _fill(self, gen: np.random.Generator, rows: list, keys: list) -> None:
+        """Column keys[r] into rows[r], on the calling thread."""
+        _keyed_fill(gen, rows, self._noise_seed, keys)
+        for row, j in zip(rows, keys):
+            bump = self._bumps.get(j)
+            if bump is not None:
+                row += self._y[:row.size] * bump
 
 
 class Dataset:
@@ -368,9 +391,12 @@ class Dataset:
     an UnlabeledSource that draw them on read; a dataset holds every row
     given, and prefix reads its first L and n. Reading the labeled_x or
     unlabeled_x property draws that whole block. Until it is drawn,
-    labeled_rows draws only the labeled rows asked for and
-    unlabeled_columns only the columns asked for, neither kept. Arrays are
-    marked read-only; datasets can be shared across workers.
+    labeled_rows draws only the labeled rows asked for, unlabeled_columns
+    only the columns asked for and unlabeled_tiles one tile of columns at a
+    time, none kept. grid holds the (L, n) points that prefixes of the draw
+    serve, its own (L, n) unless the caller sets it, so that a reader can
+    serve them all in one pass. Arrays are marked read-only; datasets can
+    be shared across workers.
     """
 
     def __init__(self, labeled_x, labeled_y: np.ndarray, unlabeled_x):
@@ -382,6 +408,7 @@ class Dataset:
         if len(labeled_x.shape) != 2 or len(unlabeled_x.shape) != 2:
             raise ConfigError("data matrices must be 2-d (rows are samples)")
         self._L, self._n = labeled_x.shape[0], unlabeled_x.shape[0]
+        self.grid = ((self._L, self._n),)
         if self._L != labeled_y.shape[0]:
             raise ConfigError("labeled_x and labeled_y row counts differ")
         if labeled_x.shape[1] != unlabeled_x.shape[1]:
@@ -439,6 +466,26 @@ class Dataset:
             return u.columns(idx, self._n)
         # np.take lays the result out row-major; x[:, idx] would not
         return np.take(self.unlabeled_x, idx, axis=1)
+
+    def unlabeled_tiles(self, use, drawn=None) -> None:
+        """use(lo, tile) on the draw threads for each _TILE unlabeled columns
+        [lo, lo + w), tile holding their n rows: a view of the whole block
+        once it is drawn, otherwise drawn by UnlabeledSource.tiles, which
+        copies the columns in drawn (column -> its n rows) rather than
+        drawing them again, and dropped. Both give the same bits and the
+        same layout."""
+        u = self._unlabeled
+        if isinstance(u, UnlabeledSource) and u.block is None:
+            u.tiles(range(self.p), self._n, use, drawn)
+            return
+        block = self.unlabeled_x
+        starts = range(0, self.p, _TILE)
+
+        def stripe(first: int, step: int) -> None:
+            for lo in starts[first::step]:
+                use(lo, block[:, lo:lo + _TILE])
+
+        _on_draw_threads(len(starts), stripe)
 
     def prefix(self, L: int, n: int) -> "Dataset":
         """The first L labeled pairs and n unlabeled vectors of the rows

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError
-from .estimators import METHODS, READS_LABELED_ROWS
+from .estimators import METHODS, READS_WHOLE_BLOCKS
 from .gmodel import (Dataset, ProblemParams, SparseMean, check_magnitude, k_from_alpha,
                      labeled_count, make_sparse_mean, sample_dataset, share_cores, unlabeled_count)
 from .metrics import score
@@ -136,18 +136,20 @@ def trial_ground_truth(config: ExperimentConfig, trial_index: int
     """Mean and dataset of one trial, drawn at the config's largest (L, n):
     the draw the sweep makes, whose prefixes are its grid points. Both
     depend only on (master seed, trial index) and the config's problem. The
-    rows are drawn as estimators read them, except that the labeled block is
-    drawn here whole when a configured method reads it (READS_LABELED_ROWS):
-    the labeled class sums then read the block instead of drawing its rows
-    a second time."""
+    dataset's grid is the config's points, which self_train serves in one
+    pass. The rows are drawn as estimators read them, except that both
+    blocks are drawn here whole when a configured method reads them
+    (READS_WHOLE_BLOCKS): the labeled class sums and self_train's tile pass
+    then read the blocks instead of drawing their rows a second time."""
     points = config.points()
     pp = replace(config.params, L=max(L for L, _ in points), n=max(n for _, n in points))
     seed = trial_seed(config, trial_index)
     mu = make_sparse_mean(pp, seed=mix64(seed, STREAM_MEAN))
     dtype = np.float32 if config.f32 else np.float64
     ds = sample_dataset(mu, pp.L, pp.n, seed=mix64(seed, STREAM_DATA), dtype=dtype)
-    if READS_LABELED_ROWS.intersection(config.methods):
-        ds.labeled_x
+    ds.grid = tuple(points)
+    if READS_WHOLE_BLOCKS.intersection(config.methods):
+        ds.labeled_x, ds.unlabeled_x
     return mu, ds
 
 

@@ -106,7 +106,8 @@ def test_row_blocks_equal_stacked_rows_at_default_width():
 
 
 def test_self_train_column_blocks_match_whole_rows():
-    # the pseudo-label sum over three slabs against the whole-row product
+    # the pseudo-label sum over 18 column tiles, drawn and dropped, against
+    # the whole-row product
     p, k, threshold = 2 * COLUMN_BLOCK + 300, 5, 0.8
     pp = ProblemParams(p=p, k=k, lam=3.0, L=40, n=120, seed=3)
     ds = sample_dataset(make_sparse_mean(pp, seed=3), 40, 120, seed=4)
@@ -276,10 +277,10 @@ def test_labeled_statistics_equal_the_whole_row_formulas(dtype):
 def test_self_train_float32_reads_no_whole_block():
     # On a float32 draw (38.4 MB) a float64 copy of the unlabeled rows is
     # 1.67 of the draw. The scores read the pilot's k columns and the
-    # pseudo-label sum casts one 500 x 2048 slab at a time (0.21 of the
-    # draw), each released before the next is cast, so the peak is about
-    # 0.23; a loop that held the last slab while the next was cast peaked
-    # at 0.44.
+    # pseudo-label sum reduces views of the drawn block one 256-column tile
+    # at a time, which einsum casts through its own small buffers, so the
+    # peak is about 0.06; casting 500 x 2048 slabs for a product peaked at
+    # 0.23.
     share = _peak_share("self_train", np.float32)
     assert share < 0.3, f"self_train: peak {share:.2f} of the float32 draw"
 

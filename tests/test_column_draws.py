@@ -2,18 +2,26 @@
 
 Every read of an unlabeled column gives the same bits: drawn alone or with
 the whole block, in any order, at any row prefix and on any number of
-threads. A trial draws the whole block only when a reader takes every
-column; lspca and ls2pca read only their screened columns. Each labeled row
+threads. A trial draws the whole block only when a configured method reads
+it whole; lspca and ls2pca read only their screened columns, and
+self_train reduces every column in one tile pass per trial that draws each
+column once and keeps none, with the records of a held block. Each labeled row
 is its own keyed stream: the block's bits do not depend on the number of
 draw threads, and a smaller L draws a prefix of the rows.
 """
 
+import tracemalloc
+from collections import Counter
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from conftest import strip_runtime
 from sslgauss import gmodel, harness
+from sslgauss.estimators import self_train
 from sslgauss.gmodel import (STREAM_LABELED_NOISE, STREAM_LABELED_Y, STREAM_UNLABELED_NOISE,
-                             STREAM_UNLABELED_Y, ProblemParams, UnlabeledSource,
+                             STREAM_UNLABELED_Y, ProblemParams, UnlabeledSource, k_from_alpha,
                              make_sparse_mean, sample_dataset)
 from sslgauss.harness import ExperimentConfig, run_sweep, run_trial
 from sslgauss.rng import generator, mix64
@@ -159,6 +167,33 @@ def test_empty_column_read(monkeypatch, threads):
     assert source.columns([], 0).shape == (0, 0)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_tiles_equal_views_of_the_whole_block(dtype):
+    # p = 513 leaves a one-column last tile. Drawn tiles, with some columns
+    # copied in rather than drawn, have the bits and the layout of the held
+    # block's views, so self_train gives the same bytes from either, at
+    # every point of the grid.
+    pp = ProblemParams(p=513, k=5, lam=3.0, L=30, n=200)
+    mu = make_sparse_mean(pp, seed=2)
+    tiles, outputs = [], []
+    for held in (False, True):
+        ds = sample_dataset(mu, 30, 200, seed=3, dtype=dtype)
+        ds.grid = ((10, 200), (30, 50), (30, 200))
+        drawn = {j: ds.unlabeled_columns([j])[:, 0] for j in (0, 300, 512)}
+        if held:
+            ds.unlabeled_x
+        got = {}
+        ds.unlabeled_tiles(lambda lo, tile: got.setdefault(lo, (tile.tobytes(), tile.strides[1])),
+                           drawn)
+        tiles.append(got)
+        outputs.append([self_train(ds.prefix(L, n), 5, 0.8) for L, n in ds.grid])
+    assert sorted(tiles[0]) == [0, 256, 512]
+    assert tiles[0] == tiles[1]
+    for streamed, held in zip(*outputs):
+        assert streamed.aux == held.aux and streamed.aux["n_eff"] > 0
+        assert streamed.direction.tobytes() == held.direction.tobytes()
+
+
 def spy_whole(monkeypatch) -> list[bool]:
     """Record each call of UnlabeledSource.whole: True when it draws."""
     calls = []
@@ -172,9 +207,16 @@ def spy_whole(monkeypatch) -> list[bool]:
     return calls
 
 
+P_CONFIG = 600  # config()'s p: three tiles, the last one 88 columns wide
+
+
 def config(methods, **kw):
-    return ExperimentConfig(params=ProblemParams(p=600, k=6, lam=3.0, L=40, n=120, seed=5),
+    return ExperimentConfig(params=ProblemParams(p=P_CONFIG, k=6, lam=3.0, L=40, n=120, seed=5),
                             methods=methods, trials=1, beta_tilde=0.4, **kw)
+
+
+def csv_text(records) -> str:
+    return strip_runtime("\n".join(rec.csv_row() for rec in records))
 
 
 @pytest.mark.parametrize("method", ["lspca", "ls2pca"])
@@ -188,11 +230,11 @@ def test_lspca_trial_never_draws_the_whole_block(monkeypatch, method):
     assert calls == []
 
 
-def test_self_train_trial_draws_the_whole_block_once(monkeypatch):
+def test_self_train_trial_never_draws_the_whole_block(monkeypatch):
     calls = spy_whole(monkeypatch)
     records, _ = run_sweep(config(("lspca", "self_train")))
     assert not any(r.failed for r in records)
-    assert calls == [True]
+    assert calls == []
 
 
 def test_sweep_draws_the_whole_block_once_per_trial(monkeypatch):
@@ -205,10 +247,70 @@ def test_sweep_draws_the_whole_block_once_per_trial(monkeypatch):
 
 
 def test_lspca_records_do_not_depend_on_the_whole_block():
-    # lspca first draws its columns alone; after self_train it slices them
-    # from the whole block
-    alone, _ = run_sweep(config(("lspca",)))
-    after, _ = run_sweep(config(("self_train", "lspca")))
-    after = [r for r in after if r.method == "lspca"]
-    key = [(r.overlap, r.gen_error, r.excess_risk, r.seed) for r in alone]
-    assert key == [(r.overlap, r.gen_error, r.excess_risk, r.seed) for r in after]
+    # Alone, lspca draws its columns and self_train its tiles; beside
+    # vanilla_pca, whose trial draws the whole block up front, both read
+    # views of it. The records must be byte-identical, at every point.
+    sweep = {"sweep_axis": "n", "sweep_values": (60, 91, 120)}
+    streamed, _ = run_sweep(config(("lspca", "self_train"), **sweep))
+    held, _ = run_sweep(config(("self_train", "lspca", "vanilla_pca"), **sweep))
+    held = [r for r in held if r.method != "vanilla_pca"]
+    assert not any(r.failed for r in streamed)
+    assert {r.method for r in streamed} == {"lspca", "self_train"}
+    assert csv_text(streamed) == csv_text(held)
+
+
+def spy_unlabeled_fills(monkeypatch) -> list[tuple]:
+    """Record each unlabeled keyed fill as (source, column keys)."""
+    fills = []
+    fill = UnlabeledSource._fill
+
+    def spied(self, gen, rows, keys):
+        fills.append((self, list(keys)))
+        return fill(self, gen, rows, keys)
+
+    monkeypatch.setattr(UnlabeledSource, "_fill", spied)
+    return fills
+
+
+@pytest.mark.parametrize("sweep", [("n", (40, 60, 80, 100, 120)), ("L", (10, 20, 40))],
+                         ids=["n_sweep", "L_sweep"])
+def test_each_unlabeled_column_is_drawn_once_per_trial(monkeypatch, sweep):
+    # self_train serves every point of a trial from one tile pass, which
+    # reuses the pilot columns its scores read: a pass per point would draw
+    # each column once per point
+    axis, values = sweep
+    cfg = replace(config(("top_k_labeled", "self_train"), sweep_axis=axis, sweep_values=values),
+                  trials=2)
+    fills = spy_unlabeled_fills(monkeypatch)
+    records, _ = run_sweep(cfg)
+    assert not any(r.failed for r in records)
+    sources = {id(source): source for source, _ in fills}
+    assert len(sources) == cfg.trials
+    for source in sources.values():
+        keys = Counter(j for s, cols in fills if s is source for j in cols)
+        assert keys == Counter(range(P_CONFIG))
+        assert source.block is None
+
+
+def test_n_sweep_trial_holds_no_unlabeled_block(monkeypatch):
+    # p = 8000, L = 100, n up to 800 in float64: the unlabeled block is 51.2
+    # MB. Its tiles are drawn, reduced for every point and dropped: the
+    # trial holds the 6.4 MB labeled rows while their class sums add them,
+    # two 800 x 256 tile buffers per draw thread (1.6 MB each) and lspca's
+    # screened columns, a peak of 9.6 MB. Two draw threads keep the bound
+    # off the core count. Drawing the whole block for self_train's product
+    # peaked at 55.1 MB.
+    monkeypatch.setattr(gmodel, "_draw_threads", lambda: 2)
+    pp = ProblemParams(p=8000, k=k_from_alpha(8000, 0.4), lam=3.0, L=100, n=800, seed=9)
+    cfg = ExperimentConfig(params=pp, methods=("lspca", "ls2pca", "top_k_labeled", "self_train"),
+                           trials=1, sweep_axis="n", sweep_values=(100, 200, 400, 800),
+                           beta_tilde=0.4)
+    tracemalloc.start()
+    try:
+        records = harness._run_trial_task((cfg, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not any(r.failed for r in records)
+    block = pp.n * pp.p * 8
+    assert peak < block / 2, f"peak {peak / 1e6:.1f} MB, unlabeled block {block / 1e6:.1f} MB"
