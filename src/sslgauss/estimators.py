@@ -17,13 +17,15 @@ point, the screened RestrictedCovariance that lspca and ls2pca both only
 read, one held at a time; and self_train's pseudo-label sums at every grid
 point of the draw, from one pass of unlabeled column tiles. The class sums
 read the labeled block if it is drawn and otherwise draw the rows they
-lack (Dataset.labeled_rows) and drop them once added, and the tile pass
-reads views of the unlabeled block if it is drawn and otherwise draws
-each tile and drops it, so only the methods in READS_WHOLE_BLOCKS keep a
-block: a reader of the sums alone holds at most the L x p labeled rows,
-once, and never beside the screened columns lspca draws after them, and
-self_train holds two tile buffers per draw thread. Every estimator reads the
-draw's row blocks in place, casting at most a slab of columns at once.
+lack in chunks of a fixed byte budget (Dataset.labeled_chunks), each
+dropped once added, and the tile pass reads views of the unlabeled block
+if it is drawn and otherwise draws each tile, cut to a fixed byte budget,
+and drops it. So only the methods in READS_WHOLE_BLOCKS keep a block: a
+reader of the sums alone holds one chunk of labeled rows at a time, and
+none beside the screened columns lspca draws after them, and self_train
+holds two tile buffers per draw thread, whatever L and n are. Every
+estimator reads the draw's row blocks in place, casting at most a slab of
+columns at once.
 """
 
 from __future__ import annotations
@@ -93,16 +95,18 @@ def shared_value(dataset: Dataset, kind: str, key: tuple, make: Callable):
 def _class_sums(dataset: Dataset) -> np.ndarray:
     """The class sums of the dataset's L labeled rows (_add_by_class), kept
     per draw and L: an L not yet summed copies the sums of the largest
-    smaller L and adds only the rows it lacks. The rows come from
-    Dataset.labeled_rows, a view of the drawn block or a new array of the
-    rows lacking, dropped once added."""
+    smaller L and adds only the rows it lacks. The rows come in row order
+    from Dataset.labeled_chunks, views of the drawn block or chunks of a
+    fixed byte budget drawn alone, each dropped once added."""
     if dataset.L == 0:
         raise InsufficientSamplesError("need at least one labeled sample")
     kept = dataset.shared.setdefault("class_sums", {})
     if dataset.L not in kept:
         done = max((L for L in kept if L < dataset.L), default=0)
         sums = kept[done].copy() if done else _new_sums(dataset.p)
-        _add_by_class(sums, dataset.labeled_rows(done), dataset.labeled_y[done:])
+        ys = dataset.labeled_y
+        dataset.labeled_chunks(done, lambda lo, rows: _add_by_class(sums, rows,
+                                                                    ys[lo:lo + len(rows)]))
         kept[dataset.L] = sums
     return kept[dataset.L]
 

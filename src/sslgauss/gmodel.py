@@ -9,14 +9,16 @@ Both blocks of a draw take their noise from keyed Philox streams (Salmon et
 al., SC'11): labeled row i from the key (labeled noise seed, i), unlabeled
 column j from (unlabeled noise seed, j). Both blocks are drawn on read: the
 labeled rows by LabeledSource, so a reader that needs only their class
-sums draws the rows, adds them and drops them without keeping the block,
+sums draws the rows in chunks, adds each and drops it before the next,
 and the unlabeled rows by UnlabeledSource, so a reader that needs only
 some columns (lspca's screened set) draws only those, and a reader that
 reduces every column (self_train's pseudo-label sums) takes them in one
-pass of column tiles, each dropped once reduced. A source keeps its whole
-block only when a reader asks for the block itself. Both are drawn on the
-process's share of the usable cores (all of them outside a process pool)
-with the same bits as a serial draw.
+pass of column tiles, each dropped once reduced. Chunks and tiles are cut
+to a fixed byte budget per draw thread (draws_that_fit), so what such a
+reader holds of a draw depends on neither L nor n. A source keeps its
+whole block only when a reader asks for the block itself. Both are drawn
+on the process's share of the usable cores (all of them outside a process
+pool) with the same bits as a serial draw.
 """
 
 from __future__ import annotations
@@ -43,9 +45,15 @@ STREAM_UNLABELED_NOISE = 0x24
 # Absorbs pow() rounding so that e.g. floor(1e6 ** (1/3)) lands on 100.
 _FLOOR_EPS = 1e-9
 
-# Columns per tile of an unlabeled draw: a thread draws a tile's columns into
-# a (tile, n) buffer and copies it into the row-major result.
-_TILE = 256
+# Bytes of fresh draws a draw thread fills at once (draws_that_fit), so that
+# what a draw holds depends on neither L nor n: an unlabeled tile is as many
+# columns of n rows as fit _TILE_BYTES, and a chunk of the labeled rows the
+# class sums add is as many rows per draw thread as fit _CHUNK_BYTES, larger
+# because each chunk starts and joins the draw threads (on two cores, 1 MiB
+# chunks took the class sums of a p = 1e5, L = 200 float32 draw from 0.22 s
+# to 0.26 s; 4 MiB chunks kept them at 0.22 s).
+_TILE_BYTES = 1 << 20
+_CHUNK_BYTES = 4 << 20
 
 
 def _floor_count(x: float) -> int:
@@ -225,6 +233,12 @@ def _draw_threads() -> int:
     return max(1, cores // _processes)
 
 
+def draws_that_fit(length: int, dtype, budget: int) -> int:
+    """How many rows or columns of length entries of dtype fill budget
+    bytes: at least one, whatever their size."""
+    return max(1, budget // max(1, length * np.dtype(dtype).itemsize))
+
+
 def _on_draw_threads(count: int, stripe) -> None:
     """Run stripe(first, step) on one thread per stripe first, first + step,
     ... of count units, on this process's share of the usable cores; with
@@ -346,23 +360,25 @@ class UnlabeledSource(_Source):
         return out
 
     def tiles(self, cols, n: int, use, drawn=None, out=None) -> None:
-        """The tile pass over rows [0, n) of columns cols (any order), _TILE
-        columns at a time, striped over the draw threads. A thread keeps one
-        Philox and fills a (tile, n) buffer by column keys, copying the
-        columns that drawn (column -> its n rows) holds instead of drawing
-        them again. It copies the buffer transposed into the tile, the view
-        out[:, lo:lo + w] or an (n, w) scratch array the thread reuses, and
-        calls use(lo, tile) there, unless use is None. Either tile has
-        adjacent columns and strided rows, as a view of the block has."""
+        """The tile pass over rows [0, n) of columns cols (any order), w =
+        draws_that_fit(n, dtype, _TILE_BYTES) columns at a time, striped over
+        the draw threads. A thread keeps one Philox and fills a (w, n) buffer by
+        column keys, copying the columns that drawn (column -> its n rows)
+        holds instead of drawing them again. It copies the buffer transposed
+        into the tile, the view out[:, lo:lo + w] or an (n, w) scratch array
+        the thread reuses, and calls use(lo, tile) there, unless use is
+        None. Either tile has adjacent columns and strided rows, as a view
+        of the block has."""
         drawn = drawn or {}
-        starts = range(0, len(cols), _TILE)
+        width = min(draws_that_fit(n, self.dtype, _TILE_BYTES), len(cols))
+        starts = range(0, len(cols), width or 1)
 
         def stripe(first: int, step: int) -> None:
             gen = generator(0)
-            buf = np.empty((_TILE, n), dtype=self.dtype)
-            scratch = np.empty((n, _TILE), dtype=self.dtype) if out is None else None
+            buf = np.empty((width, n), dtype=self.dtype)
+            scratch = np.empty((n, width), dtype=self.dtype) if out is None else None
             for lo in starts[first::step]:
-                keys = cols[lo:lo + _TILE]
+                keys = cols[lo:lo + width]
                 fresh = [i for i, j in enumerate(keys) if j not in drawn]
                 self._fill(gen, [buf[i] for i in fresh], [keys[i] for i in fresh])
                 for i, j in enumerate(keys):
@@ -391,18 +407,20 @@ class Dataset:
     an UnlabeledSource that draw them on read; a dataset holds every row
     given, and prefix reads its first L and n. Reading the labeled_x or
     unlabeled_x property draws that whole block. Until it is drawn,
-    labeled_rows draws only the labeled rows asked for, unlabeled_columns
-    only the columns asked for and unlabeled_tiles one tile of columns at a
-    time, none kept. grid holds the (L, n) points that prefixes of the draw
-    serve, its own (L, n) unless the caller sets it, so that a reader can
-    serve them all in one pass. Arrays are marked read-only; datasets can
-    be shared across workers.
+    labeled_rows draws only the labeled rows asked for, labeled_chunks one
+    chunk of rows at a time, unlabeled_columns only the columns asked for
+    and unlabeled_tiles one tile of columns at a time, none kept. grid holds
+    the (L, n) points that prefixes of the draw serve, its own (L, n) unless
+    the caller sets it, so that a reader can serve them all in one pass.
+    Every array a dataset holds is read-only: a caller's arrays are held as
+    read-only views, their own flags untouched. Datasets can be shared
+    across workers.
     """
 
     def __init__(self, labeled_x, labeled_y: np.ndarray, unlabeled_x):
-        self._labeled = labeled_x
-        self._labels = labeled_y
-        self._unlabeled = unlabeled_x
+        self._labeled, self._labels, self._unlabeled = (
+            _freeze(a.view()) if isinstance(a, np.ndarray) else a
+            for a in (labeled_x, labeled_y, unlabeled_x))
         # statistics computed once per draw (estimators.shared_value)
         self.shared = {}
         if len(labeled_x.shape) != 2 or len(unlabeled_x.shape) != 2:
@@ -447,14 +465,23 @@ class Dataset:
         # returns the same object, which identity checks and weakrefs rely on
         return block if block.shape[0] == self._n else block[:self._n]
 
-    def labeled_rows(self, start: int) -> np.ndarray:
-        """Labeled rows [start, L): a view of the whole block once it is
-        drawn, otherwise LabeledSource.rows, drawn alone as a new array.
-        Both give the same bits."""
+    def labeled_rows(self, lo: int, hi: int) -> np.ndarray:
+        """Labeled rows [lo, hi): a view of the whole block once it is drawn,
+        otherwise LabeledSource.rows, drawn alone as a new array. Both give
+        the same bits."""
         rows = self._labeled
         if isinstance(rows, LabeledSource) and rows.block is None:
-            return rows.rows(start, self._L)
-        return self.labeled_x[start:]
+            return rows.rows(lo, hi)
+        return self.labeled_x[lo:hi]
+
+    def labeled_chunks(self, start: int, use) -> None:
+        """use(lo, rows) for the labeled rows [start, L) in row order, in
+        chunks of draws_that_fit(p, dtype, _CHUNK_BYTES) rows per draw
+        thread: each chunk is labeled_rows(lo, hi), dropped once use returns
+        and before the next is drawn."""
+        step = _draw_threads() * draws_that_fit(self.p, self._labeled.dtype, _CHUNK_BYTES)
+        for lo in range(start, self._L, step):
+            use(lo, self.labeled_rows(lo, min(lo + step, self._L)))
 
     def unlabeled_columns(self, idx) -> np.ndarray:
         """A new row-major n x len(idx) array of the unlabeled columns idx:
@@ -468,22 +495,23 @@ class Dataset:
         return np.take(self.unlabeled_x, idx, axis=1)
 
     def unlabeled_tiles(self, use, drawn=None) -> None:
-        """use(lo, tile) on the draw threads for each _TILE unlabeled columns
-        [lo, lo + w), tile holding their n rows: a view of the whole block
-        once it is drawn, otherwise drawn by UnlabeledSource.tiles, which
-        copies the columns in drawn (column -> its n rows) rather than
-        drawing them again, and dropped. Both give the same bits and the
-        same layout."""
+        """use(lo, tile) on the draw threads for each tile of w =
+        draws_that_fit(n, dtype, _TILE_BYTES) unlabeled columns [lo, lo + w),
+        tile holding their n rows: a view of the whole block once it is
+        drawn, otherwise drawn by UnlabeledSource.tiles, which copies the
+        columns in drawn (column -> its n rows) rather than drawing them
+        again, and dropped. Both give the same bits and the same layout."""
         u = self._unlabeled
         if isinstance(u, UnlabeledSource) and u.block is None:
             u.tiles(range(self.p), self._n, use, drawn)
             return
         block = self.unlabeled_x
-        starts = range(0, self.p, _TILE)
+        width = draws_that_fit(self._n, block.dtype, _TILE_BYTES)
+        starts = range(0, self.p, width)
 
         def stripe(first: int, step: int) -> None:
             for lo in starts[first::step]:
-                use(lo, block[:, lo:lo + _TILE])
+                use(lo, block[:, lo:lo + width])
 
         _on_draw_threads(len(starts), stripe)
 

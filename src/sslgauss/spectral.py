@@ -251,6 +251,13 @@ def power_iteration(a) -> PowerResult:
     converged=False. `value` is theta and `step` the last residual over theta.
     A step whose product, alpha or norm is not finite ends the solve with
     converged=False, `value` nan and the vector it started the basis from.
+
+    The start can fail: when its component along the top eigenvector is
+    below about tol * theta / gap (gap: the top eigenvalue less theta), the
+    solve may stop on a lower pair with converged=True. A start orthogonal
+    to the top eigenvector always does: on [[1.5, 0, 0], [0, 1, 0.9],
+    [0, 0.9, 1]] it starts at e_0, an eigenvector, and returns 1.5 with
+    converged=True after one product, though the top eigenvalue is 1.9.
     """
     a = _psd_operator(a)
     diag = a.diagonal()

@@ -106,8 +106,9 @@ def test_row_blocks_equal_stacked_rows_at_default_width():
 
 
 def test_self_train_column_blocks_match_whole_rows():
-    # the pseudo-label sum over 18 column tiles, drawn and dropped, against
-    # the whole-row product
+    # the pseudo-label sum over 5 column tiles (1092 columns of the 120
+    # float64 rows fill a tile's 1 MiB), drawn and dropped, against the
+    # whole-row product
     p, k, threshold = 2 * COLUMN_BLOCK + 300, 5, 0.8
     pp = ProblemParams(p=p, k=k, lam=3.0, L=40, n=120, seed=3)
     ds = sample_dataset(make_sparse_mean(pp, seed=3), 40, 120, seed=4)
@@ -277,8 +278,9 @@ def test_labeled_statistics_equal_the_whole_row_formulas(dtype):
 def test_self_train_float32_reads_no_whole_block():
     # On a float32 draw (38.4 MB) a float64 copy of the unlabeled rows is
     # 1.67 of the draw. The scores read the pilot's k columns and the
-    # pseudo-label sum reduces views of the drawn block one 256-column tile
-    # at a time, which einsum casts through its own small buffers, so the
+    # pseudo-label sum reduces views of the drawn block one tile (436
+    # columns, 1 MiB of the block) at a time, which einsum casts through
+    # its own small buffers, so the
     # peak is about 0.06; casting 500 x 2048 slabs for a product peaked at
     # 0.23.
     share = _peak_share("self_train", np.float32)
@@ -304,8 +306,9 @@ def test_vanilla_pca_float32_holds_one_slab_at_a_time(sizes, bound):
 def test_lspca_on_a_fresh_draw_holds_only_its_screened_columns(method):
     # On a fresh draw lspca draws its screened columns (n x 1118 float64,
     # 4.5 MB) and the k-column refit, and centers the screened block in
-    # place. Each 256-column tile of a draw passes through one (256, n)
-    # buffer per thread (1 MB), one thread per tile at most. The bound is
+    # place. Each tile of a draw, 262 columns of the 500 rows, passes
+    # through one (262, n) buffer per thread (1 MiB), one thread per tile
+    # at most. The bound is
     # the screened block plus the labeled block (17.3 MB); the whole
     # unlabeled block alone is 64 MB, and it must never be drawn.
     ds, pp = _draw(np.float64)

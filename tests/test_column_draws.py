@@ -26,7 +26,7 @@ from sslgauss.gmodel import (STREAM_LABELED_NOISE, STREAM_LABELED_Y, STREAM_UNLA
 from sslgauss.harness import ExperimentConfig, run_sweep, run_trial
 from sslgauss.rng import generator, mix64
 
-P = 700  # three column tiles
+P = 700  # three tiles of 256 columns, the width a test sets for n = 90
 
 
 def draw(dtype, L=5, n=90, seed=3):
@@ -88,6 +88,8 @@ def test_column_is_its_keyed_stream(dtype):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_whole_block_independent_of_thread_count(monkeypatch, dtype):
+    # the budget of 256 columns of n = 90 rows cuts three tiles
+    monkeypatch.setattr(gmodel, "_TILE_BYTES", 256 * 90 * np.dtype(dtype).itemsize)
     blocks = []
     for threads in (1, 2, 4):  # 4 threads for 3 tiles: one thread per tile
         monkeypatch.setattr(gmodel, "_draw_threads", lambda threads=threads: threads)
@@ -169,17 +171,19 @@ def test_empty_column_read(monkeypatch, threads):
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_tiles_equal_views_of_the_whole_block(dtype):
-    # p = 513 leaves a one-column last tile. Drawn tiles, with some columns
-    # copied in rather than drawn, have the bits and the layout of the held
-    # block's views, so self_train gives the same bytes from either, at
-    # every point of the grid.
-    pp = ProblemParams(p=513, k=5, lam=3.0, L=30, n=200)
+    # A tile is w columns of the n = 200 rows, as many as fit the draw
+    # threads' byte budget, so p = 2w + 1 leaves a one-column last tile.
+    # Drawn tiles, with some columns copied in rather than drawn, have the
+    # bits and the layout of the held block's views, so self_train gives the
+    # same bytes from either, at every point of the grid.
+    w = gmodel.draws_that_fit(200, dtype, gmodel._TILE_BYTES)
+    pp = ProblemParams(p=2 * w + 1, k=5, lam=3.0, L=30, n=200)
     mu = make_sparse_mean(pp, seed=2)
     tiles, outputs = [], []
     for held in (False, True):
         ds = sample_dataset(mu, 30, 200, seed=3, dtype=dtype)
         ds.grid = ((10, 200), (30, 50), (30, 200))
-        drawn = {j: ds.unlabeled_columns([j])[:, 0] for j in (0, 300, 512)}
+        drawn = {j: ds.unlabeled_columns([j])[:, 0] for j in (0, w + 44, 2 * w)}
         if held:
             ds.unlabeled_x
         got = {}
@@ -187,7 +191,7 @@ def test_tiles_equal_views_of_the_whole_block(dtype):
                            drawn)
         tiles.append(got)
         outputs.append([self_train(ds.prefix(L, n), 5, 0.8) for L, n in ds.grid])
-    assert sorted(tiles[0]) == [0, 256, 512]
+    assert sorted(tiles[0]) == [0, w, 2 * w]
     assert tiles[0] == tiles[1]
     for streamed, held in zip(*outputs):
         assert streamed.aux == held.aux and streamed.aux["n_eff"] > 0
@@ -207,7 +211,7 @@ def spy_whole(monkeypatch) -> list[bool]:
     return calls
 
 
-P_CONFIG = 600  # config()'s p: three tiles, the last one 88 columns wide
+P_CONFIG = 600  # config()'s p: one tile of the n <= 120 float64 rows
 
 
 def config(methods, **kw):
@@ -295,11 +299,11 @@ def test_each_unlabeled_column_is_drawn_once_per_trial(monkeypatch, sweep):
 def test_n_sweep_trial_holds_no_unlabeled_block(monkeypatch):
     # p = 8000, L = 100, n up to 800 in float64: the unlabeled block is 51.2
     # MB. Its tiles are drawn, reduced for every point and dropped: the
-    # trial holds the 6.4 MB labeled rows while their class sums add them,
-    # two 800 x 256 tile buffers per draw thread (1.6 MB each) and lspca's
-    # screened columns, a peak of 9.6 MB. Two draw threads keep the bound
-    # off the core count. Drawing the whole block for self_train's product
-    # peaked at 55.1 MB.
+    # trial holds the 6.4 MB labeled rows (one chunk) while their class sums
+    # add them, two 800 x 163 tile buffers per draw thread (1 MiB each) and
+    # lspca's screened columns, a peak of 7.4 MB (9.6 MB with 256-column
+    # tiles). Two draw threads keep the bound off the core count. Drawing
+    # the whole block for self_train's product peaked at 55.1 MB.
     monkeypatch.setattr(gmodel, "_draw_threads", lambda: 2)
     pp = ProblemParams(p=8000, k=k_from_alpha(8000, 0.4), lam=3.0, L=100, n=800, seed=9)
     cfg = ExperimentConfig(params=pp, methods=("lspca", "ls2pca", "top_k_labeled", "self_train"),

@@ -159,6 +159,20 @@ class TestSampleDataset:
         with pytest.raises(ConfigError, match=message):
             Dataset(labeled_x, labeled_y, unlabeled_x)
 
+    def test_dataset_holds_read_only_views_of_caller_arrays(self):
+        x, y, u = np.ones((3, 4)), np.array([1, -1, 1], dtype=np.int8), np.zeros((5, 4))
+        ds = Dataset(x, y, u)
+        for held, given in ((ds.labeled_x, x), (ds.labeled_y, y), (ds.unlabeled_x, u),
+                            (ds.prefix(2, 3).labeled_x, x)):
+            assert not held.flags.writeable
+            assert np.shares_memory(held, given)
+            with pytest.raises(ValueError):
+                held[0] = 7
+        # the caller's arrays keep their own flags and stay writable
+        assert x.flags.writeable and y.flags.writeable and u.flags.writeable
+        x[0, 0] = 2.0
+        assert ds.labeled_x[0, 0] == 2.0
+
     def test_zero_signal_mean(self):
         p, n = 16, 10 ** 4
         mu = make_sparse_mean(params(p, 2, 0.0), seed=1)

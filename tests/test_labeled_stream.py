@@ -2,13 +2,15 @@
 
 The estimators' labeled statistics come from one per-draw statistic, the
 float64 sums of each class's rows added in row order. It reads the labeled
-block when the block is drawn and otherwise draws the rows it lacks as one
-range and drops them once added; both must give the same bits, at every
-prefix, in any order the prefixes are asked for, on any number of draw
-threads. A trial draws each labeled row once: the block up front when a
-configured method reads the rows themselves, otherwise only the ranges the
-sums lack, extended as an L-sweep grows. An lspca-only trial never holds
-the labeled block beside its screened columns.
+block when the block is drawn and otherwise draws the rows it lacks in
+chunks of a fixed byte budget per draw thread, each dropped once added;
+both must give the same bits, at every prefix, in any order the prefixes
+are asked for, on any number of draw threads. A trial draws each labeled
+row once: the block up front when a configured method reads the rows
+themselves, otherwise only the ranges the sums lack, extended as an
+L-sweep grows. A trial that reads only the sums holds one chunk of the
+labeled rows at a time, and an lspca-only trial none beside its screened
+columns.
 """
 
 import tracemalloc
@@ -45,8 +47,11 @@ READS = [pytest.param(dtype, threads, start, id=name + suffix)
 
 @pytest.mark.parametrize("dtype, threads, start", READS)
 def test_streamed_sums_equal_the_drawn_block(monkeypatch, dtype, threads, start):
-    # the prefixes grow, then shrink, so the sums extend and restart
+    # the prefixes grow, then shrink, so the sums extend and restart; a
+    # budget of two float32 rows (one float64 row) per draw thread makes
+    # the sums add several chunks and an uneven last one
     monkeypatch.setattr(gmodel, "_draw_threads", lambda: threads)
+    monkeypatch.setattr(gmodel, "_CHUNK_BYTES", 2 * 300 * 4)
     p, L = 300, 37
     mu = make_sparse_mean(ProblemParams(p=p, k=6, lam=3.0, L=L, n=10), seed=2)
     streamed = sample_dataset(mu, L, 10, seed=3, dtype=dtype)
@@ -59,7 +64,7 @@ def test_streamed_sums_equal_the_drawn_block(monkeypatch, dtype, threads, start)
         return ThreadPoolExecutor(max_workers)
 
     monkeypatch.setattr(gmodel, "ThreadPoolExecutor", pool)
-    rows = streamed.labeled_rows(start)
+    rows = streamed.labeled_rows(start, L)
     # one pool of the draw threads, none for an empty range
     assert pools == ([threads] if start < L else [])
     assert rows.tobytes() == xs[start:].tobytes()
@@ -145,10 +150,12 @@ def test_each_labeled_row_is_drawn_once_per_trial(monkeypatch, case):
 def test_lspca_trial_holds_no_labeled_block():
     # p = 20000, L = 200, n = 400 in float32: the labeled block is 16 MB and
     # lspca's screened block (400 x 2760) 4.4 MB. The class sums draw the
-    # 200 rows as one range, add them into two float64 sums (0.3 MB) and
-    # drop them before the screened columns are drawn: the trial peaks near
-    # the labeled block, at 17.2 MB. A trial that kept the labeled block
-    # while it drew the screened columns peaked at 23.1 MB, above both.
+    # 200 rows in chunks of 104 (8.3 MB on this machine's two draw threads),
+    # add each into two float64 sums (0.3 MB) and drop it before the next,
+    # and all before the screened columns are drawn: the trial peaks at one
+    # chunk, 8.7 MB. Drawing the rows as one range peaked at 16.4 MB; a
+    # trial that kept the labeled block while it drew the screened columns
+    # peaked at 23.1 MB, above both blocks.
     pp = ProblemParams(p=20000, k=52, lam=3.0, L=200, n=400, seed=11)
     config = ExperimentConfig(params=pp, methods=("lspca",), trials=1, f32=True,
                               beta_tilde=0.2)
@@ -163,3 +170,23 @@ def test_lspca_trial_holds_no_labeled_block():
     screened = pp.n * screened_count(pp.p, resolve_beta_tilde(pp, 0.2)) * 4
     assert peak < labeled + screened, \
         f"peak {peak / 1e6:.1f} MB, blocks {labeled / 1e6:.1f} + {screened / 1e6:.1f} MB"
+
+
+def test_class_sums_hold_one_chunk_of_labeled_rows(monkeypatch):
+    # p = 20000, L = 400 in float64: the labeled range is 64 MB. The class
+    # sums draw it in chunks of a fixed byte budget per draw thread (26 rows
+    # per thread, two threads: 52 rows, 8.3 MB), each added and dropped
+    # before the next is drawn, so the trial peaks at 8.7 MB whatever L is.
+    # Drawing the range at once peaked at 64.6 MB.
+    monkeypatch.setattr(gmodel, "_draw_threads", lambda: 2)
+    pp = ProblemParams(p=20000, k=52, lam=3.0, L=400, n=10, seed=13)
+    config = ExperimentConfig(params=pp, methods=("top_k_labeled",), trials=1)
+    tracemalloc.start()
+    try:
+        (record,) = harness._run_trial_task((config, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not record.failed
+    labeled = pp.L * pp.p * 8
+    assert peak < labeled / 4, f"peak {peak / 1e6:.1f} MB, labeled range {labeled / 1e6:.1f} MB"
