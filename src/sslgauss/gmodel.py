@@ -14,7 +14,7 @@ and the unlabeled rows by UnlabeledSource, so a reader that needs only
 some columns (lspca's screened set) draws only those, and a reader that
 reduces every column (self_train's pseudo-label sums) takes them in one
 pass of column tiles, each dropped once reduced. Chunks and tiles are cut
-to a fixed byte budget per draw thread (draws_that_fit), so what such a
+to a fixed byte budget per draw thread (_draws_that_fit), so what such a
 reader holds of a draw depends on neither L nor n. A source keeps its
 whole block only when a reader asks for the block itself. Both are drawn
 on the process's share of the usable cores (all of them outside a process
@@ -45,7 +45,7 @@ STREAM_UNLABELED_NOISE = 0x24
 # Absorbs pow() rounding so that e.g. floor(1e6 ** (1/3)) lands on 100.
 _FLOOR_EPS = 1e-9
 
-# Bytes of fresh draws a draw thread fills at once (draws_that_fit), so that
+# Bytes of fresh draws a draw thread fills at once (_draws_that_fit), so that
 # what a draw holds depends on neither L nor n: an unlabeled tile is as many
 # columns of n rows as fit _TILE_BYTES, and a chunk of the labeled rows the
 # class sums add is as many rows per draw thread as fit _CHUNK_BYTES, larger
@@ -233,7 +233,7 @@ def _draw_threads() -> int:
     return max(1, cores // _processes)
 
 
-def draws_that_fit(length: int, dtype, budget: int) -> int:
+def _draws_that_fit(length: int, dtype, budget: int) -> int:
     """How many rows or columns of length entries of dtype fill budget
     bytes: at least one, whatever their size."""
     return max(1, budget // max(1, length * np.dtype(dtype).itemsize))
@@ -361,16 +361,16 @@ class UnlabeledSource(_Source):
 
     def tiles(self, cols, n: int, use, drawn=None, out=None) -> None:
         """The tile pass over rows [0, n) of columns cols (any order), w =
-        draws_that_fit(n, dtype, _TILE_BYTES) columns at a time, striped over
-        the draw threads. A thread keeps one Philox and fills a (w, n) buffer by
-        column keys, copying the columns that drawn (column -> its n rows)
-        holds instead of drawing them again. It copies the buffer transposed
-        into the tile, the view out[:, lo:lo + w] or an (n, w) scratch array
-        the thread reuses, and calls use(lo, tile) there, unless use is
-        None. Either tile has adjacent columns and strided rows, as a view
-        of the block has."""
+        _draws_that_fit(n, dtype, _TILE_BYTES) columns at a time, striped
+        over the draw threads. A thread keeps one Philox and fills a (w, n)
+        buffer by column keys, copying the columns that drawn (column -> its
+        n rows) holds instead of drawing them again. It copies the buffer
+        transposed into the tile, the view out[:, lo:lo + w] or an (n, w)
+        scratch array the thread reuses, and calls use(lo, tile) there,
+        unless use is None. Either tile has adjacent columns and strided
+        rows, as a view of the block has."""
         drawn = drawn or {}
-        width = min(draws_that_fit(n, self.dtype, _TILE_BYTES), len(cols))
+        width = min(_draws_that_fit(n, self.dtype, _TILE_BYTES), len(cols))
         starts = range(0, len(cols), width or 1)
 
         def stripe(first: int, step: int) -> None:
@@ -476,10 +476,10 @@ class Dataset:
 
     def labeled_chunks(self, start: int, use) -> None:
         """use(lo, rows) for the labeled rows [start, L) in row order, in
-        chunks of draws_that_fit(p, dtype, _CHUNK_BYTES) rows per draw
+        chunks of _draws_that_fit(p, dtype, _CHUNK_BYTES) rows per draw
         thread: each chunk is labeled_rows(lo, hi), dropped once use returns
         and before the next is drawn."""
-        step = _draw_threads() * draws_that_fit(self.p, self._labeled.dtype, _CHUNK_BYTES)
+        step = _draw_threads() * _draws_that_fit(self.p, self._labeled.dtype, _CHUNK_BYTES)
         for lo in range(start, self._L, step):
             use(lo, self.labeled_rows(lo, min(lo + step, self._L)))
 
@@ -496,7 +496,7 @@ class Dataset:
 
     def unlabeled_tiles(self, use, drawn=None) -> None:
         """use(lo, tile) on the draw threads for each tile of w =
-        draws_that_fit(n, dtype, _TILE_BYTES) unlabeled columns [lo, lo + w),
+        _draws_that_fit(n, dtype, _TILE_BYTES) unlabeled columns [lo, lo + w),
         tile holding their n rows: a view of the whole block once it is
         drawn, otherwise drawn by UnlabeledSource.tiles, which copies the
         columns in drawn (column -> its n rows) rather than drawing them
@@ -506,7 +506,7 @@ class Dataset:
             u.tiles(range(self.p), self._n, use, drawn)
             return
         block = self.unlabeled_x
-        width = draws_that_fit(self._n, block.dtype, _TILE_BYTES)
+        width = _draws_that_fit(self._n, block.dtype, _TILE_BYTES)
         starts = range(0, self.p, width)
 
         def stripe(first: int, step: int) -> None:

@@ -176,7 +176,7 @@ def test_tiles_equal_views_of_the_whole_block(dtype):
     # Drawn tiles, with some columns copied in rather than drawn, have the
     # bits and the layout of the held block's views, so self_train gives the
     # same bytes from either, at every point of the grid.
-    w = gmodel.draws_that_fit(200, dtype, gmodel._TILE_BYTES)
+    w = gmodel._draws_that_fit(200, dtype, gmodel._TILE_BYTES)
     pp = ProblemParams(p=2 * w + 1, k=5, lam=3.0, L=30, n=200)
     mu = make_sparse_mean(pp, seed=2)
     tiles, outputs = [], []
