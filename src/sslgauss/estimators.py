@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -104,9 +105,7 @@ def _class_sums(dataset: Dataset) -> np.ndarray:
     if dataset.L not in kept:
         done = max((L for L in kept if L < dataset.L), default=0)
         sums = kept[done].copy() if done else _new_sums(dataset.p)
-        ys = dataset.labeled_y
-        dataset.labeled_chunks(done, lambda lo, rows: _add_by_class(sums, rows,
-                                                                    ys[lo:lo + len(rows)]))
+        dataset.labeled_chunks(done, partial(_add_by_class, sums))
         kept[dataset.L] = sums
     return kept[dataset.L]
 

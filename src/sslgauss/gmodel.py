@@ -475,13 +475,14 @@ class Dataset:
         return self.labeled_x[lo:hi]
 
     def labeled_chunks(self, start: int, use) -> None:
-        """use(lo, rows) for the labeled rows [start, L) in row order, in
+        """use(rows, labels) for the labeled rows [start, L) in row order, in
         chunks of _draws_that_fit(p, dtype, _CHUNK_BYTES) rows per draw
         thread: each chunk is labeled_rows(lo, hi), dropped once use returns
         and before the next is drawn."""
         step = _draw_threads() * _draws_that_fit(self.p, self._labeled.dtype, _CHUNK_BYTES)
         for lo in range(start, self._L, step):
-            use(lo, self.labeled_rows(lo, min(lo + step, self._L)))
+            hi = min(lo + step, self._L)
+            use(self.labeled_rows(lo, hi), self._labels[lo:hi])
 
     def unlabeled_columns(self, idx) -> np.ndarray:
         """A new row-major n x len(idx) array of the unlabeled columns idx:
