@@ -26,7 +26,7 @@ from __future__ import annotations
 import copy
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,14 +46,10 @@ STREAM_UNLABELED_NOISE = 0x24
 _FLOOR_EPS = 1e-9
 
 # Bytes of fresh draws a draw thread fills at once (_draws_that_fit), so that
-# what a draw holds depends on neither L nor n: an unlabeled tile is as many
-# columns of n rows as fit _TILE_BYTES, and a chunk of the labeled rows the
-# class sums add is as many rows per draw thread as fit _CHUNK_BYTES, larger
-# because each chunk starts and joins the draw threads (on two cores, 1 MiB
-# chunks took the class sums of a p = 1e5, L = 200 float32 draw from 0.22 s
-# to 0.26 s; 4 MiB chunks kept them at 0.22 s).
-_TILE_BYTES = 1 << 20
-_CHUNK_BYTES = 4 << 20
+# what a draw holds depends on neither L nor n: a chunk of the labeled rows
+# the class sums add is as many rows per draw thread as fit it, and an
+# unlabeled tile as many columns of n rows.
+_DRAW_BYTES = 1 << 20
 
 
 def _floor_count(x: float) -> int:
@@ -233,20 +229,44 @@ def _draw_threads() -> int:
     return max(1, cores // _processes)
 
 
-def _draws_that_fit(length: int, dtype, budget: int) -> int:
-    """How many rows or columns of length entries of dtype fill budget
-    bytes: at least one, whatever their size."""
-    return max(1, budget // max(1, length * np.dtype(dtype).itemsize))
+def _draws_that_fit(length: int, dtype) -> int:
+    """How many rows or columns of length entries of dtype fill _DRAW_BYTES:
+    at least one, whatever their size."""
+    return max(1, _DRAW_BYTES // max(1, length * np.dtype(dtype).itemsize))
+
+
+# The draw threads: (pid, thread count, pool), one pool per process. A forked
+# child's copy of its parent's pool has no threads, so the pid keys it too.
+_pool: tuple[int, int, ThreadPoolExecutor] | None = None
+
+
+def _draw_pool(threads: int) -> ThreadPoolExecutor:
+    """This process's pool of threads draw threads, built on first use and
+    rebuilt when the count changes."""
+    global _pool
+    key = (os.getpid(), threads)
+    if _pool is None or _pool[:2] != key:
+        if _pool is not None and _pool[0] == key[0]:
+            _pool[2].shutdown()
+        _pool = (*key, ThreadPoolExecutor(max_workers=threads))
+    return _pool[2]
 
 
 def _on_draw_threads(count: int, stripe) -> None:
-    """Run stripe(first, step) on one thread per stripe first, first + step,
-    ... of count units, on this process's share of the usable cores; with
-    no units, no thread starts."""
-    step = min(_draw_threads(), count)
-    if step:
-        with ThreadPoolExecutor(max_workers=step) as pool:
-            list(pool.map(stripe, range(step), [step] * step))
+    """Run stripe(first, step) for each stripe first, first + step, ... of
+    count units, one stripe per draw thread of this process's pool, and
+    return or raise once every stripe has finished. A single stripe runs on
+    the calling thread, and no units start none. A stripe must not call
+    back into the pool: it would wait on the threads it occupies."""
+    threads = _draw_threads()
+    step = min(threads, count)
+    if step == 1:
+        stripe(0, 1)
+    elif step > 1:
+        futures = [_draw_pool(threads).submit(stripe, first, step) for first in range(step)]
+        wait(futures)
+        for future in futures:
+            future.result()
 
 
 def _keyed_fill(gen: np.random.Generator, rows, seed: int, keys) -> None:
@@ -361,7 +381,7 @@ class UnlabeledSource(_Source):
 
     def tiles(self, cols, n: int, use, drawn=None, out=None) -> None:
         """The tile pass over rows [0, n) of columns cols (any order), w =
-        _draws_that_fit(n, dtype, _TILE_BYTES) columns at a time, striped
+        _draws_that_fit(n, dtype) columns at a time, striped
         over the draw threads. A thread keeps one Philox and fills a (w, n)
         buffer by column keys, copying the columns that drawn (column -> its
         n rows) holds instead of drawing them again. It copies the buffer
@@ -370,7 +390,7 @@ class UnlabeledSource(_Source):
         unless use is None. Either tile has adjacent columns and strided
         rows, as a view of the block has."""
         drawn = drawn or {}
-        width = min(_draws_that_fit(n, self.dtype, _TILE_BYTES), len(cols))
+        width = min(_draws_that_fit(n, self.dtype), len(cols))
         starts = range(0, len(cols), width or 1)
 
         def stripe(first: int, step: int) -> None:
@@ -476,10 +496,10 @@ class Dataset:
 
     def labeled_chunks(self, start: int, use) -> None:
         """use(rows, labels) for the labeled rows [start, L) in row order, in
-        chunks of _draws_that_fit(p, dtype, _CHUNK_BYTES) rows per draw
+        chunks of _draws_that_fit(p, dtype) rows per draw
         thread: each chunk is labeled_rows(lo, hi), dropped once use returns
         and before the next is drawn."""
-        step = _draw_threads() * _draws_that_fit(self.p, self._labeled.dtype, _CHUNK_BYTES)
+        step = _draw_threads() * _draws_that_fit(self.p, self._labeled.dtype)
         for lo in range(start, self._L, step):
             hi = min(lo + step, self._L)
             use(self.labeled_rows(lo, hi), self._labels[lo:hi])
@@ -497,7 +517,7 @@ class Dataset:
 
     def unlabeled_tiles(self, use, drawn=None) -> None:
         """use(lo, tile) on the draw threads for each tile of w =
-        _draws_that_fit(n, dtype, _TILE_BYTES) unlabeled columns [lo, lo + w),
+        _draws_that_fit(n, dtype) unlabeled columns [lo, lo + w),
         tile holding their n rows: a view of the whole block once it is
         drawn, otherwise drawn by UnlabeledSource.tiles, which copies the
         columns in drawn (column -> its n rows) rather than drawing them
@@ -507,7 +527,7 @@ class Dataset:
             u.tiles(range(self.p), self._n, use, drawn)
             return
         block = self.unlabeled_x
-        width = _draws_that_fit(self._n, block.dtype, _TILE_BYTES)
+        width = _draws_that_fit(self._n, block.dtype)
         starts = range(0, self.p, width)
 
         def stripe(first: int, step: int) -> None:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -265,6 +264,9 @@ def run_sweep(config: ExperimentConfig, _forwarded: None = None
     workers = min(config.threads, config.trials)
     tasks = [(config, t) for t in range(config.trials)]
     if workers > 1:
+        # imported here: it pulls in multiprocessing, which a serial run
+        # does not need
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers, initializer=share_cores,
                                  initargs=(workers,)) as pool:
             per_trial = list(pool.map(_run_trial_task, tasks, chunksize=1))

@@ -1,13 +1,17 @@
 """Shared pytest plumbing: collects acceptance-criterion report lines and
 echoes them in the terminal summary so they are visible in every run mode;
 builds the dense mean vector the tests compare against, and datasets of
-plain unlabeled rows; holds the oracles that several test files share."""
+plain unlabeled rows; holds the oracles and the draw-pool spy that several
+test files share."""
 
 import itertools
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
+import pytest
 
+from sslgauss import gmodel
 from sslgauss.gmodel import Dataset
 
 ACCEPTANCE_LINES: list = []
@@ -22,6 +26,26 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def draw_pools(monkeypatch):
+    """The draw-thread pools gmodel builds in the test, in order, starting
+    from none; each has its thread count as .threads and is shut down after
+    the test."""
+    built = []
+
+    class SpiedPool(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            super().__init__(max_workers)
+            self.threads = max_workers
+            built.append(self)
+
+    monkeypatch.setattr(gmodel, "_pool", None)
+    monkeypatch.setattr(gmodel, "ThreadPoolExecutor", SpiedPool)
+    yield built
+    for pool in built:
+        pool.shutdown()
 
 
 def dense_mean(mu) -> np.ndarray:

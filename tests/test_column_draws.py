@@ -89,7 +89,7 @@ def test_column_is_its_keyed_stream(dtype):
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_whole_block_independent_of_thread_count(monkeypatch, dtype):
     # the budget of 256 columns of n = 90 rows cuts three tiles
-    monkeypatch.setattr(gmodel, "_TILE_BYTES", 256 * 90 * np.dtype(dtype).itemsize)
+    monkeypatch.setattr(gmodel, "_DRAW_BYTES", 256 * 90 * np.dtype(dtype).itemsize)
     blocks = []
     for threads in (1, 2, 4):  # 4 threads for 3 tiles: one thread per tile
         monkeypatch.setattr(gmodel, "_draw_threads", lambda threads=threads: threads)
@@ -176,7 +176,7 @@ def test_tiles_equal_views_of_the_whole_block(dtype):
     # Drawn tiles, with some columns copied in rather than drawn, have the
     # bits and the layout of the held block's views, so self_train gives the
     # same bytes from either, at every point of the grid.
-    w = gmodel._draws_that_fit(200, dtype, gmodel._TILE_BYTES)
+    w = gmodel._draws_that_fit(200, dtype)
     pp = ProblemParams(p=2 * w + 1, k=5, lam=3.0, L=30, n=200)
     mu = make_sparse_mean(pp, seed=2)
     tiles, outputs = [], []
@@ -299,11 +299,13 @@ def test_each_unlabeled_column_is_drawn_once_per_trial(monkeypatch, sweep):
 def test_n_sweep_trial_holds_no_unlabeled_block(monkeypatch):
     # p = 8000, L = 100, n up to 800 in float64: the unlabeled block is 51.2
     # MB. Its tiles are drawn, reduced for every point and dropped: the
-    # trial holds the 6.4 MB labeled rows (one chunk) while their class sums
-    # add them, two 800 x 163 tile buffers per draw thread (1 MiB each) and
-    # lspca's screened columns, a peak of 7.4 MB (9.6 MB with 256-column
-    # tiles). Two draw threads keep the bound off the core count. Drawing
-    # the whole block for self_train's product peaked at 55.1 MB.
+    # trial holds one chunk of the labeled rows (16 rows per draw thread,
+    # 2.0 MB) while their class sums add them, two 800 x 163 tile buffers
+    # per draw thread (1 MiB each) and lspca's screened columns, a peak of
+    # 5.4 MB (7.4 MB with the 100 rows, 6.4 MB, as one chunk; 9.6 MB with
+    # 256-column tiles as well). Two draw threads keep the bound off the
+    # core count. Drawing the whole block for self_train's product peaked at
+    # 55.1 MB.
     monkeypatch.setattr(gmodel, "_draw_threads", lambda: 2)
     pp = ProblemParams(p=8000, k=k_from_alpha(8000, 0.4), lam=3.0, L=100, n=800, seed=9)
     cfg = ExperimentConfig(params=pp, methods=("lspca", "ls2pca", "top_k_labeled", "self_train"),

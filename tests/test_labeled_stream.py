@@ -15,7 +15,6 @@ columns.
 
 import tracemalloc
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -46,27 +45,18 @@ READS = [pytest.param(dtype, threads, start, id=name + suffix)
 
 
 @pytest.mark.parametrize("dtype, threads, start", READS)
-def test_streamed_sums_equal_the_drawn_block(monkeypatch, dtype, threads, start):
+def test_streamed_sums_equal_the_drawn_block(monkeypatch, draw_pools, dtype, threads, start):
     # the prefixes grow, then shrink, so the sums extend and restart; a
     # budget of two float32 rows (one float64 row) per draw thread makes
     # the sums add several chunks and an uneven last one
     monkeypatch.setattr(gmodel, "_draw_threads", lambda: threads)
-    monkeypatch.setattr(gmodel, "_CHUNK_BYTES", 2 * 300 * 4)
+    monkeypatch.setattr(gmodel, "_DRAW_BYTES", 2 * 300 * 4)
     p, L = 300, 37
     mu = make_sparse_mean(ProblemParams(p=p, k=6, lam=3.0, L=L, n=10), seed=2)
     streamed = sample_dataset(mu, L, 10, seed=3, dtype=dtype)
     drawn = sample_dataset(mu, L, 10, seed=3, dtype=dtype)
     xs, ys = drawn.labeled_x, drawn.labeled_y
-    pools = []
-
-    def pool(max_workers):
-        pools.append(max_workers)
-        return ThreadPoolExecutor(max_workers)
-
-    monkeypatch.setattr(gmodel, "ThreadPoolExecutor", pool)
     rows = streamed.labeled_rows(start, L)
-    # one pool of the draw threads, none for an empty range
-    assert pools == ([threads] if start < L else [])
     assert rows.tobytes() == xs[start:].tobytes()
     for prefix in (5, 19, 37, 30, 11, 37):
         got = _statistics(streamed.prefix(prefix, 10))
@@ -75,6 +65,9 @@ def test_streamed_sums_equal_the_drawn_block(monkeypatch, dtype, threads, start)
         means = [x[y == c].mean(axis=0, dtype=np.float64) for c in (1, -1)]
         assert got[0] == (means[0] - means[1]).tobytes()
     assert streamed._labeled.block is None
+    # every chunk of every pass, and both blocks, on one pool of the draw
+    # threads; one draw thread draws on the calling thread
+    assert [pool.threads for pool in draw_pools] == ([threads] if threads > 1 else [])
 
 
 def test_class_sum_errors_are_unchanged():
@@ -147,18 +140,9 @@ def test_each_labeled_row_is_drawn_once_per_trial(monkeypatch, case):
         assert (source.block is not None) == whole
 
 
-def test_lspca_trial_holds_no_labeled_block():
-    # p = 20000, L = 200, n = 400 in float32: the labeled block is 16 MB and
-    # lspca's screened block (400 x 2760) 4.4 MB. The class sums draw the
-    # 200 rows in chunks of 104 (8.3 MB on this machine's two draw threads),
-    # add each into two float64 sums (0.3 MB) and drop it before the next,
-    # and all before the screened columns are drawn: the trial peaks at one
-    # chunk, 8.7 MB. Drawing the rows as one range peaked at 16.4 MB; a
-    # trial that kept the labeled block while it drew the screened columns
-    # peaked at 23.1 MB, above both blocks.
-    pp = ProblemParams(p=20000, k=52, lam=3.0, L=200, n=400, seed=11)
-    config = ExperimentConfig(params=pp, methods=("lspca",), trials=1, f32=True,
-                              beta_tilde=0.2)
+def traced_trial(config) -> int:
+    """The tracemalloc peak, in bytes, of the config's one-trial task, which
+    must not fail."""
     tracemalloc.start()
     try:
         (record,) = harness._run_trial_task((config, 0))
@@ -166,6 +150,23 @@ def test_lspca_trial_holds_no_labeled_block():
     finally:
         tracemalloc.stop()
     assert not record.failed
+    return peak
+
+
+def test_lspca_trial_holds_no_labeled_block():
+    # p = 20000, L = 200, n = 400 in float32: the labeled block is 16 MB and
+    # lspca's screened block (400 x 2760) 4.4 MB. The class sums draw the
+    # 200 rows in chunks of 13 rows per draw thread (2.1 MB on two threads),
+    # add each into two float64 sums (0.3 MB) and drop it before the next,
+    # and all before the screened columns are drawn: the trial peaks at 7.5
+    # MB, while it draws and solves on the screened block (8.7 MB with chunks
+    # of 104 rows). Drawing the rows as one range peaked at 16.4 MB; a
+    # trial that kept the labeled block while it drew the screened columns
+    # peaked at 23.1 MB, above both blocks.
+    pp = ProblemParams(p=20000, k=52, lam=3.0, L=200, n=400, seed=11)
+    config = ExperimentConfig(params=pp, methods=("lspca",), trials=1, f32=True,
+                              beta_tilde=0.2)
+    peak = traced_trial(config)
     labeled = pp.L * pp.p * 4
     screened = pp.n * screened_count(pp.p, resolve_beta_tilde(pp, 0.2)) * 4
     assert peak < labeled + screened, \
@@ -174,19 +175,23 @@ def test_lspca_trial_holds_no_labeled_block():
 
 def test_class_sums_hold_one_chunk_of_labeled_rows(monkeypatch):
     # p = 20000, L = 400 in float64: the labeled range is 64 MB. The class
-    # sums draw it in chunks of a fixed byte budget per draw thread (26 rows
-    # per thread, two threads: 52 rows, 8.3 MB), each added and dropped
-    # before the next is drawn, so the trial peaks at 8.7 MB whatever L is.
+    # sums draw it in chunks of a fixed byte budget per draw thread (6 rows
+    # per thread, two threads: 12 rows, 1.9 MB), each added and dropped
+    # before the next is drawn, so the trial peaks at 2.3 MB whatever L is.
     # Drawing the range at once peaked at 64.6 MB.
     monkeypatch.setattr(gmodel, "_draw_threads", lambda: 2)
     pp = ProblemParams(p=20000, k=52, lam=3.0, L=400, n=10, seed=13)
     config = ExperimentConfig(params=pp, methods=("top_k_labeled",), trials=1)
-    tracemalloc.start()
-    try:
-        (record,) = harness._run_trial_task((config, 0))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert not record.failed
+    peak = traced_trial(config)
     labeled = pp.L * pp.p * 8
     assert peak < labeled / 4, f"peak {peak / 1e6:.1f} MB, labeled range {labeled / 1e6:.1f} MB"
+
+
+def test_class_sums_hold_two_draw_budgets_of_labeled_rows(monkeypatch):
+    # the setting above: a chunk is as many rows per draw thread as fit the
+    # 1 MiB draw budget, so the trial peaks near two budgets, at 2.3 MB.
+    # Chunks of 4 MiB per draw thread (52 rows, 8.3 MB) peaked at 8.7 MB.
+    monkeypatch.setattr(gmodel, "_draw_threads", lambda: 2)
+    pp = ProblemParams(p=20000, k=52, lam=3.0, L=400, n=10, seed=13)
+    peak = traced_trial(ExperimentConfig(params=pp, methods=("top_k_labeled",), trials=1))
+    assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
