@@ -14,11 +14,12 @@ and the unlabeled rows by UnlabeledSource, so a reader that needs only
 some columns (lspca's screened set) draws only those, and a reader that
 reduces every column (self_train's pseudo-label sums) takes them in one
 pass of column tiles, each dropped once reduced. Chunks and tiles are cut
-to a fixed byte budget per draw thread (_draws_that_fit), so what such a
+to one byte budget per draw thread (_draws_that_fit), so what such a
 reader holds of a draw depends on neither L nor n. A source keeps its
 whole block only when a reader asks for the block itself. Both are drawn
-on the process's share of the usable cores (all of them outside a process
-pool) with the same bits as a serial draw.
+on one pool of threads per process, as many as its share of the usable
+cores (all of them outside a process pool), with the same bits as a
+serial draw.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import copy
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
@@ -238,6 +240,7 @@ def _draws_that_fit(length: int, dtype) -> int:
 # The draw threads: (pid, thread count, pool), one pool per process. A forked
 # child's copy of its parent's pool has no threads, so the pid keys it too.
 _pool: tuple[int, int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
 
 
 def _draw_pool(threads: int) -> ThreadPoolExecutor:
@@ -245,11 +248,12 @@ def _draw_pool(threads: int) -> ThreadPoolExecutor:
     rebuilt when the count changes."""
     global _pool
     key = (os.getpid(), threads)
-    if _pool is None or _pool[:2] != key:
-        if _pool is not None and _pool[0] == key[0]:
-            _pool[2].shutdown()
-        _pool = (*key, ThreadPoolExecutor(max_workers=threads))
-    return _pool[2]
+    with _pool_lock:
+        if _pool is None or _pool[:2] != key:
+            if _pool is not None and _pool[0] == key[0]:
+                _pool[2].shutdown()
+            _pool = (*key, ThreadPoolExecutor(max_workers=threads))
+        return _pool[2]
 
 
 def _on_draw_threads(count: int, stripe) -> None:
@@ -496,9 +500,10 @@ class Dataset:
 
     def labeled_chunks(self, start: int, use) -> None:
         """use(rows, labels) for the labeled rows [start, L) in row order, in
-        chunks of _draws_that_fit(p, dtype) rows per draw
-        thread: each chunk is labeled_rows(lo, hi), dropped once use returns
-        and before the next is drawn."""
+        chunks of _draws_that_fit(p, dtype) rows per draw thread, the rows
+        that fit the draw budget: each chunk is labeled_rows(lo, hi), drawn
+        on the process's one pool and dropped once use returns and before
+        the next is drawn."""
         step = _draw_threads() * _draws_that_fit(self.p, self._labeled.dtype)
         for lo in range(start, self._L, step):
             hi = min(lo + step, self._L)

@@ -65,7 +65,7 @@ def test_streamed_sums_equal_the_drawn_block(monkeypatch, draw_pools, dtype, thr
         means = [x[y == c].mean(axis=0, dtype=np.float64) for c in (1, -1)]
         assert got[0] == (means[0] - means[1]).tobytes()
     assert streamed._labeled.block is None
-    # every chunk of every pass, and both blocks, on one pool of the draw
+    # every chunk of every pass, and the drawn block, on one pool of the draw
     # threads; one draw thread draws on the calling thread
     assert [pool.threads for pool in draw_pools] == ([threads] if threads > 1 else [])
 
