@@ -244,8 +244,8 @@ _pool_lock = threading.Lock()
 
 
 def _draw_pool(threads: int) -> ThreadPoolExecutor:
-    """This process's pool of threads draw threads, built on first use and
-    rebuilt when the count changes."""
+    """This process's pool of draw threads, as many as threads, built on
+    first use and rebuilt when that count changes."""
     global _pool
     key = (os.getpid(), threads)
     with _pool_lock:
