@@ -17,8 +17,9 @@ pass of column tiles, each dropped once reduced. Chunks and tiles are cut
 to one byte budget per draw thread (_draws_that_fit), so what such a
 reader holds of a draw depends on neither L nor n. A source keeps its
 whole block only when a reader asks for the block itself. Both are drawn
-on the process's share of the usable cores (all of them outside a process
-pool) with the same bits as a serial draw.
+on one pool of threads per process, as many as its share of the usable
+cores (all of them outside a process pool), with the same bits as a
+serial draw.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from __future__ import annotations
 import copy
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,14 +237,41 @@ def _draws_that_fit(length: int, dtype) -> int:
     return max(1, _DRAW_BYTES // max(1, length * np.dtype(dtype).itemsize))
 
 
+# The draw threads: (pid, thread count, pool), one pool per process. A forked
+# child's copy of its parent's pool has no threads, so the pid keys it too.
+_pool: tuple[int, int, ThreadPoolExecutor] | None = None
+_pool_lock = threading.Lock()
+
+
+def _draw_pool(threads: int) -> ThreadPoolExecutor:
+    """This process's pool of draw threads, as many as threads, built on
+    first use and rebuilt when that count changes."""
+    global _pool
+    key = (os.getpid(), threads)
+    with _pool_lock:
+        if _pool is None or _pool[:2] != key:
+            if _pool is not None and _pool[0] == key[0]:
+                _pool[2].shutdown()
+            _pool = (*key, ThreadPoolExecutor(max_workers=threads))
+        return _pool[2]
+
+
 def _on_draw_threads(count: int, stripe) -> None:
-    """Run stripe(first, step) on one thread per stripe first, first + step,
-    ... of count units, on this process's share of the usable cores; with
-    no units, no thread starts."""
-    step = min(_draw_threads(), count)
-    if step:
-        with ThreadPoolExecutor(max_workers=step) as pool:
-            list(pool.map(stripe, range(step), [step] * step))
+    """Run stripe(first, step) for each stripe first, first + step, ... of
+    count units, one stripe per draw thread of this process's pool, and
+    return or raise once every stripe has finished. A single stripe runs on
+    the calling thread, and no units start none. A stripe must not call
+    back into the pool: it would wait on the threads it occupies."""
+    threads = _draw_threads()
+    step = min(threads, count)
+    if step == 1:
+        stripe(0, 1)
+    elif step > 1:
+        pool = _draw_pool(threads)
+        futures = [pool.submit(stripe, first, step) for first in range(step)]
+        wait(futures)
+        for future in futures:
+            future.result()
 
 
 def _keyed_fill(gen: np.random.Generator, rows, seed: int, keys) -> None:
@@ -472,9 +501,10 @@ class Dataset:
 
     def labeled_chunks(self, start: int, use) -> None:
         """use(rows, labels) for the labeled rows [start, L) in row order, in
-        chunks of _draws_that_fit(p, dtype) rows per draw thread: each chunk
-        is labeled_rows(lo, hi), dropped once use returns and before the
-        next is drawn."""
+        chunks of _draws_that_fit(p, dtype) rows per draw thread, the rows
+        that fit the draw budget: each chunk is labeled_rows(lo, hi), drawn
+        on the process's one pool and dropped once use returns and before
+        the next is drawn."""
         step = _draw_threads() * _draws_that_fit(self.p, self._labeled.dtype)
         for lo in range(start, self._L, step):
             hi = min(lo + step, self._L)
