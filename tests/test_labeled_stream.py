@@ -153,7 +153,7 @@ def traced_trial(config) -> int:
     return peak
 
 
-def test_lspca_trial_holds_no_labeled_block():
+def test_lspca_trial_holds_no_labeled_block(monkeypatch):
     # p = 20000, L = 200, n = 400 in float32: the labeled block is 16 MB and
     # lspca's screened block (400 x 2760) 4.4 MB. The class sums draw the
     # 200 rows in chunks of 13 rows per draw thread (2.1 MB on two threads),
@@ -162,7 +162,9 @@ def test_lspca_trial_holds_no_labeled_block():
     # MB, while it draws and solves on the screened block (8.7 MB with chunks
     # of 104 rows). Drawing the rows as one range peaked at 16.4 MB; a
     # trial that kept the labeled block while it drew the screened columns
-    # peaked at 23.1 MB, above both blocks.
+    # peaked at 23.1 MB, above both blocks. Two draw threads keep the chunk,
+    # and so the peak, off the core count.
+    monkeypatch.setattr(gmodel, "_draw_threads", lambda: 2)
     pp = ProblemParams(p=20000, k=52, lam=3.0, L=200, n=400, seed=11)
     config = ExperimentConfig(params=pp, methods=("lspca",), trials=1, f32=True,
                               beta_tilde=0.2)
@@ -185,13 +187,5 @@ def test_class_sums_hold_one_chunk_of_labeled_rows(monkeypatch):
     peak = traced_trial(config)
     labeled = pp.L * pp.p * 8
     assert peak < labeled / 4, f"peak {peak / 1e6:.1f} MB, labeled range {labeled / 1e6:.1f} MB"
-
-
-def test_class_sums_hold_two_draw_budgets_of_labeled_rows(monkeypatch):
-    # the setting above: a chunk is as many rows per draw thread as fit the
-    # 1 MiB draw budget, so the trial peaks near two budgets, at 2.3 MB.
-    # Chunks of 4 MiB per draw thread (52 rows, 8.3 MB) peaked at 8.7 MB.
-    monkeypatch.setattr(gmodel, "_draw_threads", lambda: 2)
-    pp = ProblemParams(p=20000, k=52, lam=3.0, L=400, n=10, seed=13)
-    peak = traced_trial(ExperimentConfig(params=pp, methods=("top_k_labeled",), trials=1))
+    # near two 1 MiB budgets; chunks of 4 MiB per draw thread peaked at 8.7 MB
     assert peak < 4e6, f"peak {peak / 1e6:.1f} MB"
