@@ -16,11 +16,11 @@ and the label-signed sum, each with its descending-|.| order; per grid
 point, the screened RestrictedCovariance that lspca and ls2pca both only
 read, one held at a time; and self_train's pseudo-label sums at every grid
 point of the draw, from one pass of unlabeled column tiles. The class sums
-read the labeled block if it is drawn and otherwise draw the rows they
-lack in chunks of a fixed byte budget (Dataset.labeled_chunks), each
-dropped once added, and the tile pass reads views of the unlabeled block
-if it is drawn and otherwise draws each tile, cut to a fixed byte budget,
-and drops it. So only the methods in READS_WHOLE_BLOCKS keep a block: a
+take the rows they lack in chunks of a fixed byte budget
+(Dataset.labeled_chunks) and the tile pass takes tiles of one, each
+dropped once used; the draw's sources draw each chunk and tile, or serve
+it as a view of a block the trial holds. So only the methods in
+READS_WHOLE_BLOCKS keep a block: a
 reader of the sums alone holds one chunk of labeled rows at a time, and
 none beside the screened columns lspca draws after them, and self_train
 holds two tile buffers per draw thread, whatever L and n are. Every

@@ -7,19 +7,19 @@ defined here.
 
 Both blocks of a draw take their noise from keyed Philox streams (Salmon et
 al., SC'11): labeled row i from the key (labeled noise seed, i), unlabeled
-column j from (unlabeled noise seed, j). Both blocks are drawn on read: the
-labeled rows by LabeledSource, so a reader that needs only their class
-sums draws the rows in chunks, adds each and drops it before the next,
-and the unlabeled rows by UnlabeledSource, so a reader that needs only
-some columns (lspca's screened set) draws only those, and a reader that
-reduces every column (self_train's pseudo-label sums) takes them in one
-pass of column tiles, each dropped once reduced. Chunks and tiles are cut
-to one byte budget per draw thread (_draws_that_fit), so what such a
-reader holds of a draw depends on neither L nor n. A source keeps its
-whole block only when a reader asks for the block itself. Both are drawn
-on one pool of threads per process, as many as its share of the usable
-cores (all of them outside a process pool), with the same bits as a
-serial draw.
+column j from (unlabeled noise seed, j). Every read of a block goes
+through its source (LabeledSource, UnlabeledSource), which draws only
+what is read until a reader asks for the whole block: the labeled class
+sums draw the rows in chunks, adding each and dropping it before the
+next, lspca draws only its screened columns, and self_train's
+pseudo-label sums take every column in one pass of tiles, each dropped
+once reduced. Chunks and tiles are cut to one byte budget per draw thread
+(_draws_that_fit), so what such a reader holds of a draw depends on
+neither L nor n. Once whole() has drawn a block, its source keeps it and
+serves every read from it with the same bits, rows and tiles as views.
+Both are drawn on one pool of threads per process, as many as its share
+of the usable cores (all of them outside a process pool), with the same
+bits as a serial draw.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptyDatasetError, InvalidSupportError
+from .errors import ConfigError, ContractError, EmptyDatasetError, InvalidSupportError
 from .rng import MASK64, generator, mix64
 
 # Stream tags for child-seed derivation; fixed constants, see rng.mix64.
@@ -296,9 +296,19 @@ def _labels(seed: int, count: int) -> np.ndarray:
 
 
 class _Source:
-    """Rows of one draw, drawn on read; whole() draws every row once."""
+    """Rows of one draw, drawn on read until whole() draws and keeps the
+    block; every read then serves the held block and draws nothing."""
 
     block: np.ndarray | None = None
+
+    @classmethod
+    def held(cls, block: np.ndarray):
+        """A source that holds block, a caller's array, as a read-only view
+        (its own flags untouched) and never draws."""
+        source = cls.__new__(cls)
+        source.block = _freeze(block.view())
+        source.dtype, source.shape = block.dtype, block.shape
+        return source
 
     def whole(self) -> np.ndarray:
         """Every row and column, drawn on the first call and kept read-only."""
@@ -307,19 +317,14 @@ class _Source:
         return self.block
 
 
-def _whole(rows) -> np.ndarray:
-    """A source's whole block, or the array itself."""
-    return rows.whole() if isinstance(rows, _Source) else rows
-
-
 class LabeledSource(_Source):
     """The L x p labeled rows x_i = y_i * mu + z_i of one draw, drawn on read.
 
     The noise of row i is the first p normals of Philox under the 128-bit
     key (noise_seed, i): a row's bits do not depend on which other rows are
     drawn, in what order or on how many threads, and L' < L rows are a
-    prefix. rows() draws a range of rows; whole() draws every row once and
-    keeps the block.
+    prefix. rows() draws a range of rows, or views it in the held block;
+    whole() draws every row once and keeps the block.
     """
 
     def __init__(self, mu: SparseMean, y: np.ndarray, noise_seed: int, dtype):
@@ -332,7 +337,10 @@ class LabeledSource(_Source):
             np.asarray(mu.signs, dtype=self.dtype) * self.dtype.type(mu.magnitude))
 
     def rows(self, lo: int, hi: int) -> np.ndarray:
-        """Rows [lo, hi) as a new array, striped over the draw threads."""
+        """Rows [lo, hi): a view of the held block, otherwise a new array
+        drawn striped over the draw threads. Both give the same bits."""
+        if self.block is not None:
+            return self.block[lo:hi]
         out = np.empty((hi - lo, self.shape[1]), dtype=self.dtype)
         _on_draw_threads(hi - lo, lambda first, step: self._fill(out[first::step],
                                                                  range(lo + first, hi, step)))
@@ -355,8 +363,8 @@ class UnlabeledSource(_Source):
     normals of Philox under the 128-bit key (noise_seed, j), the keyed fill
     the labeled rows use: a column's bits do not depend on which other
     columns are drawn, in what order or on how many threads, and n' < n rows
-    are a prefix. columns() draws a set of columns; whole() draws every
-    column once and keeps the block.
+    are a prefix. columns() draws a set of columns, or takes it from the
+    held block; whole() draws every column once and keeps the block.
     """
 
     def __init__(self, mu: SparseMean, n: int, y_seed: int, noise_seed: int, dtype):
@@ -370,12 +378,17 @@ class UnlabeledSource(_Source):
 
     def columns(self, idx, n: int) -> np.ndarray:
         """Rows [0, n) of columns idx (any order) as a new row-major
-        (n, len(idx)) array."""
+        (n, len(idx)) array, taken from the held block or drawn alone. Both
+        give the same bits and the same layout, so what a reader computes
+        from them does not depend on which one served it."""
         if not 0 <= n <= self.shape[0]:
             raise ConfigError(f"row count {n} out of range [0, {self.shape[0]}]")
         cols = np.asarray(idx, dtype=np.int64).ravel()
         if cols.size and (cols.min() < 0 or cols.max() >= self.shape[1]):
             raise InvalidSupportError(f"column index out of range for p={self.shape[1]}")
+        if self.block is not None:
+            # np.take lays the result out row-major; x[:, idx] would not
+            return np.take(self.block[:n], cols, axis=1)
         return self._draw(cols.tolist(), n)
 
     def _draw_all(self) -> np.ndarray:
@@ -388,31 +401,40 @@ class UnlabeledSource(_Source):
 
     def tiles(self, cols, n: int, use, drawn=None, out=None) -> None:
         """The tile pass over rows [0, n) of columns cols (any order), w =
-        _draws_that_fit(n, dtype) columns at a time, striped
-        over the draw threads. A thread keeps one Philox and fills a (w, n)
-        buffer by column keys, copying the columns that drawn (column -> its
-        n rows) holds instead of drawing them again. It copies the buffer
+        _draws_that_fit(n, dtype) columns at a time, striped over the draw
+        threads, calling use(lo, tile) on each tile unless use is None. A
+        held block serves each tile as its view block[:n, cols[lo]:...],
+        so cols must then be a range of step 1 (ContractError otherwise).
+        Otherwise a thread keeps one Philox and fills a (w, n) buffer by
+        column keys, copying the columns that drawn (column -> its n rows)
+        holds instead of drawing them again, and copies the buffer
         transposed into the tile, the view out[:, lo:lo + w] or an (n, w)
-        scratch array the thread reuses, and calls use(lo, tile) there,
-        unless use is None. Either tile has adjacent columns and strided
-        rows, as a view of the block has."""
+        scratch array the thread reuses. Every tile has adjacent columns
+        and strided rows, as a view of the block has."""
+        held = self.block
+        if held is not None and not (isinstance(cols, range) and cols.step == 1):
+            raise ContractError("a held block serves tiles of a column range of step 1 only")
         drawn = drawn or {}
         width = min(_draws_that_fit(n, self.dtype), len(cols))
         starts = range(0, len(cols), width or 1)
 
         def stripe(first: int, step: int) -> None:
-            gen = generator(0)
-            buf = np.empty((width, n), dtype=self.dtype)
-            scratch = np.empty((n, width), dtype=self.dtype) if out is None else None
+            if held is None:
+                gen = generator(0)
+                buf = np.empty((width, n), dtype=self.dtype)
+                scratch = np.empty((n, width), dtype=self.dtype) if out is None else None
             for lo in starts[first::step]:
                 keys = cols[lo:lo + width]
-                fresh = [i for i, j in enumerate(keys) if j not in drawn]
-                self._fill(gen, [buf[i] for i in fresh], [keys[i] for i in fresh])
-                for i, j in enumerate(keys):
-                    if j in drawn:
-                        buf[i] = drawn[j]
-                tile = scratch[:, :len(keys)] if out is None else out[:, lo:lo + len(keys)]
-                tile[...] = buf[:len(keys)].T
+                if held is not None:
+                    tile = held[:n, keys.start:keys.stop]
+                else:
+                    fresh = [i for i, j in enumerate(keys) if j not in drawn]
+                    self._fill(gen, [buf[i] for i in fresh], [keys[i] for i in fresh])
+                    for i, j in enumerate(keys):
+                        if j in drawn:
+                            buf[i] = drawn[j]
+                    tile = scratch[:, :len(keys)] if out is None else out[:, lo:lo + len(keys)]
+                    tile[...] = buf[:len(keys)].T
                 if use is not None:
                     use(lo, tile)
 
@@ -430,24 +452,24 @@ class UnlabeledSource(_Source):
 class Dataset:
     """L labeled pairs and n unlabeled vectors, all of dimension p.
 
-    labeled_x and unlabeled_x are the rows as arrays, or a LabeledSource and
-    an UnlabeledSource that draw them on read; a dataset holds every row
-    given, and prefix reads its first L and n. Reading the labeled_x or
-    unlabeled_x property draws that whole block. Until it is drawn,
-    labeled_rows draws only the labeled rows asked for, labeled_chunks one
-    chunk of rows at a time, unlabeled_columns only the columns asked for
-    and unlabeled_tiles one tile of columns at a time, none kept. grid holds
-    the (L, n) points that prefixes of the draw serve, its own (L, n) unless
-    the caller sets it, so that a reader can serve them all in one pass.
-    Every array a dataset holds is read-only: a caller's arrays are held as
-    read-only views, their own flags untouched. Datasets can be shared
-    across workers.
+    The rows are a LabeledSource and an UnlabeledSource, which draw them on
+    read (sample_dataset) or hold a caller's arrays, kept as read-only
+    views with their own flags untouched; a dataset holds every row given,
+    and prefix reads its first L and n. Every read forwards to the sources:
+    labeled_x and unlabeled_x are the whole blocks, drawn and kept on
+    first read; labeled_rows, labeled_chunks, unlabeled_columns and
+    unlabeled_tiles draw only the rows, chunks, columns or tiles they
+    read, none kept, until a block is held, and are served from it after.
+    grid holds the (L, n) points that prefixes of the draw serve, its own
+    (L, n) unless the caller sets it, so that a reader can serve them all
+    in one pass. Datasets can be shared across workers.
     """
 
     def __init__(self, labeled_x, labeled_y: np.ndarray, unlabeled_x):
-        self._labeled, self._labels, self._unlabeled = (
-            _freeze(a.view()) if isinstance(a, np.ndarray) else a
-            for a in (labeled_x, labeled_y, unlabeled_x))
+        self._labeled, self._unlabeled = (
+            source.held(a) if isinstance(a, np.ndarray) else a
+            for source, a in ((LabeledSource, labeled_x), (UnlabeledSource, unlabeled_x)))
+        self._labels = _freeze(labeled_y.view())
         # statistics computed once per draw (estimators.shared_value)
         self.shared = {}
         if len(labeled_x.shape) != 2 or len(unlabeled_x.shape) != 2:
@@ -480,26 +502,21 @@ class Dataset:
 
     @property
     def labeled_x(self) -> np.ndarray:
-        """The L x p labeled rows; a source draws them all on first read."""
-        block = _whole(self._labeled)
+        """The L x p labeled rows, drawn whole on first read."""
+        block = self._labeled.whole()
         return block if block.shape[0] == self._L else block[:self._L]
 
     @property
     def unlabeled_x(self) -> np.ndarray:
-        """The n x p unlabeled rows; a source draws them all on first read."""
-        block = _whole(self._unlabeled)
+        """The n x p unlabeled rows, drawn whole on first read."""
+        block = self._unlabeled.whole()
         # the held array itself when all its rows are read: every read then
         # returns the same object, which identity checks and weakrefs rely on
         return block if block.shape[0] == self._n else block[:self._n]
 
     def labeled_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Labeled rows [lo, hi): a view of the whole block once it is drawn,
-        otherwise LabeledSource.rows, drawn alone as a new array. Both give
-        the same bits."""
-        rows = self._labeled
-        if isinstance(rows, LabeledSource) and rows.block is None:
-            return rows.rows(lo, hi)
-        return self.labeled_x[lo:hi]
+        """Labeled rows [lo, hi) (LabeledSource.rows)."""
+        return self._labeled.rows(lo, hi)
 
     def labeled_chunks(self, start: int, use) -> None:
         """use(rows, labels) for the labeled rows [start, L) in row order, in
@@ -513,36 +530,17 @@ class Dataset:
             use(self.labeled_rows(lo, hi), self._labels[lo:hi])
 
     def unlabeled_columns(self, idx) -> np.ndarray:
-        """A new row-major n x len(idx) array of the unlabeled columns idx:
-        taken from the whole block once it is drawn, otherwise drawn alone.
-        Both give the same bits and the same layout, so what a reader
-        computes from them does not depend on which one served it."""
-        u = self._unlabeled
-        if isinstance(u, UnlabeledSource) and u.block is None:
-            return u.columns(idx, self._n)
-        # np.take lays the result out row-major; x[:, idx] would not
-        return np.take(self.unlabeled_x, idx, axis=1)
+        """A new row-major n x len(idx) array of the unlabeled columns idx
+        (UnlabeledSource.columns)."""
+        return self._unlabeled.columns(idx, self._n)
 
     def unlabeled_tiles(self, use, drawn=None) -> None:
         """use(lo, tile) on the draw threads for each tile of w =
-        _draws_that_fit(n, dtype) unlabeled columns [lo, lo + w),
-        tile holding their n rows: a view of the whole block once it is
-        drawn, otherwise drawn by UnlabeledSource.tiles, which copies the
-        columns in drawn (column -> its n rows) rather than drawing them
-        again, and dropped. Both give the same bits and the same layout."""
-        u = self._unlabeled
-        if isinstance(u, UnlabeledSource) and u.block is None:
-            u.tiles(range(self.p), self._n, use, drawn)
-            return
-        block = self.unlabeled_x
-        width = _draws_that_fit(self._n, block.dtype)
-        starts = range(0, self.p, width)
-
-        def stripe(first: int, step: int) -> None:
-            for lo in starts[first::step]:
-                use(lo, block[:, lo:lo + width])
-
-        _on_draw_threads(len(starts), stripe)
+        _draws_that_fit(n, dtype) unlabeled columns [lo, lo + w), tile
+        holding their n rows (UnlabeledSource.tiles): a view of the held
+        block, or drawn, copying the columns in drawn (column -> its n
+        rows) rather than drawing them again, and dropped."""
+        self._unlabeled.tiles(range(self.p), self._n, use, drawn)
 
     def prefix(self, L: int, n: int) -> "Dataset":
         """The first L labeled pairs and n unlabeled vectors of the rows

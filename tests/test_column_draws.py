@@ -19,10 +19,11 @@ import pytest
 
 from conftest import strip_runtime
 from sslgauss import gmodel, harness
+from sslgauss.errors import ContractError
 from sslgauss.estimators import self_train
 from sslgauss.gmodel import (STREAM_LABELED_NOISE, STREAM_LABELED_Y, STREAM_UNLABELED_NOISE,
-                             STREAM_UNLABELED_Y, ProblemParams, UnlabeledSource, k_from_alpha,
-                             make_sparse_mean, sample_dataset)
+                             STREAM_UNLABELED_Y, Dataset, LabeledSource, ProblemParams,
+                             UnlabeledSource, k_from_alpha, make_sparse_mean, sample_dataset)
 from sslgauss.harness import ExperimentConfig, run_sweep, run_trial
 from sslgauss.rng import generator, mix64
 
@@ -196,6 +197,40 @@ def test_tiles_equal_views_of_the_whole_block(dtype):
     for streamed, held in zip(*outputs):
         assert streamed.aux == held.aux and streamed.aux["n_eff"] > 0
         assert streamed.direction.tobytes() == held.direction.tobytes()
+
+
+@pytest.mark.parametrize("held", ["whole", "arrays"])
+def test_held_sources_serve_every_read_without_drawing(monkeypatch, held):
+    # Once a source holds its block, drawn by whole() or a caller's array,
+    # it serves rows and tiles as views of the block and columns as a copy,
+    # and draws nothing; tiles of a held block need a range of step 1.
+    mu, ds = draw(np.float32, L=20)
+    labeled, unlabeled = ds.labeled_x, ds.unlabeled_x
+    if held == "arrays":
+        labeled, unlabeled = labeled.copy(), unlabeled.copy()
+        ds = Dataset(labeled, ds.labeled_y, unlabeled)
+    fills = []
+    for cls in (LabeledSource, UnlabeledSource):
+        monkeypatch.setattr(cls, "_fill", lambda self, *args, fill=cls._fill:
+                            fills.append(self) or fill(self, *args))
+    rows = ds._labeled.rows(3, 17)
+    assert np.shares_memory(rows, labeled) and rows.tobytes() == labeled[3:17].tobytes()
+    idx = columns_to_read(mu)
+    cols = ds._unlabeled.columns(idx, 37)
+    assert cols.flags.c_contiguous and not np.shares_memory(cols, unlabeled)
+    assert cols.tobytes() == unlabeled[:37, idx].tobytes()
+    tiles = []
+    ds._unlabeled.tiles(range(P), 37, lambda lo, tile: tiles.append((lo, tile)))
+    assert sorted(lo for lo, _ in tiles) == list(range(0, P, gmodel._draws_that_fit(37, np.float32)))
+    for lo, tile in tiles:
+        assert np.shares_memory(tile, unlabeled)
+        assert tile.tobytes() == unlabeled[:37, lo:lo + tile.shape[1]].tobytes()
+    for cols in ([0, 2, 5], range(0, P, 2)):
+        with pytest.raises(ContractError):
+            ds._unlabeled.tiles(cols, 37, lambda lo, tile: None)
+    assert fills == []
+    draw(np.float32)[1]._labeled.rows(0, 2)  # a source that holds no block draws
+    assert fills
 
 
 def spy_whole(monkeypatch) -> list[bool]:
