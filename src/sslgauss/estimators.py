@@ -23,7 +23,8 @@ it as a view of a block the trial holds. So only the methods in
 READS_WHOLE_BLOCKS keep a block: a
 reader of the sums alone holds one chunk of labeled rows at a time, and
 none beside the screened columns lspca draws after them, and self_train
-holds two tile buffers per draw thread, whatever L and n are. Every
+holds two tile buffers per draw thread, allocated on the calling thread,
+whatever L and n are. Every
 estimator reads the draw's row blocks in place, casting at most a slab of
 columns at once.
 """

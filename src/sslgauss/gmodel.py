@@ -15,7 +15,9 @@ next, lspca draws only its screened columns, and self_train's
 pseudo-label sums take every column in one pass of tiles, each dropped
 once reduced. Chunks and tiles are cut to one byte budget per draw thread
 (_draws_that_fit), so what such a reader holds of a draw depends on
-neither L nor n. Once whole() has drawn a block, its source keeps it and
+neither L nor n. A tile pass's two tile buffers per draw thread are
+allocated on the calling thread, so no draw thread's malloc arena keeps
+them after the pass. Once whole() has drawn a block, its source keeps it and
 serves every read from it with the same bits, rows and tiles as views.
 Both are drawn on one pool of threads per process, as many as its share
 of the usable cores (all of them outside a process pool), with the same
@@ -258,19 +260,26 @@ def _draw_pool(threads: int) -> ThreadPoolExecutor:
         return _pool[2]
 
 
-def _on_draw_threads(count: int, stripe) -> None:
-    """Run stripe(first, step) for each stripe first, first + step, ... of
-    count units, one stripe per draw thread of this process's pool, and
-    return or raise once every stripe has finished. A single stripe runs on
-    the calling thread, and no units start none. A stripe must not call
-    back into the pool: it would wait on the threads it occupies."""
-    threads = _draw_threads()
-    step = min(threads, count)
-    if step == 1:
+def _stripes(count: int) -> int:
+    """How many stripes count units are cut into: one per draw thread, at
+    most one per unit."""
+    return min(_draw_threads(), count)
+
+
+def _on_draw_threads(stripes: int, stripe) -> None:
+    """Run stripe(first, stripes) for each first in range(stripes), that is
+    the units first, first + stripes, ... of a _stripes(count) cut, on this
+    process's pool of draw threads, and return or raise once every stripe
+    has finished. A single stripe runs on the calling thread, and none
+    starts nothing. A stripe takes the buffers it fills from its caller,
+    allocated on the calling thread, so that no draw thread's malloc arena
+    keeps them once the pass is done. A stripe must not call back into the
+    pool: it would wait on the threads it occupies."""
+    if stripes == 1:
         stripe(0, 1)
-    elif step > 1:
-        pool = _draw_pool(threads)
-        futures = [pool.submit(stripe, first, step) for first in range(step)]
+    elif stripes > 1:
+        pool = _draw_pool(_draw_threads())
+        futures = [pool.submit(stripe, first, stripes) for first in range(stripes)]
         wait(futures)
         for future in futures:
             future.result()
@@ -342,8 +351,8 @@ class LabeledSource(_Source):
         if self.block is not None:
             return self.block[lo:hi]
         out = np.empty((hi - lo, self.shape[1]), dtype=self.dtype)
-        _on_draw_threads(hi - lo, lambda first, step: self._fill(out[first::step],
-                                                                 range(lo + first, hi, step)))
+        _on_draw_threads(_stripes(hi - lo), lambda first, step: self._fill(
+            out[first::step], range(lo + first, hi, step)))
         return out
 
     def _draw_all(self) -> np.ndarray:
@@ -405,24 +414,30 @@ class UnlabeledSource(_Source):
         threads, calling use(lo, tile) on each tile unless use is None. A
         held block serves each tile as its view block[:n, cols[lo]:...],
         so cols must then be a range of step 1 (ContractError otherwise).
-        Otherwise a thread keeps one Philox and fills a (w, n) buffer by
+        Otherwise each stripe keeps one Philox and fills a (w, n) buffer by
         column keys, copying the columns that drawn (column -> its n rows)
         holds instead of drawing them again, and copies the buffer
         transposed into the tile, the view out[:, lo:lo + w] or an (n, w)
-        scratch array the thread reuses. Every tile has adjacent columns
-        and strided rows, as a view of the block has."""
+        scratch array the stripe reuses. The calling thread allocates each
+        stripe's buffers before the pass, so no draw thread allocates a
+        tile; a held block's pass allocates nothing. Every tile has
+        adjacent columns and strided rows, as a view of the block has."""
         held = self.block
         if held is not None and not (isinstance(cols, range) and cols.step == 1):
             raise ContractError("a held block serves tiles of a column range of step 1 only")
         drawn = drawn or {}
         width = min(_draws_that_fit(n, self.dtype), len(cols))
         starts = range(0, len(cols), width or 1)
+        stripes = _stripes(len(starts))
+        buffers = [] if held is not None else [
+            (np.empty((width, n), dtype=self.dtype),
+             np.empty((n, width), dtype=self.dtype) if out is None else None)
+            for _ in range(stripes)]
 
         def stripe(first: int, step: int) -> None:
             if held is None:
                 gen = generator(0)
-                buf = np.empty((width, n), dtype=self.dtype)
-                scratch = np.empty((n, width), dtype=self.dtype) if out is None else None
+                buf, scratch = buffers[first]
             for lo in starts[first::step]:
                 keys = cols[lo:lo + width]
                 if held is not None:
@@ -438,7 +453,7 @@ class UnlabeledSource(_Source):
                 if use is not None:
                     use(lo, tile)
 
-        _on_draw_threads(len(starts), stripe)
+        _on_draw_threads(stripes, stripe)
 
     def _fill(self, gen: np.random.Generator, rows: list, keys: list) -> None:
         """Column keys[r] into rows[r], on the calling thread."""

@@ -15,6 +15,7 @@ import threading
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import strip_runtime
@@ -85,9 +86,66 @@ def test_failing_stripe_raises_after_every_stripe_finishes(monkeypatch, draw_poo
     assert finished.is_set()
     # the pool survives a failed call
     done = []
-    gmodel._on_draw_threads(5, lambda first, step: done.extend(range(first, 5, step)))
+    gmodel._on_draw_threads(gmodel._stripes(5),
+                            lambda first, step: done.extend(range(first, 5, step)))
     assert sorted(done) == list(range(5))
     assert len(draw_pools) == 1
+
+
+def spy_on_empty(monkeypatch) -> list:
+    """(thread, element count) of every np.empty call from now on."""
+    calls = []
+    empty = np.empty
+
+    def spied(shape, *args, **kwargs):
+        arr = empty(shape, *args, **kwargs)
+        calls.append((threading.get_ident(), arr.size))
+        return arr
+
+    monkeypatch.setattr(np, "empty", spied)
+    return calls
+
+
+@pytest.mark.parametrize("threads, p, budget", [
+    (2, 500, 2 * 40 * 8),  # many two-column tiles on two threads
+    (2, 5, 40 * 8 - 1),  # one column is over the budget: one-column tiles
+    (2, 500, None),  # one tile, fewer than the draw threads
+    (3, 500, 250 * 40 * 8),  # two tiles on three draw threads
+])
+def test_no_draw_thread_allocates_a_tile_buffer(monkeypatch, draw_pools, threads, p, budget):
+    # A draw thread's freed arrays stay in its own malloc arena, where the
+    # caller's later arrays do not reuse them, so the calling thread
+    # allocates every stripe's buffers. The bits do not depend on who did.
+    n = 40
+    mu = make_sparse_mean(ProblemParams(p=p, k=5, lam=3.0, L=2, n=n), seed=4)
+    whole = sample_dataset(mu, 2, n, seed=5).unlabeled_x
+    monkeypatch.setattr(gmodel, "_draw_threads", lambda: threads)
+    if budget is not None:
+        monkeypatch.setattr(gmodel, "_DRAW_BYTES", budget)
+    width = min(gmodel._draws_that_fit(n, np.float64), p)
+    calls = spy_on_empty(monkeypatch)
+    caller = threading.get_ident()
+
+    def tile_pass(ds) -> None:
+        tiles = {}
+        ds.unlabeled_tiles(lambda lo, tile: tiles.setdefault(lo, tile.tobytes()))
+        assert sorted(tiles) == list(range(0, p, width))
+        for lo, got in tiles.items():
+            assert got == whole[:, lo:lo + width].tobytes()
+
+    tile_pass(sample_dataset(mu, 2, n, seed=5))
+    idx = [p - 1, 0, *range(3, p, 7)]
+    columns = sample_dataset(mu, 2, n, seed=5).unlabeled_columns(idx)
+    block = sample_dataset(mu, 2, n, seed=5).unlabeled_x
+    assert [size for thread, size in calls if thread != caller and size >= width * n] == []
+    assert columns.tobytes() == whole[:, idx].tobytes()
+    assert block.tobytes() == whole.tobytes()
+
+    held = sample_dataset(mu, 2, n, seed=5)
+    held.unlabeled_x
+    calls.clear()
+    tile_pass(held)
+    assert calls == []
 
 
 def test_pool_workers_after_the_parent_drew(tmp_path):
