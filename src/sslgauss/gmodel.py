@@ -267,14 +267,13 @@ def _stripes(count: int) -> int:
 
 
 def _on_draw_threads(stripes: int, stripe) -> None:
-    """Run stripe(first, stripes) for each first in range(stripes), that is
-    the units first, first + stripes, ... of a _stripes(count) cut, on this
-    process's pool of draw threads, and return or raise once every stripe
-    has finished. A single stripe runs on the calling thread, and none
-    starts nothing. A stripe takes the buffers it fills from its caller,
-    allocated on the calling thread, so that no draw thread's malloc arena
-    keeps them once the pass is done. A stripe must not call back into the
-    pool: it would wait on the threads it occupies."""
+    """Run stripe(first, stripes), the units first, first + stripes, ... of
+    a _stripes(count) cut, for each first in range(stripes) on this
+    process's pool, and return or raise once every stripe has finished. A
+    single stripe runs on the calling thread. A stripe fills buffers its
+    caller allocated: a draw thread's freed arrays stay in its own malloc
+    arena. A stripe must not call back into the pool: it would wait on the
+    threads it occupies."""
     if stripes == 1:
         stripe(0, 1)
     elif stripes > 1:
