@@ -20,13 +20,13 @@ take the rows they lack in chunks of a fixed byte budget
 (Dataset.labeled_chunks) and the tile pass takes tiles of one, each
 dropped once used; the draw's sources draw each chunk and tile, or serve
 it as a view of a block the trial holds. So only the methods in
-READS_WHOLE_BLOCKS keep a block: a
-reader of the sums alone holds one chunk of labeled rows at a time, and
-none beside the screened columns lspca draws after them, and self_train
-holds two tile buffers per draw thread, allocated on the calling thread,
-whatever L and n are. Every
+READS_WHOLE_BLOCKS keep a block: a reader of the sums alone holds one
+chunk of labeled rows at a time, and none beside the screened columns
+lspca draws after them, and self_train's pass holds two tile buffers per
+draw thread, allocated on the calling thread, whatever L and n are. Every
 estimator reads the draw's row blocks in place, casting at most a slab of
-columns at once.
+columns at once, and a float64 temporary as wide as a block takes as many
+of its rows as fit the draw budget (gmodel._draws_that_fit).
 """
 
 from __future__ import annotations
@@ -40,9 +40,9 @@ import numpy as np
 
 from .errors import (ContractError, ConvergenceError, InsufficientSamplesError,
                      MissingClassError, ScreeningTooSmallError)
-from .gmodel import Dataset, ProblemParams
-from .spectral import (NARROW_SLAB, PowerResult, power_iteration,
-                       principal_direction, restricted_covariance, top_k_indices, truncated_power)
+from .gmodel import Dataset, ProblemParams, _draws_that_fit
+from .spectral import (PowerResult, power_iteration, principal_direction, restricted_covariance,
+                       top_k_indices, truncated_power)
 
 _DEFAULT_BETA_TILDE = 0.5
 
@@ -239,11 +239,11 @@ def _pseudo_label_sums(dataset: Dataset, k: int, threshold: float) -> dict:
     """(n_eff, pseudo-label sum) at each point (L, n) of the draw's grid with
     L, n >= 1, or at the dataset's own point when it is off the grid, kept
     per draw. Each point's pilot is the top k of its signed mean, taken in
-    ascending L from class sums that draw each labeled row once. The
-    pilots' columns are drawn once and score each point's n rows; then one
-    tile pass (Dataset.unlabeled_tiles) reuses them and reduces each tile,
-    in row order, over each point's own rows [0, n), so a point's sum
-    depends only on its rows, whichever grid it is on."""
+    ascending L from class sums that draw each labeled row once. Each
+    distinct L draws its pilot's k columns to score its points' rows; then
+    one tile pass (Dataset.unlabeled_tiles) draws every column and reduces
+    each tile, in row order, over each point's own rows [0, n), so a
+    point's sum depends only on its rows, whichever grid it is on."""
     points = dataset.grid if (dataset.L, dataset.n) in dataset.grid else ((dataset.L, dataset.n),)
     points = tuple((L, n) for L, n in points if L and n)
 
@@ -252,14 +252,13 @@ def _pseudo_label_sums(dataset: Dataset, k: int, threshold: float) -> dict:
         pilots = {}
         for L in sorted({L for L, _ in points}):
             _, w, order = _signed_sum(largest.prefix(L, largest.n))
-            pilots[L] = order[:k], w[order[:k]]
-        union = np.unique(np.concatenate([support for support, _ in pilots.values()]))
-        cols = largest.unlabeled_columns(union)
+            pilots[L] = largest.unlabeled_columns(order[:k]), w[order[:k]]
         weights = {}
         for L, n in points:
-            support, values = pilots[L]
-            scores = cols[:n][:, np.searchsorted(union, support)] @ values
+            cols, values = pilots[L]
+            scores = cols[:n] @ values
             weights[L, n] = np.where(np.abs(scores) > threshold, np.sign(scores), 0.0)
+        del pilots  # the tile pass holds only the weights
         sums = {point: np.empty(dataset.p) for point in points}
 
         def reduce(lo, tile):
@@ -269,7 +268,7 @@ def _pseudo_label_sums(dataset: Dataset, k: int, threshold: float) -> dict:
             for (L, n), wt in weights.items():
                 sums[L, n][lo:lo + tile.shape[1]] = np.einsum("i,ij->j", wt, tile[:n])
 
-        largest.unlabeled_tiles(reduce, dict(zip(union.tolist(), cols.T)))
+        largest.unlabeled_tiles(reduce)
         return {point: (int(np.count_nonzero(weights[point])), sums[point]) for point in points}
 
     return shared_value(dataset, "pseudo_label_sums", (k, threshold, points), make)
@@ -283,11 +282,11 @@ def ul_diag_threshold_pca(dataset: Dataset, k: int) -> EstimatorOutput:
     It reads all L + n feature vectors, labels dropped: the labeled and
     unlabeled blocks in place, as if stacked. The variances take two passes,
     the column means from the blocks' float64 sums, then the squared
-    deviations in row order, from float64 slabs of whole rows no larger
-    than NARROW_SLAB columns of the block (E[x^2] - mean^2 would cancel when
-    |mean| >> spread). Only the kept columns are copied out of the rows. The
-    solve's convergence flag, product count and eigenvalue go in aux, on
-    either side.
+    deviations in row order, from float64 slabs of as many whole rows as
+    fit the draw budget (gmodel._draws_that_fit; E[x^2] - mean^2 would
+    cancel when |mean| >> spread). Only the kept columns are copied out of
+    the rows. The solve's convergence flag, product count and eigenvalue go
+    in aux, on either side.
     """
     blocks = [dataset.labeled_x, dataset.unlabeled_x]
     n, p = dataset.L + dataset.n, dataset.p
@@ -300,7 +299,7 @@ def ul_diag_threshold_pca(dataset: Dataset, k: int) -> EstimatorOutput:
     squares = np.zeros(p)
     for b in blocks:
         total = np.zeros(p)
-        step = max(1, NARROW_SLAB * b.shape[0] // p)
+        step = _draws_that_fit(p, np.float64)
         for lo in range(0, b.shape[0], step):
             d = b[lo:lo + step] - mean
             for row in np.square(d, out=d):

@@ -12,13 +12,14 @@ through its source (LabeledSource, UnlabeledSource), which draws only
 what is read until a reader asks for the whole block: the labeled class
 sums draw the rows in chunks, adding each and dropping it before the
 next, lspca draws only its screened columns, and self_train's
-pseudo-label sums take every column in one pass of tiles, each dropped
-once reduced. Chunks and tiles are cut to one byte budget per draw thread
-(_draws_that_fit), so what such a reader holds of a draw depends on
-neither L nor n. A tile pass's two tile buffers per draw thread are
-allocated on the calling thread, so no draw thread's malloc arena keeps
-them after the pass. Once whole() has drawn a block, its source keeps it and
-serves every read from it with the same bits, rows and tiles as views.
+pseudo-label sums draw their pilots' columns, then every column in one
+pass of tiles, each dropped once reduced. Chunks, tiles and every float64
+slab are cut to one byte budget per draw thread (_draws_that_fit), so
+what such a reader holds of a draw depends on neither L nor n. A tile
+pass's two tile buffers per draw thread are allocated on the calling
+thread, so no draw thread's malloc arena keeps them after the pass. Once
+whole() has drawn a block, its source keeps it and serves every read
+from it with the same bits, rows and tiles as views.
 Both are drawn on one pool of threads per process, as many as its share
 of the usable cores (all of them outside a process pool), with the same
 bits as a serial draw.
@@ -51,8 +52,9 @@ _FLOOR_EPS = 1e-9
 
 # Bytes of fresh draws a draw thread fills at once (_draws_that_fit), so that
 # what a draw holds depends on neither L nor n: a chunk of the labeled rows
-# the class sums add is as many rows per draw thread as fit it, and an
-# unlabeled tile as many columns of n rows.
+# the class sums add is as many rows per draw thread as fit it, an unlabeled
+# tile as many columns of n rows, and a float64 slab of a temporary as wide
+# as its input (spectral, the variance screen) as many rows.
 _DRAW_BYTES = 1 << 20
 
 
@@ -407,24 +409,22 @@ class UnlabeledSource(_Source):
         self.tiles(cols, n, None, out=out)
         return out
 
-    def tiles(self, cols, n: int, use, drawn=None, out=None) -> None:
+    def tiles(self, cols, n: int, use, out=None) -> None:
         """The tile pass over rows [0, n) of columns cols (any order), w =
         _draws_that_fit(n, dtype) columns at a time, striped over the draw
         threads, calling use(lo, tile) on each tile unless use is None. A
         held block serves each tile as its view block[:n, cols[lo]:...],
         so cols must then be a range of step 1 (ContractError otherwise).
-        Otherwise each stripe keeps one Philox and fills a (w, n) buffer by
-        column keys, copying the columns that drawn (column -> its n rows)
-        holds instead of drawing them again, and copies the buffer
-        transposed into the tile, the view out[:, lo:lo + w] or an (n, w)
-        scratch array the stripe reuses. The calling thread allocates each
-        stripe's buffers before the pass, so no draw thread allocates a
-        tile; a held block's pass allocates nothing. Every tile has
-        adjacent columns and strided rows, as a view of the block has."""
+        Otherwise each stripe keeps one Philox, fills a (w, n) buffer by
+        column keys and copies it transposed into the tile, the view
+        out[:, lo:lo + w] or an (n, w) scratch array the stripe reuses. The
+        calling thread allocates each stripe's buffers before the pass, so
+        no draw thread allocates a tile; a held block's pass allocates
+        nothing. Every tile has adjacent columns and strided rows, as a
+        view of the block has."""
         held = self.block
         if held is not None and not (isinstance(cols, range) and cols.step == 1):
             raise ContractError("a held block serves tiles of a column range of step 1 only")
-        drawn = drawn or {}
         width = min(_draws_that_fit(n, self.dtype), len(cols))
         starts = range(0, len(cols), width or 1)
         stripes = _stripes(len(starts))
@@ -442,11 +442,7 @@ class UnlabeledSource(_Source):
                 if held is not None:
                     tile = held[:n, keys.start:keys.stop]
                 else:
-                    fresh = [i for i, j in enumerate(keys) if j not in drawn]
-                    self._fill(gen, [buf[i] for i in fresh], [keys[i] for i in fresh])
-                    for i, j in enumerate(keys):
-                        if j in drawn:
-                            buf[i] = drawn[j]
+                    self._fill(gen, buf[:len(keys)], keys)
                     tile = scratch[:, :len(keys)] if out is None else out[:, lo:lo + len(keys)]
                     tile[...] = buf[:len(keys)].T
                 if use is not None:
@@ -454,7 +450,7 @@ class UnlabeledSource(_Source):
 
         _on_draw_threads(stripes, stripe)
 
-    def _fill(self, gen: np.random.Generator, rows: list, keys: list) -> None:
+    def _fill(self, gen: np.random.Generator, rows: np.ndarray, keys) -> None:
         """Column keys[r] into rows[r], on the calling thread."""
         _keyed_fill(gen, rows, self._noise_seed, keys)
         for row, j in zip(rows, keys):
@@ -529,7 +525,9 @@ class Dataset:
         return block if block.shape[0] == self._n else block[:self._n]
 
     def labeled_rows(self, lo: int, hi: int) -> np.ndarray:
-        """Labeled rows [lo, hi) (LabeledSource.rows)."""
+        """Labeled rows [lo, hi) (LabeledSource.rows), 0 <= lo <= hi <= L."""
+        if not 0 <= lo <= hi <= self._L:
+            raise ConfigError(f"labeled rows [{lo}, {hi}) out of range [0, {self._L}]")
         return self._labeled.rows(lo, hi)
 
     def labeled_chunks(self, start: int, use) -> None:
@@ -548,13 +546,12 @@ class Dataset:
         (UnlabeledSource.columns)."""
         return self._unlabeled.columns(idx, self._n)
 
-    def unlabeled_tiles(self, use, drawn=None) -> None:
+    def unlabeled_tiles(self, use) -> None:
         """use(lo, tile) on the draw threads for each tile of w =
         _draws_that_fit(n, dtype) unlabeled columns [lo, lo + w), tile
         holding their n rows (UnlabeledSource.tiles): a view of the held
-        block, or drawn, copying the columns in drawn (column -> its n
-        rows) rather than drawing them again, and dropped."""
-        self._unlabeled.tiles(range(self.p), self._n, use, drawn)
+        block, or drawn and dropped."""
+        self._unlabeled.tiles(range(self.p), self._n, use)
 
     def prefix(self, L: int, n: int) -> "Dataset":
         """The first L labeled pairs and n unlabeled vectors of the rows

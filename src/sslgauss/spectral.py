@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, InsufficientSamplesError, InvalidSupportError
+from .gmodel import _draws_that_fit
 
 # Most products one solve forms, in either solver; read at each call.
 MAX_ITER = 1000
@@ -39,8 +40,6 @@ LANCZOS_BASIS = 64
 
 # Columns per slab of a cast to float64 (float64_slabs).
 COLUMN_BLOCK = 2048
-# Rows (columns) per slab of a float64 temporary as wide (tall) as its input.
-NARROW_SLAB = 256
 _SYMMETRY_TOL = 1e-10
 
 
@@ -144,8 +143,9 @@ def principal_direction(blocks: list[np.ndarray]) -> PowerResult:
     r = X m = G 1 / n and ||m||^2 = 1' G 1 / n^2, which leaves it exactly
     symmetric.
 
-    Memory: the Gram side holds the n x n Gram matrix and a NARROW_SLAB x n
-    centering temporary; rows that need a cast add a float64 slab (n x
+    Memory: the Gram side holds the n x n Gram matrix and a centering
+    temporary of as many of its rows as fit the draw budget
+    (gmodel._draws_that_fit); rows that need a cast add a float64 slab (n x
     COLUMN_BLOCK) and a block product. The covariance side (p <= n) centers
     all rows at once, in an n x p float64 array, and holds the p x p matrix.
     """
@@ -169,9 +169,10 @@ def principal_direction(blocks: list[np.ndarray]) -> PowerResult:
                 gram[spans[j], spans[i]] = gram[spans[i], spans[j]].T
         r = gram.sum(axis=1) / n
         r_mean = r.mean()
-        for lo in range(0, n, NARROW_SLAB):
-            g = gram[lo:lo + NARROW_SLAB]
-            g -= r[lo:lo + NARROW_SLAB, None] + r  # r_i + r_j is r_j + r_i: symmetry holds
+        step = _draws_that_fit(n, np.float64)
+        for lo in range(0, n, step):
+            g = gram[lo:lo + step]
+            g -= r[lo:lo + step, None] + r  # r_i + r_j is r_j + r_i: symmetry holds
             g += r_mean
             g /= n
         result = power_iteration(gram)
@@ -208,9 +209,9 @@ def _psd_operator(a):
     scale = max(float(a.max()), -float(a.min())) if a.size else 0.0
     if scale:
         # a row slab at a time, so the check holds no n x n temporary
-        for lo in range(0, a.shape[0], NARROW_SLAB):
-            rows = slice(lo, lo + NARROW_SLAB)
-            gap = a[rows] - a[:, rows].T
+        step = _draws_that_fit(a.shape[0], np.float64)
+        for lo in range(0, a.shape[0], step):
+            gap = a[lo:lo + step] - a[:, lo:lo + step].T
             if float(np.max(np.abs(gap, out=gap))) > _SYMMETRY_TOL * scale:
                 raise ContractError("matrix is not symmetric to tolerance")
     return a

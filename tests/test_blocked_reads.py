@@ -17,7 +17,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sslgauss import estimators, spectral
+from sslgauss import estimators, gmodel, spectral
 from conftest import unlabeled_only
 from sslgauss.estimators import METHODS, self_train, ul_diag_threshold_pca, vanilla_pca
 from sslgauss.gmodel import Dataset, ProblemParams, k_from_alpha, make_sparse_mean, sample_dataset
@@ -173,11 +173,11 @@ def test_peak_memory_below_half_the_draw(method):
 @pytest.mark.parametrize("method, dtype", [("ul_diag_threshold_pca", np.float64),
                                            ("top_k_labeled", np.float32)])
 def test_screens_hold_no_slab_of_the_draw(method, dtype):
-    # The variance screen holds a float64 slab of a few whole rows of one
-    # block, no larger than 500 x 256 (1 MB); a 2048-column slab of the
-    # stacked rows was 0.26 of the draw. The float32 signed sum adds the
-    # labeled rows one at a time into two float64 class sums (0.26 MB, 0.01
-    # of the 38.4 MB draw); a float64 copy of the rows was 0.35.
+    # The variance screen holds a float64 slab of as many whole rows of one
+    # block as fit the 1 MiB draw budget (8 x 16000); a 2048-column slab
+    # of the stacked rows was 0.26 of the draw. The float32 signed sum adds
+    # the labeled rows one at a time into two float64 class sums (0.26 MB,
+    # 0.01 of the 38.4 MB draw); a float64 copy of the rows was 0.35.
     share = _peak_share(method, dtype)
     assert share < 0.15, f"{method}: peak {share:.2f} of the draw"
 
@@ -190,25 +190,27 @@ GRAM_SIDE = {"p": 2600, "L": 100, "n": 1900}
 @pytest.mark.parametrize("dtype, bound", [(np.float64, 0.3), (np.float32, 0.5)],
                          ids=["f64", "f32"])
 def test_variance_screen_reads_the_rows_in_place(dtype, bound):
-    # The screen holds a 187 x 2600 float64 slab (3.9 MB, 0.09 of the float64
-    # draw) and then the 181 kept columns, copied and stacked (2.9 MB each);
-    # stacking 2048-column slabs of the rows and np.var's deviations took
-    # 1.6 (float64) and 2.4 (float32) of the draw.
+    # The screen holds a 50 x 2600 float64 slab (1 MiB, the draw budget;
+    # 0.03 of the float64 draw) and then the 181 kept columns, copied and
+    # stacked (2.9 MB each): peaks of 0.18 (float64) and 0.29 (float32).
+    # 187-row slabs made them 0.19 and 0.38; stacking 2048-column slabs of
+    # the rows and np.var's deviations 1.6 and 2.4.
     share = _peak_share("ul_diag_threshold_pca", dtype, **GRAM_SIDE)
     assert share < bound, f"peak {share:.2f} of the draw"
 
 
 def test_gram_side_holds_the_gram_matrix_and_slabs():
     # Float64 rows: the block products are written into the Gram matrix and
-    # it is centered NARROW_SLAB rows at a time, so the peak is the matrix
-    # plus slabs of 256 x 2000 (0.13 of it) and the Lanczos basis; a product
-    # temporary and a whole-matrix centering temporary made it 2.0.
+    # it is centered as many rows at a time as fit the draw budget (65 of
+    # the 2000), so the peak is the matrix plus two such slabs and the
+    # Lanczos basis, about 1.13 of it; 256-row slabs made it 1.32, and a
+    # product temporary and a whole-matrix centering temporary 2.0.
     ds, pp = _draw(np.float64, **GRAM_SIDE)
     ds.unlabeled_x
     peak, out = _peak("vanilla_pca", ds, pp)
     gram = (ds.L + ds.n) ** 2 * 8
     assert out.aux["dual_gram"]
-    assert peak < 1.5 * gram, f"peak {peak / gram:.2f} of the Gram matrix"
+    assert peak < 1.2 * gram, f"peak {peak / gram:.2f} of the Gram matrix"
 
 
 def test_variance_screen_is_two_pass(monkeypatch):
@@ -234,16 +236,17 @@ def test_variance_screen_is_two_pass(monkeypatch):
 @pytest.mark.parametrize("L, n, p", [(40, 200, 400), (3, 7, 1000)])
 def test_variance_screen_equals_the_column_slab_sums(monkeypatch, dtype, L, n, p):
     # The squared deviations are added up a few whole rows at a time, in row
-    # order; they must give the bits of summing each NARROW_SLAB-column slab
-    # of a block down its rows (25 and 128 rows at a time here, and 1 at
-    # p = 1000, where a row is wider than NARROW_SLAB columns' worth)
+    # order; they must give the bits of summing each 256-column slab of a
+    # block down its rows, whatever the height of the row slabs (7 rows at
+    # a time here)
+    monkeypatch.setattr(gmodel, "_DRAW_BYTES", 7 * p * 8)
     rng = np.random.default_rng(5)
     blocks = [(rng.standard_normal((rows, p)) + 50.0).astype(dtype) for rows in (L, n)]
     mean = sum(b.sum(axis=0, dtype=np.float64) for b in blocks) / (L + n)
     squares = np.zeros(p)
     for b in blocks:
-        for lo in range(0, p, spectral.NARROW_SLAB):
-            cols = slice(lo, lo + spectral.NARROW_SLAB)
+        for lo in range(0, p, 256):
+            cols = slice(lo, lo + 256)
             squares[cols] += np.square(b[:, cols] - mean[cols]).sum(axis=0)
     seen = []
 

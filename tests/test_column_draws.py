@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from conftest import strip_runtime
-from sslgauss import gmodel, harness
+from sslgauss import estimators, gmodel, harness
 from sslgauss.errors import ContractError
 from sslgauss.estimators import self_train
 from sslgauss.gmodel import (STREAM_LABELED_NOISE, STREAM_LABELED_Y, STREAM_UNLABELED_NOISE,
@@ -174,9 +174,9 @@ def test_empty_column_read(monkeypatch, threads):
 def test_tiles_equal_views_of_the_whole_block(dtype):
     # A tile is w columns of the n = 200 rows, as many as fit the draw
     # threads' byte budget, so p = 2w + 1 leaves a one-column last tile.
-    # Drawn tiles, with some columns copied in rather than drawn, have the
-    # bits and the layout of the held block's views, so self_train gives the
-    # same bytes from either, at every point of the grid.
+    # Drawn tiles have the bits and the layout of the held block's views,
+    # so self_train gives the same bytes from either, at every point of the
+    # grid.
     w = gmodel._draws_that_fit(200, dtype)
     pp = ProblemParams(p=2 * w + 1, k=5, lam=3.0, L=30, n=200)
     mu = make_sparse_mean(pp, seed=2)
@@ -184,12 +184,10 @@ def test_tiles_equal_views_of_the_whole_block(dtype):
     for held in (False, True):
         ds = sample_dataset(mu, 30, 200, seed=3, dtype=dtype)
         ds.grid = ((10, 200), (30, 50), (30, 200))
-        drawn = {j: ds.unlabeled_columns([j])[:, 0] for j in (0, w + 44, 2 * w)}
         if held:
             ds.unlabeled_x
         got = {}
-        ds.unlabeled_tiles(lambda lo, tile: got.setdefault(lo, (tile.tobytes(), tile.strides[1])),
-                           drawn)
+        ds.unlabeled_tiles(lambda lo, tile: got.setdefault(lo, (tile.tobytes(), tile.strides[1])))
         tiles.append(got)
         outputs.append([self_train(ds.prefix(L, n), 5, 0.8) for L, n in ds.grid])
     assert sorted(tiles[0]) == [0, w, 2 * w]
@@ -315,8 +313,9 @@ def spy_unlabeled_fills(monkeypatch) -> list[tuple]:
                          ids=["n_sweep", "L_sweep"])
 def test_each_unlabeled_column_is_drawn_once_per_trial(monkeypatch, sweep):
     # self_train serves every point of a trial from one tile pass, which
-    # reuses the pilot columns its scores read: a pass per point would draw
-    # each column once per point
+    # draws each column once (a pass per point would draw each column once
+    # per point); each distinct L draws its pilot's k columns once more, for
+    # the scores of its points
     axis, values = sweep
     cfg = replace(config(("top_k_labeled", "self_train"), sweep_axis=axis, sweep_values=values),
                   trials=2)
@@ -325,9 +324,12 @@ def test_each_unlabeled_column_is_drawn_once_per_trial(monkeypatch, sweep):
     assert not any(r.failed for r in records)
     sources = {id(source): source for source, _ in fills}
     assert len(sources) == cfg.trials
-    for source in sources.values():
-        keys = Counter(j for s, cols in fills if s is source for j in cols)
-        assert keys == Counter(range(P_CONFIG))
+    for trial, source in enumerate(sources.values()):
+        _, ds = harness.trial_ground_truth(cfg, trial)
+        want = Counter(range(P_CONFIG))
+        for L in sorted({L for L, _ in cfg.points()}):
+            want.update(estimators._signed_sum(ds.prefix(L, ds.n))[2][:cfg.params.k].tolist())
+        assert Counter(j for s, cols in fills if s is source for j in cols) == want
         assert source.block is None
 
 

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from sslgauss import estimators, gmodel, harness
-from sslgauss.errors import InsufficientSamplesError, MissingClassError
+from sslgauss.errors import ConfigError, InsufficientSamplesError, MissingClassError
 from sslgauss.estimators import METHODS, resolve_beta_tilde, screened_count
 from sslgauss.gmodel import LabeledSource, ProblemParams, make_sparse_mean, sample_dataset
 from sslgauss.harness import ExperimentConfig, run_sweep
@@ -68,6 +68,25 @@ def test_streamed_sums_equal_the_drawn_block(monkeypatch, draw_pools, dtype, thr
     # every chunk of every pass, and the drawn block, on one pool of the draw
     # threads; one draw thread draws on the calling thread
     assert [pool.threads for pool in draw_pools] == ([threads] if threads > 1 else [])
+
+
+@pytest.mark.parametrize("held", [False, True], ids=["drawn", "held"])
+def test_labeled_rows_refuse_rows_outside_the_dataset(held):
+    # 0 <= lo <= hi <= L, the dataset's own L, whether or not its source
+    # holds the block: a prefix does not read past its L into the held rows
+    mu = make_sparse_mean(ProblemParams(p=50, k=3, lam=3.0, L=10, n=5), seed=4)
+    ds = sample_dataset(mu, 10, 5, seed=5)
+    if held:
+        ds.labeled_x
+    view = ds.prefix(4, 5)
+    for lo, hi in ((2, 8), (8, 12), (5, 2), (-1, 3)):
+        with pytest.raises(ConfigError):
+            view.labeled_rows(lo, hi)
+    for lo, hi in ((8, 12), (5, 2), (-1, 3), (0, 11)):
+        with pytest.raises(ConfigError):
+            ds.labeled_rows(lo, hi)
+    assert view.labeled_rows(1, 4).tobytes() == ds.labeled_rows(1, 4).tobytes()
+    assert ds.labeled_rows(10, 10).shape == (0, 50)
 
 
 def test_class_sum_errors_are_unchanged():
