@@ -202,9 +202,9 @@ def test_variance_screen_reads_the_rows_in_place(dtype, bound):
 def test_gram_side_holds_the_gram_matrix_and_slabs():
     # Float64 rows: the block products are written into the Gram matrix and
     # it is centered as many rows at a time as fit the draw budget (65 of
-    # the 2000), so the peak is the matrix plus two such slabs and the
-    # Lanczos basis, about 1.13 of it; 256-row slabs made it 1.32, and a
-    # product temporary and a whole-matrix centering temporary 2.0.
+    # the 2000), so the peak is the matrix plus one such slab (0.03 of it)
+    # and the Lanczos basis, about 1.13; 256-row slabs (0.13) made it 1.32,
+    # and a product temporary and a whole-matrix centering temporary 2.0.
     ds, pp = _draw(np.float64, **GRAM_SIDE)
     ds.unlabeled_x
     peak, out = _peak("vanilla_pca", ds, pp)
